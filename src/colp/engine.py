@@ -22,12 +22,12 @@ import itertools
 from dataclasses import dataclass
 from typing import IO, Iterator, Optional
 
-from .equations import (SolvedForm, EMPTY_SOLVED, RationalTerm, arg_equations,
-                        bisimilar, canonical_key, is_ground_under,
-                        rational_value, solve)
+from .equations import (SolvedForm, EMPTY_SOLVED, BuiltinTypeError,
+                        arg_equations, arith_value, free_leaf_names,
+                        is_ground_under, rational_value, solve)
 from .parser import Query, atom_snapshot
-from .terms import (Atom, Clause, Num, Program, Term, Var, fresh_rename,
-                    is_builtin, vars_of)
+from .terms import (Atom, Clause, Num, Program, Var, fresh_rename, is_builtin,
+                    signatures, vars_of)
 
 MODES = ("flexible", "inductive", "coinductive")
 STRATEGIES = ("dfs", "iddfs")
@@ -36,14 +36,6 @@ PREFERENCES = ("cohyp", "step")
 FINITELY_FAILED = "finitely-failed"
 BUDGET_EXHAUSTED = "budget-exhausted"
 COMPLETE = "complete"
-
-
-class BuiltinTypeError(Exception):
-    """A builtin was applied to arguments outside its contract.
-
-    Distinct from failure: the branch is aborted and a diagnostic recorded,
-    so a run that only type-errors is not reported as finitely failed.
-    """
 
 
 @dataclass(frozen=True)
@@ -90,15 +82,9 @@ def apply_mode(prog: Program, mode: str) -> Program:
     if mode == "inductive":
         return Program(prog.clauses, ())
     if mode == "coinductive":
-        sigs: list[tuple[str, int]] = []
-        for cl in prog.clauses:
-            for atom in (cl.head, *cl.body):
-                sig = (atom.pred, len(atom.args))
-                if not is_builtin(atom) and sig not in sigs:
-                    sigs.append(sig)
         cofacts = tuple(
             Clause(Atom(p, tuple(Var(f"A{i + 1}", 0) for i in range(n))), ())
-            for p, n in sigs)
+            for p, n in signatures(prog.clauses))
         return Program(prog.clauses, cofacts)
     return prog
 
@@ -109,33 +95,6 @@ class Frame:
     hyps: tuple[Atom, ...]  # insertion order, duplicates collapsed
     inner: bool             # inside a co-hyp re-derivation
     depth: int
-
-
-# arithmetic accepted on the right of is/2 and on both sides of comparisons
-_ARITH2 = {"+", "-", "*", "max", "min"}
-
-
-def _arith(t: Term, solved: SolvedForm, active: set) -> int:
-    t = solved.walk(t)
-    if isinstance(t, Num):
-        return t.value
-    if isinstance(t, Var):
-        raise BuiltinTypeError(f"unbound variable {t.display()} in arithmetic")
-    if t in active:
-        raise BuiltinTypeError("cyclic arithmetic expression")
-    active.add(t)
-    try:
-        if len(t.args) == 1 and t.functor == "-":
-            return -_arith(t.args[0], solved, active)
-        if len(t.args) == 2 and t.functor in _ARITH2:
-            x = _arith(t.args[0], solved, active)
-            y = _arith(t.args[1], solved, active)
-            return {"+": lambda: x + y, "-": lambda: x - y,
-                    "*": lambda: x * y, "max": lambda: max(x, y),
-                    "min": lambda: min(x, y)}[t.functor]()
-        raise BuiltinTypeError(f"not arithmetic: {t.functor}/{len(t.args)}")
-    finally:
-        active.discard(t)
 
 
 def eval_builtin(atom: Atom, solved: SolvedForm) -> Optional[SolvedForm]:
@@ -149,13 +108,13 @@ def eval_builtin(atom: Atom, solved: SolvedForm) -> Optional[SolvedForm]:
     if pred == "\\=":
         if not (is_ground_under(solved, a) and is_ground_under(solved, b)):
             raise BuiltinTypeError("\\= needs ground arguments")
-        same = bisimilar(rational_value(solved, a), rational_value(solved, b))
+        same = rational_value(solved, a) == rational_value(solved, b)
         return None if same else solved
     if pred == "is":
-        value = _arith(b, solved, set())
+        value = arith_value(rational_value(solved, b))
         return solve([(a, Num(value))], solved)
-    x = _arith(a, solved, set())
-    y = _arith(b, solved, set())
+    x = arith_value(rational_value(solved, a))
+    y = arith_value(rational_value(solved, b))
     holds = {"<": x < y, ">": x > y, "=<": x <= y, ">=": x >= y}[pred]
     return solved if holds else None
 
@@ -285,36 +244,15 @@ class _Run:
                     f"hypothesis variables escaped the equation set: {missing}")
 
 
-def _answer_key(solved: SolvedForm, qvars: tuple[Var, ...],
-                cache: Optional[dict] = None) -> tuple:
+def _answer_key(solved: SolvedForm, qvars: tuple[Var, ...]) -> tuple:
     """Equality-up-to-renaming key for one answer: the query variables'
-    rational values with free leaves renamed by first appearance."""
+    values with free leaves renamed in node order, which in canonical form
+    is their order of first appearance."""
     rts = [rational_value(solved, v) for v in qvars]
-    names: dict[str, str] = {}
-    for r in rts:
-        stack = [r.root]
-        seen = set()
-        while stack:
-            i = stack.pop()
-            if i in seen:
-                continue
-            seen.add(i)
-            kind, payload, kids = r.nodes[i]
-            if kind == "v" and payload not in names:
-                names[payload] = f"?{len(names)}"
-            stack.extend(reversed(kids))
-    out = []
-    for r in rts:
-        nodes = tuple((k, names[p], kids) if k == "v" else (k, p, kids)
-                      for k, p, kids in r.nodes)
-        raw = (r.root, nodes)
-        key = cache.get(raw) if cache is not None else None
-        if key is None:
-            key = canonical_key(RationalTerm(r.root, nodes))
-            if cache is not None:
-                cache[raw] = key
-        out.append(key)
-    return tuple(out)
+    names = {p: f"?{i}" for i, p in enumerate(free_leaf_names(rts))}
+    return tuple(tuple((k, names[p], kids) if k == "v" else (k, p, kids)
+                       for k, p, kids in r.nodes)
+                 for r in rts)
 
 
 def _budget_levels(cfg: Config) -> list[int]:
@@ -347,13 +285,12 @@ def run_query(prog: Program, query: Query, cfg: Config,
 
     def generate() -> Iterator[SolvedForm]:
         seen: set = set()
-        key_cache: dict = {}
         emitted = 0
         for level in _budget_levels(cfg):
             run = _Run(applied, level, cfg.prefer, diagnostics, trace,
                        cfg.check_invariants)
             for solved, _ in run.solve_frames(frames, EMPTY_SOLVED, 0):
-                key = _answer_key(solved, query.variables, key_cache)
+                key = _answer_key(solved, query.variables)
                 if key in seen:
                     continue
                 seen.add(key)

@@ -7,11 +7,15 @@ infinite term f(f(f(...))).  A solved form is a binding map whose right-hand
 sides may refer back to bound variables; cycles in the map are exactly how
 infinite solutions stay finitely representable.
 
-RationalTerm is the value side: a finite rooted term graph (regular tree).
-Equality of values is bisimulation, not structural equality of the graphs.
+RationalTerm is the value side: a finite term graph denoting a regular
+tree.  Two graphs denote the same tree when a bisimulation relates their
+roots.  Every RationalTerm is kept minimal and numbered in preorder, so two
+values denote the same tree exactly when their node tuples are equal:
+Python == and hash are value equality.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -156,15 +160,8 @@ def arg_equations(a: Atom, b: Atom) -> Optional[EqSet]:
     return frozenset(zip(a.args, b.args))
 
 
-def unifiable(eqs: Iterable[EqPair], a: Atom, b: Atom) -> bool:
-    ae = arg_equations(a, b)
-    if ae is None:
-        return False
-    return solve(frozenset(eqs) | ae) is not None
-
-
 # ---------------------------------------------------------------------------
-# Rational terms: finite rooted term graphs, equal up to bisimulation.
+# Rational terms: finite rooted term graphs in canonical form.
 # ---------------------------------------------------------------------------
 
 # Node encodings: ("f", functor, child-index tuple)
@@ -174,13 +171,15 @@ def unifiable(eqs: Iterable[EqPair], a: Atom, b: Atom) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class RationalTerm:
-    """A finite rooted graph denoting a regular (possibly infinite) tree.
+    """A finite term graph denoting a regular (possibly infinite) tree.
 
-    Structural == compares representations; use bisimilar() for value
-    equality.  All nodes are reachable from the root.
+    Always in canonical form: minimal, so no two nodes unfold to the same
+    tree, with nodes numbered in preorder from the root at index 0.  Two
+    values therefore unfold to the same tree exactly when their node tuples
+    are equal, and == and hash are value equality.  rational_value and
+    substitute build values; both end in _minimise.
     """
 
-    root: int
     nodes: tuple[tuple, ...]
 
 
@@ -207,75 +206,135 @@ def rational_value(solved: SolvedForm, t: Term) -> RationalTerm:
             nodes[idx] = ("f", t.functor, tuple(build(a) for a in t.args))
         return idx
 
-    root = build(t)
-    return RationalTerm(root, tuple(nodes))
+    build(t)
+    return _minimise(nodes)
 
 
-def bisimilar(r1: RationalTerm, r2: RationalTerm) -> bool:
-    """Value equality: do the two graphs unfold to the same tree?
+def substitute(r: RationalTerm,
+               mapping: dict[str, RationalTerm]) -> RationalTerm:
+    """Replace variable leaves, by display name, with rational-term values.
+    The replacement is simultaneous: leaves inside the values stay."""
+    nodes = list(r.nodes)
+    target: dict[int, int] = {}
+    for i, (kind, payload, _) in enumerate(r.nodes):
+        if kind == "v" and payload in mapping:
+            value = mapping[payload]
+            if i == 0:  # the whole term is this leaf
+                return value
+            offset = target[i] = len(nodes)
+            nodes.extend((k, p, tuple(offset + c for c in kids))
+                         for k, p, kids in value.nodes)
+    if not target:
+        return r
+    for i, (kind, payload, kids) in enumerate(r.nodes):
+        if kids:
+            nodes[i] = (kind, payload, tuple(target.get(c, c) for c in kids))
+    return _minimise(nodes)
 
-    Coinductive pair traversal; a pair under comparison is assumed equal
-    while its children are compared.  Sound and complete here because term
-    graphs are deterministic (one ordered child list per node).
+
+def _minimise(nodes: list) -> RationalTerm:
+    """Canonical form of the graph reachable from node 0.
+
+    A post-order pass hash-conses nodes on (kind, payload, child classes);
+    on an acyclic graph that merges exactly the nodes that unfold alike.
+    The first back edge sends the whole graph to partition refinement.
     """
-    seen: set[tuple[int, int]] = set()
-    stack = [(r1.root, r2.root)]
+    block = [-1] * len(nodes)
+    entered = [False] * len(nodes)
+    classes: dict[tuple, int] = {}
+    stack = [0]
     while stack:
-        i, j = stack.pop()
-        if (i, j) in seen:
+        i = stack[-1]
+        if block[i] >= 0:
+            stack.pop()
             continue
-        seen.add((i, j))
-        k1, p1, c1 = r1.nodes[i]
-        k2, p2, c2 = r2.nodes[j]
-        if k1 != k2 or p1 != p2 or len(c1) != len(c2):
-            return False
-        stack.extend(zip(c1, c2))
-    return True
+        kind, payload, kids = nodes[i]
+        if not entered[i]:
+            entered[i] = True
+            for c in kids:
+                if entered[c] and block[c] < 0:  # c is on the current path
+                    return _number(nodes, _refine(nodes))
+            stack.extend(reversed(kids))
+            continue
+        key = (kind, payload, tuple(block[c] for c in kids))
+        block[i] = classes.setdefault(key, len(classes))
+        stack.pop()
+    return _number(nodes, block)
 
 
-def canonical_key(r: RationalTerm) -> tuple:
-    """A hashable key equal on exactly the bisimilar graphs.
-
-    Partition refinement merges bisimilar nodes, then a preorder walk of the
-    quotient from the root block yields a canonical encoding.
-    """
-    n = len(r.nodes)
-    labels = [(k, p, len(c)) for k, p, c in r.nodes]
-    # initial partition by node label; repr-sort keeps mixed payloads orderable
-    order = {lab: i for i, lab in enumerate(sorted(set(labels), key=repr))}
-    block = [order[lab] for lab in labels]
+def _refine(nodes: list) -> list[int]:
+    """Classes of all nodes by the tree they unfold to: split classes by
+    label and child classes until no class splits."""
+    labels: dict[tuple, int] = {}
+    block = [labels.setdefault((k, p, len(kids)), len(labels))
+             for k, p, kids in nodes]
+    count = len(labels)
     while True:
-        sigs = [(block[i], tuple(block[c] for c in r.nodes[i][2])) for i in range(n)]
-        renum = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        nxt = [renum[s] for s in sigs]
-        if nxt == block:
-            break
-        block = nxt
-    # representative node per block, smallest index for determinism
-    rep: dict[int, int] = {}
-    for i in range(n):
-        rep.setdefault(block[i], i)
-    # preorder over the quotient graph
+        sigs: dict[tuple, int] = {}
+        nxt = [sigs.setdefault((block[i], tuple(block[c] for c in kids)),
+                               len(sigs))
+               for i, (_, _, kids) in enumerate(nodes)]
+        if len(sigs) == count:
+            return block
+        block, count = nxt, len(sigs)
+
+
+def _number(nodes: list, block: list[int]) -> RationalTerm:
+    """The quotient graph by the given classes, numbered in preorder from
+    the class of node 0.  Any member stands for its class, since the members
+    of a class share their label and child classes."""
     seq: dict[int, int] = {}
-    out: list[tuple] = []
-    stack = [block[r.root]]
+    members: list[int] = []
+    stack = [0]
     while stack:
-        b = stack.pop()
-        if b in seq:
+        i = stack.pop()
+        if block[i] in seq:
             continue
-        seq[b] = len(out)
-        out.append(b)
-        i = rep[b]
-        stack.extend(reversed([block[c] for c in r.nodes[i][2]]))
-    encoded = []
-    for b in out:
-        k, p, c = r.nodes[rep[b]]
-        encoded.append((k, p, tuple(_canon_child(seq, block, r, rep[b]))))
-    return tuple(encoded)
+        seq[block[i]] = len(members)
+        members.append(i)
+        stack.extend(reversed(nodes[i][2]))
+    return RationalTerm(tuple(
+        (kind, payload, tuple(seq[block[c]] for c in kids))
+        for kind, payload, kids in (nodes[i] for i in members)))
 
 
-def _canon_child(seq, block, r, i):
-    return [seq[block[c]] for c in r.nodes[i][2]]
+class BuiltinTypeError(Exception):
+    """A builtin was applied to arguments outside its contract.
+
+    Distinct from failure: the engine aborts the branch and records a
+    diagnostic; the oracle drops the ground instance with a warning.
+    """
+
+
+# arithmetic accepted on the right of is/2 and on both sides of comparisons
+_ARITH2 = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "max": max, "min": min}
+
+
+def arith_value(r: RationalTerm) -> int:
+    """Evaluate an integer expression over + - * max min and unary minus."""
+    active: set[int] = set()
+
+    def ev(i: int) -> int:
+        kind, payload, kids = r.nodes[i]
+        if kind == "n":
+            return payload
+        if kind == "v":
+            raise BuiltinTypeError(f"unbound variable {payload} in arithmetic")
+        if i in active:
+            raise BuiltinTypeError("cyclic arithmetic expression")
+        active.add(i)
+        try:
+            if payload == "-" and len(kids) == 1:
+                return -ev(kids[0])
+            if payload in _ARITH2 and len(kids) == 2:
+                x = ev(kids[0])
+                return _ARITH2[payload](x, ev(kids[1]))
+            raise BuiltinTypeError(f"not arithmetic: {payload}/{len(kids)}")
+        finally:
+            active.discard(i)
+
+    return ev(0)
 
 
 CUT = Compound("...", ())
@@ -294,7 +353,7 @@ def truncate(r: RationalTerm, depth: int) -> Term:
             return Num(p)
         return Compound(p, tuple(go(ch, remaining - 1) for ch in c))
 
-    return go(r.root, depth)
+    return go(0, depth)
 
 
 def is_ground_under(solved: SolvedForm, t: Term) -> bool:
@@ -319,70 +378,10 @@ def rt_is_ground(r: RationalTerm) -> bool:
 
 
 def free_leaf_names(rts: Iterable[RationalTerm]) -> list[str]:
-    """Variable leaf names across graphs, first-appearance order."""
+    """Variable leaf names across values, first-appearance order."""
     out: dict[str, None] = {}
     for r in rts:
         for k, p, _ in r.nodes:
             if k == "v":
                 out.setdefault(p)
     return list(out)
-
-
-def _splice(nodes: list, r: RationalTerm) -> int:
-    """Append a copy of r's nodes, returning the new root index."""
-    offset = len(nodes)
-    for k, p, c in r.nodes:
-        nodes.append((k, p, tuple(offset + ch for ch in c)))
-    return offset + r.root
-
-
-def compose(t: Term, env: dict[Var, RationalTerm]) -> RationalTerm:
-    """Build the graph of a finite term whose variables take rational-term
-    values.  Each assigned variable's graph is spliced in once and shared."""
-    nodes: list = []
-    var_root: dict[Var, int] = {}
-
-    def build(t: Term) -> int:
-        if isinstance(t, Var):
-            if t in env:
-                if t not in var_root:
-                    var_root[t] = _splice(nodes, env[t])
-                return var_root[t]
-            nodes.append(("v", t.display(), ()))
-            return len(nodes) - 1
-        if isinstance(t, Num):
-            nodes.append(("n", t.value, ()))
-            return len(nodes) - 1
-        idx = len(nodes)
-        nodes.append(None)
-        nodes[idx] = ("f", t.functor, tuple(build(a) for a in t.args))
-        return idx
-
-    root = build(t)
-    return RationalTerm(root, tuple(nodes))
-
-
-def substitute_leaves(r: RationalTerm, mapping: dict[str, RationalTerm]) -> RationalTerm:
-    """Replace variable leaves (by display name) with rational-term values."""
-    nodes: list = []
-    memo: dict[int, int] = {}
-    spliced: dict[str, int] = {}
-
-    def go(i: int) -> int:
-        got = memo.get(i)
-        if got is not None:
-            return got
-        k, p, c = r.nodes[i]
-        if k == "v" and p in mapping:
-            if p not in spliced:
-                spliced[p] = _splice(nodes, mapping[p])
-            memo[i] = spliced[p]
-            return spliced[p]
-        idx = len(nodes)
-        memo[i] = idx
-        nodes.append(None)
-        nodes[idx] = (k, p, tuple(go(ch) for ch in c))
-        return idx
-
-    root = go(r.root)
-    return RationalTerm(root, tuple(nodes))

@@ -441,11 +441,6 @@ def print_answer(solved: SolvedForm, qvars: Sequence[Var]) -> str:
     return "\n".join(lines)
 
 
-def term_snapshot(t: Term, solved: SolvedForm) -> str:
-    """One term under a solved form, cycles rendered as back-edge variables."""
-    return term_to_str(_unfold(t, solved, {}))
-
-
 def atom_snapshot(a: Atom, solved: SolvedForm) -> str:
     return atom_to_str(Atom(a.pred, tuple(_unfold(x, solved, {}) for x in a.args)))
 

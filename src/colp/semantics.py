@@ -4,9 +4,10 @@ Clauses are ground over an explicit finite universe of rational terms,
 yielding a finite rule set whose fixed points give three interpretations:
 least (inductive), greatest consistent (coinductive), and the greatest
 consistent set inside the least model of clauses plus coclauses, which on a
-finite base is both the flexible and the regular reading.  Instances whose
-atoms fall outside the universe are dropped with a warning, so results are
-exact only for universe-closed programs.
+finite base is both the flexible and the regular reading.  The clauses and
+the coclauses are each ground once; the three readings share those rules.
+Instances whose atoms fall outside the universe are dropped with a warning,
+so results are exact only for universe-closed programs.
 """
 from __future__ import annotations
 
@@ -14,13 +15,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .equations import (EMPTY_SOLVED, RationalTerm, SolvedForm, bisimilar,
-                        canonical_key, compose, free_leaf_names,
-                        rational_value, rt_is_ground, solve, substitute_leaves,
+from .equations import (EMPTY_SOLVED, BuiltinTypeError, RationalTerm,
+                        SolvedForm, arith_value, free_leaf_names,
+                        rational_value, rt_is_ground, solve, substitute,
                         truncate)
 from .parser import Query, SyntaxErrors, parse_term_text, term_to_str
 from .terms import (Atom, Clause, Compound, Num, Program, Term, Var,
-                    is_builtin, ordered_vars)
+                    is_builtin, ordered_vars, signatures)
 
 # a ground atom is (predicate, universe element indexes)
 GroundAtom = tuple[str, tuple[int, ...]]
@@ -31,7 +32,7 @@ class UniverseError(Exception):
 
 
 class Universe:
-    """Finite set of ground rational terms, deduplicated up to bisimilarity.
+    """Finite set of ground rational terms, without duplicates.
 
     Each element keeps a display name: the declared name, or the source text
     it was written as.
@@ -40,14 +41,13 @@ class Universe:
     def __init__(self, entries: Iterable[tuple[str, RationalTerm]]):
         self.elements: list[RationalTerm] = []
         self.names: list[str] = []
-        self._index: dict[tuple, int] = {}
+        self._index: dict[RationalTerm, int] = {}
         for name, rt in entries:
             if not rt_is_ground(rt):
                 raise UniverseError(f"universe element {name!r} is not ground")
-            key = canonical_key(rt)
-            if key in self._index:
+            if rt in self._index:
                 continue
-            self._index[key] = len(self.elements)
+            self._index[rt] = len(self.elements)
             self.elements.append(rt)
             self.names.append(name)
 
@@ -55,7 +55,7 @@ class Universe:
         return len(self.elements)
 
     def index_of(self, rt: RationalTerm) -> Optional[int]:
-        return self._index.get(canonical_key(rt))
+        return self._index.get(rt)
 
     def display(self, i: int) -> str:
         return self.names[i]
@@ -122,31 +122,6 @@ class Universe:
             entries.append((name, rt))
         return cls(entries)
 
-    @classmethod
-    def from_terms(cls, terms: Iterable[Term]) -> "Universe":
-        return cls((term_to_str(t), rational_value(EMPTY_SOLVED, t))
-                   for t in terms)
-
-
-def terms_up_to_depth(functors: Sequence[tuple[str, int]],
-                      depth: int) -> list[Term]:
-    """All finite ground terms of nesting depth <= depth, a convenience for
-    building universes.  Functor list entries are (name, arity); integers can
-    be included as ("3", 0) style constants only via explicit terms instead."""
-    layers: list[list[Term]] = [[Compound(f, ()) for f, n in functors if n == 0]]
-    for _ in range(depth):
-        prev = [t for layer in layers for t in layer]
-        new: list[Term] = []
-        for f, n in functors:
-            if n == 0:
-                continue
-            for combo in itertools.product(prev, repeat=n):
-                t = Compound(f, combo)
-                if t not in prev and t not in new:
-                    new.append(t)
-        layers.append(new)
-    return [t for layer in layers for t in layer]
-
 
 def rt_to_str(rt: RationalTerm, depth: int = 8) -> str:
     """Finite rendering of a possibly-cyclic ground term for messages."""
@@ -159,54 +134,23 @@ class GroundRule:
     conclusion: GroundAtom
 
 
-class GroundTypeError(Exception):
-    pass
-
-
-_ARITH2 = {"+", "-", "*", "max", "min"}
-
-
-def _rt_arith(rt: RationalTerm, node: int, active: set) -> int:
-    kind, payload, kids = rt.nodes[node]
-    if kind == "n":
-        return payload
-    if kind == "v":
-        raise GroundTypeError("variable in arithmetic")
-    if node in active:
-        raise GroundTypeError("cyclic arithmetic expression")
-    active.add(node)
-    try:
-        if payload == "-" and len(kids) == 1:
-            return -_rt_arith(rt, kids[0], active)
-        if payload in _ARITH2 and len(kids) == 2:
-            x = _rt_arith(rt, kids[0], active)
-            y = _rt_arith(rt, kids[1], active)
-            return {"+": lambda: x + y, "-": lambda: x - y,
-                    "*": lambda: x * y, "max": lambda: max(x, y),
-                    "min": lambda: min(x, y)}[payload]()
-        raise GroundTypeError(f"not arithmetic: {payload}/{len(kids)}")
-    finally:
-        active.discard(node)
-
-
 def eval_ground_builtin(pred: str, args: Sequence[RationalTerm]) -> bool:
     """Truth of a builtin atom on ground rational terms.
 
-    Raises GroundTypeError outside the builtin's contract, which grounding
+    Raises BuiltinTypeError outside the builtin's contract, which grounding
     treats as an instance to drop with a warning.
     """
     if pred == "true":
         return True
     a, b = args
     if pred == "=":
-        return bisimilar(a, b)
+        return a == b
     if pred == "\\=":
-        return not bisimilar(a, b)
+        return a != b
     if pred == "is":
-        value = _rt_arith(b, b.root, set())
-        return bisimilar(a, rational_value(EMPTY_SOLVED, Num(value)))
-    x = _rt_arith(a, a.root, set())
-    y = _rt_arith(b, b.root, set())
+        return a == rational_value(EMPTY_SOLVED, Num(arith_value(b)))
+    x = arith_value(a)
+    y = arith_value(b)
     return {"<": x < y, ">": x > y, "=<": x <= y, ">=": x >= y}[pred]
 
 
@@ -219,48 +163,48 @@ def ground_instances(clauses: Sequence[Clause],
     whose arguments leave the universe drops the instance with a warning.
     """
     rules: set[GroundRule] = set()
-    warnings: dict[str, None] = {}
+    # a type error's message, or the (predicate, value) of an escape
+    pending: dict = {}
     for clause in clauses:
         cvars = ordered_vars(clause)
-        for combo in itertools.product(range(len(u)), repeat=len(cvars)):
-            env = {v: u.elements[i] for v, i in zip(cvars, combo)}
+        names = [v.display() for v in cvars]
+        atoms = [(atom, is_builtin(atom),
+                  [rational_value(EMPTY_SOLVED, t) for t in atom.args])
+                 for atom in (clause.head, *clause.body)]
+        for combo in itertools.product(u.elements, repeat=len(cvars)):
+            mapping = dict(zip(names, combo))
             keep = True
-            premises: set[GroundAtom] = set()
-            conclusion: Optional[GroundAtom] = None
-            for atom in (clause.head, *clause.body):
-                arg_rts = [compose(t, env) for t in atom.args]
-                if is_builtin(atom):
+            ground: list[GroundAtom] = []
+            for atom, builtin, graphs in atoms:
+                if builtin:
                     try:
-                        holds = eval_ground_builtin(atom.pred, arg_rts)
-                    except GroundTypeError as e:
-                        warnings.setdefault(
-                            f"dropped instance of {atom.pred}/"
-                            f"{len(atom.args)}: {e}")
-                        holds = False
-                    if not holds:
+                        keep = eval_ground_builtin(
+                            atom.pred, [substitute(g, mapping) for g in graphs])
+                    except BuiltinTypeError as e:
+                        pending.setdefault(f"dropped instance of {atom.pred}/"
+                                           f"{len(atom.args)}: {e}")
                         keep = False
+                    if not keep:
                         break
                     continue
                 indexes = []
-                for rt in arg_rts:
-                    idx = u.index_of(rt)
+                for g in graphs:
+                    value = substitute(g, mapping)
+                    idx = u.index_of(value)
                     if idx is None:
-                        warnings.setdefault(
-                            f"instance escapes the universe: "
-                            f"{atom.pred} on {rt_to_str(rt)}")
+                        pending.setdefault((atom.pred, value))
                         keep = False
                         break
                     indexes.append(idx)
                 if not keep:
                     break
-                ga: GroundAtom = (atom.pred, tuple(indexes))
-                if conclusion is None:
-                    conclusion = ga
-                else:
-                    premises.add(ga)
-            if keep and conclusion is not None:
-                rules.add(GroundRule(frozenset(premises), conclusion))
-    return frozenset(rules), tuple(warnings)
+                ground.append((atom.pred, tuple(indexes)))
+            if keep and ground:
+                rules.add(GroundRule(frozenset(ground[1:]), ground[0]))
+    warnings = [key if isinstance(key, str) else
+                f"instance escapes the universe: {key[0]} on "
+                f"{rt_to_str(key[1])}" for key in pending]
+    return frozenset(rules), tuple(dict.fromkeys(warnings))
 
 
 def immediate_consequences(rules: frozenset, interp: frozenset) -> frozenset:
@@ -288,14 +232,8 @@ def greatest_consistent_within(rules: frozenset, bound: frozenset) -> frozenset:
 
 
 def herbrand_base(prog: Program, u: Universe) -> frozenset:
-    sigs: list[tuple[str, int]] = []
-    for clause in prog.clauses + prog.coclauses:
-        for atom in (clause.head, *clause.body):
-            sig = (atom.pred, len(atom.args))
-            if not is_builtin(atom) and sig not in sigs:
-                sigs.append(sig)
     base: set[GroundAtom] = set()
-    for pred, arity in sigs:
+    for pred, arity in signatures(prog.clauses + prog.coclauses):
         for combo in itertools.product(range(len(u)), repeat=arity):
             base.add((pred, combo))
     return frozenset(base)
@@ -308,22 +246,21 @@ class SemanticsResult:
     reg: frozenset
     ind_all: frozenset       # least model of clauses plus coclauses
     rules: frozenset         # ground instances of the clauses
-    rules_all: frozenset     # ground instances of clauses plus coclauses
     base: frozenset
     warnings: tuple[str, ...]
 
 
 def compute_semantics(prog: Program, u: Universe) -> SemanticsResult:
     rules, warn1 = ground_instances(prog.clauses, u)
-    rules_all, warn2 = ground_instances(prog.clauses + prog.coclauses, u)
+    corules, warn2 = ground_instances(prog.coclauses, u)
     ind = least_model(rules)
     base = herbrand_base(prog, u)
     coind = greatest_consistent_within(rules, base)
-    ind_all = least_model(rules_all)
+    ind_all = least_model(rules | corules)
     reg = greatest_consistent_within(rules, ind_all)
     warnings = dict.fromkeys(warn1)
     warnings.update(dict.fromkeys(warn2))
-    return SemanticsResult(ind, coind, reg, ind_all, rules, rules_all, base,
+    return SemanticsResult(ind, coind, reg, ind_all, rules, base,
                            tuple(warnings))
 
 
@@ -381,80 +318,19 @@ class LoopProver:
         return result
 
 
-def loop_matches_regular(sem: SemanticsResult) -> bool:
-    """The hypothetical-judgment reading agrees with the fixed-point one."""
-    prover = LoopProver(sem.rules, sem.ind_all)
-    empty: frozenset = frozenset()
-    return all(prover.derivable(empty, a) == (a in sem.reg)
-               for a in sem.base)
-
-
-def regular_by_enumeration(rules: frozenset, bound: frozenset) -> frozenset:
-    """Union of all consistent subsets of the bound, by brute force."""
-    atoms = sorted(bound)
-    n = len(atoms)
-    if n > 16:
-        raise ValueError("enumeration bound exceeded (16 atoms)")
-    position = {a: i for i, a in enumerate(atoms)}
-    premise_masks: dict[int, list[int]] = {}
-    for r in rules:
-        if r.conclusion not in position:
-            continue
-        if not all(b in position for b in r.premises):
-            continue
-        mask = 0
-        for b in r.premises:
-            mask |= 1 << position[b]
-        premise_masks.setdefault(1 << position[r.conclusion], []).append(mask)
-    union = 0
-    for subset in range(1 << n):
-        ok = True
-        probe = subset
-        while probe:
-            bit = probe & -probe
-            probe -= bit
-            if not any((pmask & subset) == pmask
-                       for pmask in premise_masks.get(bit, ())):
-                ok = False
-                break
-        if ok:
-            union |= subset
-    return frozenset(a for a, i in position.items() if union & (1 << i))
-
-
 def regular_answers(query: Query, u: Universe,
                     reg: frozenset) -> frozenset:
     """Ground answers to a query: assignments of its variables to universe
     elements (anonymous variables enumerated but projected away) under which
-    builtins hold and every other atom lies in the given interpretation."""
-    all_vars: list[Var] = []
-    for atom in query.atoms:
-        for v in ordered_vars(atom):
-            if v not in all_vars:
-                all_vars.append(v)
-    answers: set[tuple[int, ...]] = set()
-    named = list(query.variables)
-    for combo in itertools.product(range(len(u)), repeat=len(all_vars)):
-        env = {v: u.elements[i] for v, i in zip(all_vars, combo)}
-        indexes = dict(zip(all_vars, combo))
-        ok = True
-        for atom in query.atoms:
-            arg_rts = [compose(t, env) for t in atom.args]
-            if is_builtin(atom):
-                try:
-                    if not eval_ground_builtin(atom.pred, arg_rts):
-                        ok = False
-                except GroundTypeError:
-                    ok = False
-            else:
-                idxs = [u.index_of(rt) for rt in arg_rts]
-                if None in idxs or (atom.pred, tuple(idxs)) not in reg:
-                    ok = False
-            if not ok:
-                break
-        if ok:
-            answers.add(tuple(indexes[v] for v in named))
-    return frozenset(answers)
+    builtins hold and every other atom lies in the given interpretation.
+
+    The query is ground as the clause  ?-(V1, ..., Vn) :- query atoms  over
+    its named variables; an answer is the head of an instance whose
+    premises all lie in the interpretation.
+    """
+    clause = Clause(Atom("?-", query.variables), query.atoms)
+    rules, _ = ground_instances([clause], u)
+    return frozenset(r.conclusion[1] for r in rules if r.premises <= reg)
 
 
 def universe_instantiations(solved: SolvedForm, qvars: Sequence[Var],
@@ -469,8 +345,7 @@ def universe_instantiations(solved: SolvedForm, qvars: Sequence[Var],
         mapping = {name: u.elements[i] for name, i in zip(free, combo)}
         idxs = []
         for rt in rts:
-            grounded = substitute_leaves(rt, mapping) if free else rt
-            idx = u.index_of(grounded)
+            idx = u.index_of(substitute(rt, mapping))
             if idx is None:
                 break
             idxs.append(idx)

@@ -7,7 +7,7 @@ over in `equations`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,13 +49,6 @@ def cons(head: Term, tail: Term) -> Compound:
     return Compound(CONS, (head, tail))
 
 
-def make_list(items, tail: Term = NIL) -> Term:
-    out = tail
-    for item in reversed(list(items)):
-        out = cons(item, out)
-    return out
-
-
 @dataclass(frozen=True, slots=True)
 class Atom:
     pred: str
@@ -95,6 +88,17 @@ BUILTIN_NAMES = {name for name, _ in BUILTIN_ARITIES}
 
 def is_builtin(atom: Atom) -> bool:
     return (atom.pred, len(atom.args)) in BUILTIN_ARITIES
+
+
+def signatures(clauses: Iterable[Clause]) -> list[tuple[str, int]]:
+    """The (predicate, arity) pairs of non-builtin atoms in the clauses,
+    heads and bodies, in first-occurrence order."""
+    out: dict[tuple[str, int], None] = {}
+    for clause in clauses:
+        for atom in (clause.head, *clause.body):
+            if not is_builtin(atom):
+                out.setdefault((atom.pred, len(atom.args)))
+    return list(out)
 
 
 def _iter_vars(x) -> Iterator[Var]:
@@ -159,9 +163,3 @@ def fresh_rename(clause: Clause, counter: Iterator[int]) -> Clause:
     if not vs:
         return clause
     return apply_subst({v: Var(v.name, stamp) for v in vs}, clause)
-
-
-def subst_leq(smaller: Subst, larger: Subst) -> bool:
-    """True when `larger` extends `smaller`: same bindings on all of
-    smaller's domain."""
-    return all(k in larger and larger[k] == v for k, v in smaller.items())

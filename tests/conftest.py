@@ -4,6 +4,8 @@ import pytest
 
 from colp.engine import Config, run_query
 from colp.parser import parse_program, parse_query, print_answer
+from colp.semantics import LoopProver
+from colp.terms import NIL, cons
 
 PROGRAMS_DIR = Path(__file__).resolve().parent.parent / "programs"
 
@@ -35,3 +37,75 @@ def lists():
 @pytest.fixture(scope="session")
 def omega():
     return load_program("omega.colp")
+
+
+def make_list(items, tail=NIL):
+    out = tail
+    for item in reversed(list(items)):
+        out = cons(item, out)
+    return out
+
+
+# --- brute-force references that the tests compare colp against ----------
+
+def bisimilar(r1, r2):
+    """Do two term graphs unfold to the same tree?
+
+    Coinductive pair walk, independent of colp's canonical form: a pair
+    under comparison is assumed equal while its children are compared.
+    Sound and complete because each node has one ordered child list.
+    """
+    seen = set()
+    stack = [(0, 0)]
+    while stack:
+        i, j = stack.pop()
+        if (i, j) in seen:
+            continue
+        seen.add((i, j))
+        k1, p1, c1 = r1.nodes[i]
+        k2, p2, c2 = r2.nodes[j]
+        if k1 != k2 or p1 != p2 or len(c1) != len(c2):
+            return False
+        stack.extend(zip(c1, c2))
+    return True
+
+
+def loop_matches_regular(sem):
+    """The hypothetical-judgment reading agrees with the fixed-point one."""
+    prover = LoopProver(sem.rules, sem.ind_all)
+    empty = frozenset()
+    return all(prover.derivable(empty, a) == (a in sem.reg)
+               for a in sem.base)
+
+
+def regular_by_enumeration(rules, bound):
+    """Union of all consistent subsets of the bound, by brute force."""
+    atoms = sorted(bound)
+    n = len(atoms)
+    if n > 16:
+        raise ValueError("enumeration bound exceeded (16 atoms)")
+    position = {a: i for i, a in enumerate(atoms)}
+    premise_masks = {}
+    for r in rules:
+        if r.conclusion not in position:
+            continue
+        if not all(b in position for b in r.premises):
+            continue
+        mask = 0
+        for b in r.premises:
+            mask |= 1 << position[b]
+        premise_masks.setdefault(1 << position[r.conclusion], []).append(mask)
+    union = 0
+    for subset in range(1 << n):
+        ok = True
+        probe = subset
+        while probe:
+            bit = probe & -probe
+            probe -= bit
+            if not any((pmask & subset) == pmask
+                       for pmask in premise_masks.get(bit, ())):
+                ok = False
+                break
+        if ok:
+            union |= subset
+    return frozenset(a for a, i in position.items() if union & (1 << i))

@@ -4,7 +4,7 @@ import pytest
 
 from colp.engine import (BUDGET_EXHAUSTED, COMPLETE, FINITELY_FAILED, Config,
                          apply_mode, eval_builtin, run_query)
-from colp.equations import EMPTY_SOLVED, rational_value, bisimilar
+from colp.equations import EMPTY_SOLVED, rational_value
 from colp.parser import parse_program, parse_query, print_answer
 from colp.terms import Atom, Num, Var
 
@@ -221,7 +221,7 @@ def test_answers_extend_query_equations(maxelem):
     ans = next(iter(out.answers))
     # the query's own equation still holds in the answer
     lhs, rhs = q.atoms[0].args
-    assert bisimilar(rational_value(ans, lhs), rational_value(ans, rhs))
+    assert rational_value(ans, lhs) == rational_value(ans, rhs)
     # every query variable is covered by the answer equations
     assert set(q.variables) <= ans.eq_vars()
 

@@ -1,12 +1,14 @@
-import hypothesis.strategies as st
-from hypothesis import given, settings
+from collections import namedtuple
 
-from colp.equations import (CUT, EMPTY_SOLVED, RationalTerm, arg_equations,
-                            bisimilar, canonical_key, compose,
+import hypothesis.strategies as st
+from hypothesis import assume, example, given, settings
+
+from colp.equations import (CUT, EMPTY_SOLVED, arg_equations,
                             free_leaf_names, is_ground_under, rational_value,
-                            rt_is_ground, solve, substitute_leaves, truncate,
-                            unifiable)
-from colp.terms import NIL, Atom, Compound, Num, Var, cons, make_list
+                            rt_is_ground, solve, substitute, truncate)
+from colp.terms import Atom, Compound, Num, Var, cons
+
+from conftest import bisimilar, make_list
 
 X, Y, Z = Var("X", 0), Var("Y", 0), Var("Z", 0)
 
@@ -19,8 +21,31 @@ def s(t):
     return Compound("s", (t,))
 
 
-def key_of(solved, t):
-    return canonical_key(rational_value(solved, t))
+Graph = namedtuple("Graph", "nodes")
+
+
+def raw_graph(solved, t):
+    """Term graph of t under solved, root at 0, sharing a node per
+    dereferenced term but not minimised: the reference side of the
+    equality properties."""
+    nodes, memo = [], {}
+
+    def build(t):
+        t = solved.walk(t)
+        if t in memo:
+            return memo[t]
+        memo[t] = idx = len(nodes)
+        nodes.append(None)
+        if isinstance(t, Var):
+            nodes[idx] = ("v", t.display(), ())
+        elif isinstance(t, Num):
+            nodes[idx] = ("n", t.value, ())
+        else:
+            nodes[idx] = ("f", t.functor, tuple(build(a) for a in t.args))
+        return idx
+
+    build(t)
+    return Graph(tuple(nodes))
 
 
 # --- solve ------------------------------------------------------------
@@ -66,7 +91,7 @@ def test_solve_cyclic_lists_unify_up_to_bisimilarity():
     ly = make_list([Num(1), Num(2), Num(1), Num(2)], Y)
     solved = solve([(X, lx), (Y, ly), (X, Y)])
     assert solved is not None
-    assert key_of(solved, X) == key_of(solved, Y)
+    assert rational_value(solved, X) == rational_value(solved, Y)
 
 
 def test_solve_cyclic_mismatch_fails():
@@ -88,7 +113,7 @@ def test_long_union_chain_stays_consistent():
 
 def test_rational_value_of_unbound_var_is_leaf():
     r = rational_value(EMPTY_SOLVED, X)
-    assert r.nodes[r.root] == ("v", "X", ())
+    assert r.nodes == (("v", "X", ()),)
     assert not rt_is_ground(r)
 
 
@@ -98,13 +123,27 @@ def test_bisimilar_one_and_two_node_cycles():
     r1 = rational_value(s1, X)
     r2 = rational_value(s2, Y)
     assert bisimilar(r1, r2)
-    assert canonical_key(r1) == canonical_key(r2)
+    assert r1 == r2
 
 
 def test_rotated_cycle_is_not_bisimilar():
     s1 = solve([(X, make_list([Num(1), Num(2)], X))])
     s2 = solve([(Y, make_list([Num(2), Num(1)], Y))])
-    assert not bisimilar(rational_value(s1, X), rational_value(s2, Y))
+    r1, r2 = rational_value(s1, X), rational_value(s2, Y)
+    assert not bisimilar(r1, r2)
+    assert r1 != r2
+
+
+def test_hash_agrees_on_bisimilar_values_from_different_graphs():
+    # a := f(b), b := f(a) is a two-node cycle; c := f(c) has one node
+    a, b, c = Var("A", 0), Var("B", 0), Var("C", 0)
+    two = solve([(a, Compound("f", (b,))), (b, Compound("f", (a,)))])
+    one = solve([(c, Compound("f", (c,)))])
+    assert len(raw_graph(two, a).nodes) == 2
+    assert len(raw_graph(one, c).nodes) == 1
+    ra, rc = rational_value(two, a), rational_value(one, c)
+    assert ra == rc and hash(ra) == hash(rc)
+    assert {ra: "a"}[rc] == "a"
 
 
 def test_truncate_cyclic_list():
@@ -127,21 +166,23 @@ def test_eq_vars_covers_both_sides():
     assert solved.eq_vars() == {X, Y, Z}
 
 
-# --- composing and instantiating ---------------------------------------
+# --- instantiating ----------------------------------------------------
 
-def test_compose_splices_environments():
+def test_substitute_splices_values():
     w = solve([(X, s(X))])
     omega = rational_value(w, X)
-    r = compose(f(Y, Num(1)), {Y: omega})
+    r = substitute(rational_value(EMPTY_SOLVED, f(Y, Num(1))), {"Y": omega})
     assert truncate(r, 3) == f(s(s(CUT)), Num(1))
+    # the result is canonical: s(omega) is omega again
+    assert substitute(rational_value(EMPTY_SOLVED, s(Y)), {"Y": omega}) == omega
 
 
 def test_free_leaf_names_order_and_substitute():
-    r = compose(f(Y, X, Y), {})
+    r = rational_value(EMPTY_SOLVED, f(Y, X, Y))
     assert free_leaf_names([r]) == ["Y", "X"]
-    one = compose(Num(1), {})
-    two = compose(Num(2), {})
-    filled = substitute_leaves(r, {"Y": one, "X": two})
+    one = rational_value(EMPTY_SOLVED, Num(1))
+    two = rational_value(EMPTY_SOLVED, Num(2))
+    filled = substitute(r, {"Y": one, "X": two})
     assert rt_is_ground(filled)
     assert truncate(filled, 2) == f(Num(1), Num(2), Num(1))
 
@@ -154,8 +195,8 @@ def test_arg_equations_and_unifiable():
     assert arg_equations(a, b) == frozenset({(X, Num(2)), (Num(1), Y)})
     assert arg_equations(a, Atom("p", (X,))) is None
     assert arg_equations(a, Atom("q", (X, Num(1)))) is None
-    assert unifiable([], a, b)
-    assert not unifiable([(X, Num(3))], a, b)
+    assert solve(arg_equations(a, b)) is not None
+    assert solve(arg_equations(a, b), solve([(X, Num(3))])) is None
 
 
 # --- properties ---------------------------------------------------------
@@ -183,7 +224,7 @@ def test_solve_makes_both_sides_bisimilar(eqs):
     if solved is None:
         return
     for lhs, rhs in eqs:
-        assert key_of(solved, lhs) == key_of(solved, rhs)
+        assert rational_value(solved, lhs) == rational_value(solved, rhs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -201,15 +242,15 @@ def test_extending_preserves_earlier_equations(first, second):
     s1 = solve(first)
     if s1 is None:
         return
-    snapshot = {v: key_of(s1, v) for v in (X, Y, Z)}
+    snapshot = {v: rational_value(s1, v) for v in (X, Y, Z)}
     s2 = solve(second, s1)
     if s2 is None:
         return
     # anything the base equated stays equated in the extension
     for lhs, rhs in first:
-        assert key_of(s2, lhs) == key_of(s2, rhs)
+        assert rational_value(s2, lhs) == rational_value(s2, rhs)
     # and the base itself is untouched
-    assert snapshot == {v: key_of(s1, v) for v in (X, Y, Z)}
+    assert snapshot == {v: rational_value(s1, v) for v in (X, Y, Z)}
 
 
 @settings(max_examples=100, deadline=None)
@@ -221,11 +262,73 @@ def test_self_unification_succeeds(t):
 
 @settings(max_examples=100, deadline=None)
 @given(terms_strategy)
-def test_canonical_key_ignores_one_unfolding(t):
+def test_value_ignores_one_unfolding(t):
     solved = solve([(X, t)])
     if solved is None:  # t contains X in a clashing way; cannot happen
         return
     r1 = rational_value(solved, X)
     r2 = rational_value(solved, t)
     assert bisimilar(r1, r2)
-    assert canonical_key(r1) == canonical_key(r2)
+    assert r1 == r2
+
+
+leaves = st.one_of(variables, numbers, atoms_)
+
+
+def _leaf_paths(t, path=()):
+    if isinstance(t, Compound) and t.args:
+        for i, a in enumerate(t.args):
+            yield from _leaf_paths(a, path + (i,))
+    else:
+        yield path
+
+
+def _replace_at(t, path, leaf):
+    if not path:
+        return leaf
+    i = path[0]
+    args = t.args[:i] + (_replace_at(t.args[i], path[1:], leaf),) + t.args[i + 1:]
+    return Compound(t.functor, args)
+
+
+def _equal_exactly_when_bisimilar(solved, pairs):
+    for a, b in pairs:
+        ra, rb = rational_value(solved, a), rational_value(solved, b)
+        # the canonical value denotes the same tree as the raw graph
+        assert bisimilar(ra, raw_graph(solved, a))
+        assert (ra == rb) == bisimilar(raw_graph(solved, a),
+                                       raw_graph(solved, b))
+        if ra == rb:
+            assert hash(ra) == hash(rb)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(variables, terms_strategy), min_size=1, max_size=3),
+       terms_strategy, terms_strategy, st.data())
+def test_value_equality_is_bisimilarity(eqs, t1, t2, data):
+    """Random pairs, a variable against one unfolding of its (often cyclic)
+    binding, and against that unfolding with one leaf changed."""
+    solved = solve(eqs)
+    assume(solved is not None)
+    pairs = [(t1, t2)]
+    for v in (X, Y, Z):
+        unfolded = solved.walk(v)
+        if not isinstance(unfolded, Compound):
+            continue
+        path = data.draw(st.sampled_from(list(_leaf_paths(unfolded))))
+        changed = _replace_at(unfolded, path, data.draw(leaves))
+        pairs += [(v, unfolded), (v, changed)]
+    _equal_exactly_when_bisimilar(solved, pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@example([1, 2], 1)
+@example([1, 2, 1, 2], 2)
+@given(st.lists(st.integers(1, 2), min_size=1, max_size=4),
+       st.integers(0, 3))
+def test_rotated_cycles_equal_exactly_when_bisimilar(digits, shift):
+    shift %= len(digits)
+    rotated = digits[shift:] + digits[:shift]
+    solved = solve([(X, make_list([Num(d) for d in digits], X)),
+                    (Y, make_list([Num(d) for d in rotated], Y))])
+    _equal_exactly_when_bisimilar(solved, [(X, Y)])

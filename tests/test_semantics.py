@@ -7,13 +7,13 @@ from colp.semantics import (GroundRule, LoopProver, Universe, UniverseError,
                             compute_semantics, eval_ground_builtin,
                             ground_instances, greatest_consistent_within,
                             immediate_consequences, least_model,
-                            loop_matches_regular, regular_answers,
-                            regular_by_enumeration, rt_to_str,
-                            terms_up_to_depth, universe_instantiations)
+                            regular_answers, rt_to_str,
+                            universe_instantiations)
 from colp.equations import EMPTY_SOLVED, rational_value
 from colp.terms import Compound, Num
 
-from conftest import PROGRAMS_DIR, load_program
+from conftest import (PROGRAMS_DIR, load_program, loop_matches_regular,
+                      regular_by_enumeration)
 
 
 def load_universe(name):
@@ -58,12 +58,6 @@ def test_universe_rejects_bad_names():
 def test_universe_rejects_clashing_definitions():
     with pytest.raises(UniverseError):
         Universe.from_text("a := f(a)\na := g(a)\n")
-
-
-def test_terms_up_to_depth():
-    ts = terms_up_to_depth([("z", 0), ("s", 1)], 2)
-    z = Compound("z", ())
-    assert ts == [z, Compound("s", (z,)), Compound("s", (Compound("s", (z,)),))]
 
 
 def test_rt_to_str_truncates_cycles():

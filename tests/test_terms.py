@@ -1,8 +1,9 @@
 import itertools
 
 from colp.terms import (NIL, Atom, Clause, Compound, Num, Var, cons,
-                        fresh_rename, is_builtin, make_list, ordered_vars,
-                        subst_leq, vars_of)
+                        fresh_rename, is_builtin, ordered_vars, vars_of)
+
+from conftest import make_list
 
 
 def test_make_list_builds_cons_chain():
@@ -47,15 +48,6 @@ def test_is_builtin_by_name_and_arity():
     assert is_builtin(Atom("true", ()))
     assert is_builtin(Atom("is", (Var("X", 0), Num(1))))
     assert not is_builtin(Atom("member", (Num(1), NIL)))
-
-
-def test_subst_leq():
-    x, y = Var("X", 0), Var("Y", 0)
-    small = {x: Num(1)}
-    large = {x: Num(1), y: Num(2)}
-    assert subst_leq(small, large)
-    assert not subst_leq(large, small)
-    assert not subst_leq({x: Num(3)}, large)
 
 
 def test_var_display_uses_index_stamp():
