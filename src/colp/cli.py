@@ -30,35 +30,19 @@ def _report_syntax(err: IO[str], exc: SyntaxErrors) -> None:
         err.write(f"{exc.origin}:{issue.line}:{issue.col}: {issue.message}\n")
 
 
-def _load_program(path: str, err: IO[str]):
+def _load(path: str, err: IO[str], parse):
+    """parse(text, origin=path) on the file's text, or None after reporting
+    why the file could not be read or parsed."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return parse(fh.read(), origin=path)
     except OSError as e:
         err.write(f"cannot read {path}: {e.strerror}\n")
-        return None
-    try:
-        return parse_program(text, origin=path)
     except SyntaxErrors as exc:
         _report_syntax(err, exc)
-        return None
-
-
-def _load_universe(path: str, err: IO[str]) -> Optional[Universe]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        err.write(f"cannot read {path}: {e.strerror}\n")
-        return None
-    try:
-        return Universe.from_text(text, origin=path)
-    except (UniverseError, SyntaxErrors) as exc:
-        if isinstance(exc, SyntaxErrors):
-            _report_syntax(err, exc)
-        else:
-            err.write(f"{path}: {exc}\n")
-        return None
+    except UniverseError as exc:  # universe syntax errors included
+        err.write(f"{path}: {exc}\n")
+    return None
 
 
 def _config(args: argparse.Namespace, max_answers: Optional[int]) -> Config:
@@ -72,7 +56,7 @@ def _flush_diagnostics(diagnostics: list[str], err: IO[str]) -> None:
 
 
 def cmd_run(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
-    prog = _load_program(args.program, err)
+    prog = _load(args.program, err, parse_program)
     if prog is None:
         return EXIT_ERROR
     try:
@@ -101,7 +85,7 @@ def cmd_run(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
 
 def cmd_repl(args: argparse.Namespace, inp: IO[str], out: IO[str],
              err: IO[str]) -> int:
-    prog = _load_program(args.program, err)
+    prog = _load(args.program, err, parse_program)
     if prog is None:
         return EXIT_ERROR
     mode = args.mode
@@ -114,7 +98,7 @@ def cmd_repl(args: argparse.Namespace, inp: IO[str], out: IO[str],
         name, rest = parts[0], parts[1:]
         if name == ":mode" and rest and rest[0] in MODES:
             mode = rest[0]
-        elif name == ":budget" and rest and rest[0].isdigit() and int(rest[0]) >= 1:
+        elif name == ":budget" and rest and rest[0].isdecimal() and int(rest[0]) >= 1:
             budget = int(rest[0])
         elif name == ":trace":
             tracing = rest[0] == "on" if rest else not tracing
@@ -157,8 +141,9 @@ def cmd_repl(args: argparse.Namespace, inp: IO[str], out: IO[str],
 
 
 def cmd_semantics(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
-    prog = _load_program(args.program, err)
-    universe = _load_universe(args.universe, err) if prog is not None else None
+    prog = _load(args.program, err, parse_program)
+    universe = (_load(args.universe, err, Universe.from_text)
+                if prog is not None else None)
     if prog is None or universe is None:
         return EXIT_ERROR
     result = compute_semantics(apply_mode(prog, args.mode), universe)
@@ -180,8 +165,9 @@ def _assignment_str(indexes: tuple[int, ...], query, universe: Universe) -> str:
 
 
 def cmd_check(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
-    prog = _load_program(args.program, err)
-    universe = _load_universe(args.universe, err) if prog is not None else None
+    prog = _load(args.program, err, parse_program)
+    universe = (_load(args.universe, err, Universe.from_text)
+                if prog is not None else None)
     if prog is None or universe is None:
         return EXIT_ERROR
     try:
@@ -278,13 +264,18 @@ def main(argv: Optional[list[str]] = None, stdin: Optional[IO[str]] = None,
     if args.answers is not None and args.answers < 1:
         err.write("--answers must be at least 1\n")
         return EXIT_ERROR
-    if args.subcommand == "run":
-        return cmd_run(args, out, err)
-    if args.subcommand == "repl":
-        return cmd_repl(args, inp, out, err)
-    if args.subcommand == "semantics":
-        return cmd_semantics(args, out, err)
-    return cmd_check(args, out, err)
+    try:
+        if args.subcommand == "run":
+            return cmd_run(args, out, err)
+        if args.subcommand == "repl":
+            return cmd_repl(args, inp, out, err)
+        if args.subcommand == "semantics":
+            return cmd_semantics(args, out, err)
+        return cmd_check(args, out, err)
+    except Exception as exc:  # a fault in colp, reported without a traceback
+        message = " ".join(str(exc).split())
+        err.write(f"internal error: {type(exc).__name__}: {message}\n")
+        return EXIT_ERROR
 
 
 def script_main() -> None:

@@ -24,7 +24,7 @@ from typing import IO, Iterator, Optional
 
 from .equations import (SolvedForm, EMPTY_SOLVED, BuiltinTypeError,
                         arg_equations, arith_value, free_leaf_names,
-                        is_ground_under, rational_value, solve)
+                        rational_value, rt_is_ground, solve)
 from .parser import Query, atom_snapshot
 from .terms import (Atom, Clause, Num, Program, Var, fresh_rename, is_builtin,
                     signatures, vars_of)
@@ -106,10 +106,10 @@ def eval_builtin(atom: Atom, solved: SolvedForm) -> Optional[SolvedForm]:
     if pred == "=":
         return solve([(a, b)], solved)
     if pred == "\\=":
-        if not (is_ground_under(solved, a) and is_ground_under(solved, b)):
+        ra, rb = rational_value(solved, a), rational_value(solved, b)
+        if not (rt_is_ground(ra) and rt_is_ground(rb)):
             raise BuiltinTypeError("\\= needs ground arguments")
-        same = rational_value(solved, a) == rational_value(solved, b)
-        return None if same else solved
+        return None if ra == rb else solved
     if pred == "is":
         value = arith_value(rational_value(solved, b))
         return solve([(a, Num(value))], solved)
@@ -156,13 +156,9 @@ class _Run:
         sig = (atom.pred, len(atom.args))
         table = self.inner if frame.inner else self.outer
         steps = [("step", cid, cl) for cid, cl in table.get(sig, ())]
-        cohyps = []
-        if self.has_co and not frame.inner:
-            seen = set()
-            for h in frame.hyps:
-                if (h.pred, len(h.args)) == sig and h not in seen:
-                    seen.add(h)
-                    cohyps.append(("cohyp", h))
+        # inner frames carry no hypotheses
+        cohyps = [("cohyp", h) for h in frame.hyps
+                  if self.has_co and (h.pred, len(h.args)) == sig]
         if self.prefer == "cohyp":
             return cohyps + steps
         return steps + cohyps
@@ -240,8 +236,9 @@ class _Run:
         for f in frames:
             for h in f.hyps:
                 missing = vars_of(h) - known
-                assert not missing, (
-                    f"hypothesis variables escaped the equation set: {missing}")
+                if missing:
+                    raise AssertionError("hypothesis variables escaped the "
+                                         f"equation set: {missing}")
 
 
 def _answer_key(solved: SolvedForm, qvars: tuple[Var, ...]) -> tuple:

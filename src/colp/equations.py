@@ -3,9 +3,10 @@
 An equation set is a finite set of pairs of finite terms.  Solvability is
 decided without an occurs check: the only failures are functor/arity clashes
 and unequal integers, so X = f(X) is solvable and its solution is the
-infinite term f(f(f(...))).  A solved form is a binding map whose right-hand
-sides may refer back to bound variables; cycles in the map are exactly how
-infinite solutions stay finitely representable.
+infinite term f(f(f(...))).  A solved form is a triangular substitution: one
+map from variables to terms whose right-hand sides may refer back to bound
+variables; cycles through compounds are exactly how infinite solutions stay
+finitely representable.
 
 RationalTerm is the value side: a finite term graph denoting a regular
 tree.  Two graphs denote the same tree when a bisimulation relates their
@@ -22,123 +23,78 @@ from typing import Iterable, Optional
 from .terms import Atom, Compound, Num, Term, Var, vars_of
 
 EqPair = tuple[Term, Term]
-EqSet = frozenset  # of EqPair
+
+
+def _walk(bound: dict[Var, Term], t: Term) -> Term:
+    """Follow bindings from t to an unbound variable, an integer or a
+    compound."""
+    while isinstance(t, Var):
+        b = bound.get(t)
+        if b is None:
+            return t
+        t = b
+    return t
 
 
 class SolvedForm:
-    """Result of solving an equation set.
+    """Result of solving an equation set: a triangular substitution.
 
-    Internally a union-find forest over variables plus a binding from class
-    representatives to non-variable terms.  walk() dereferences one level:
-    variable to representative to its binding, stopping at an unbound
-    representative, an integer, or a compound.  Instances are immutable;
-    solve() copies the maps when extending a base.
+    One map from variables to terms, as in a Prolog store.  A variable may
+    be bound to another variable, always one with a lower (name, index), so
+    no chain of variables alone is circular; cycles run through compounds.
+    walk() follows the map to an unbound variable, an integer or a compound.
+    Instances are immutable; solve() copies the map when extending a base.
     """
 
-    __slots__ = ("_parent", "_binding")
+    __slots__ = ("_bound",)
 
-    def __init__(self, parent: dict[Var, Var], binding: dict[Var, Term]):
-        self._parent = parent
-        self._binding = binding
-
-    def find(self, v: Var) -> Var:
-        while v in self._parent:
-            v = self._parent[v]
-        return v
+    def __init__(self, bound: dict[Var, Term]):
+        self._bound = bound
 
     def walk(self, t: Term) -> Term:
-        while isinstance(t, Var):
-            r = self.find(t)
-            b = self._binding.get(r)
-            if b is None:
-                return r
-            t = b  # bindings are never variables, so this exits the loop
-        return t
-
-    def binding_map(self) -> dict[Var, Term]:
-        """The map view: united variables point at their representative,
-        bound representatives at their binding.  Keys are pairwise distinct
-        and no chain is circular through variables alone."""
-        out: dict[Var, Term] = {}
-        for v in self._parent:
-            r = self.find(v)
-            out[v] = self._binding.get(r, r)
-        out.update(self._binding)
-        out = {v: t for v, t in out.items() if t != v}
-        return out
+        return _walk(self._bound, t)
 
     def eq_vars(self) -> set[Var]:
         """Every variable the equations mention."""
-        out: set[Var] = set(self._parent)
-        out.update(self._parent.values())
-        for r, t in self._binding.items():
-            out.add(r)
-            out.update(vars_of(t))
-        return out
+        return set(self._bound) | vars_of(list(self._bound.values()))
 
     def __repr__(self) -> str:
-        items = ", ".join(f"{v.display()}={t!r}" for v, t in self.binding_map().items())
+        items = ", ".join(f"{v.display()}={t!r}" for v, t in self._bound.items())
         return f"SolvedForm({items})"
 
 
-EMPTY_SOLVED = SolvedForm({}, {})
+EMPTY_SOLVED = SolvedForm({})
 
 
-def solve(eqs: Iterable[EqPair], base: Optional[SolvedForm] = None) -> Optional[SolvedForm]:
+def solve(eqs: Iterable[EqPair],
+          base: SolvedForm = EMPTY_SOLVED) -> Optional[SolvedForm]:
     """Solve an equation set, optionally on top of an existing solved form.
 
     Returns None when unsolvable.  Decomposition memoizes compound pairs so
     that cyclic bindings terminate: a pair being decomposed is assumed equal
     while its arguments are compared.
     """
-    # copy the base maps only once a write happens; clashes stay cheap
-    parent = base._parent if base is not None else {}
-    binding = base._binding if base is not None else {}
-    owned = base is None
-
-    def own() -> None:
-        nonlocal parent, binding, owned
-        if not owned:
-            parent = dict(parent)
-            binding = dict(binding)
-            owned = True
-
-    def find(v: Var) -> Var:
-        while v in parent:
-            v = parent[v]
-        return v
-
-    def walk(t: Term) -> Term:
-        while isinstance(t, Var):
-            r = find(t)
-            b = binding.get(r)
-            if b is None:
-                return r
-            t = b
-        return t
-
+    # copy the base map only once a write happens; clashes stay cheap
+    bound = base._bound
+    owned = False
     work: list[EqPair] = list(eqs)
     seen: set[EqPair] = set()
     while work:
         s, t = work.pop()
-        s = walk(s)
-        t = walk(t)
+        s = _walk(bound, s)
+        t = _walk(bound, t)
         if s == t:
             continue
-        if isinstance(s, Var) and isinstance(t, Var):
-            # orient toward the lower (name, index) so representatives are
-            # independent of processing order
-            lo, hi = sorted((s, t), key=lambda v: (v.name, v.index))
-            own()
-            parent[hi] = lo
-            continue
-        if isinstance(s, Var):
-            own()
-            binding[s] = t
-            continue
-        if isinstance(t, Var):
-            own()
-            binding[t] = s
+        if isinstance(s, Var) or isinstance(t, Var):
+            # bind the variable, or the higher (name, index) of two, so the
+            # variable a chain ends in is independent of processing order
+            if not isinstance(s, Var) or (
+                    isinstance(t, Var) and (t.name, t.index) > (s.name, s.index)):
+                s, t = t, s
+            if not owned:
+                bound = dict(bound)
+                owned = True
+            bound[s] = t
             continue
         if isinstance(s, Num) or isinstance(t, Num):
             return None  # unequal numbers, or number vs compound
@@ -149,15 +105,15 @@ def solve(eqs: Iterable[EqPair], base: Optional[SolvedForm] = None) -> Optional[
         seen.add((s, t))
         seen.add((t, s))
         work.extend(zip(s.args, t.args))
-    return SolvedForm(parent, binding)
+    return SolvedForm(bound)
 
 
-def arg_equations(a: Atom, b: Atom) -> Optional[EqSet]:
-    """Pairwise argument equations of two atoms, or None on a
-    predicate/arity mismatch."""
+def arg_equations(a: Atom, b: Atom) -> Optional[list[EqPair]]:
+    """Pairwise argument equations of two atoms, in argument order, or None
+    on a predicate/arity mismatch."""
     if a.pred != b.pred or len(a.args) != len(b.args):
         return None
-    return frozenset(zip(a.args, b.args))
+    return list(zip(a.args, b.args))
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +235,13 @@ def _refine(nodes: list) -> list[int]:
         block, count = nxt, len(sigs)
 
 
-def _number(nodes: list, block: list[int]) -> RationalTerm:
+def _number(nodes: list, block, root: int = 0) -> RationalTerm:
     """The quotient graph by the given classes, numbered in preorder from
-    the class of node 0.  Any member stands for its class, since the members
-    of a class share their label and child classes."""
+    the class of the root.  Any member stands for its class, since the
+    members of a class share their label and child classes."""
     seq: dict[int, int] = {}
     members: list[int] = []
-    stack = [0]
+    stack = [root]
     while stack:
         i = stack.pop()
         if block[i] in seq:
@@ -296,6 +252,36 @@ def _number(nodes: list, block: list[int]) -> RationalTerm:
     return RationalTerm(tuple(
         (kind, payload, tuple(seq[block[c]] for c in kids))
         for kind, payload, kids in (nodes[i] for i in members)))
+
+
+def match(pattern: RationalTerm,
+          value: RationalTerm) -> Optional[dict[str, RationalTerm]]:
+    """The sub-values of value at the variable leaves of pattern, when
+    replacing each leaf by its sub-value turns pattern into value; else None.
+
+    A coinductive pair walk: a pair under comparison is assumed to match
+    while its children are compared.  value is minimal, so a leaf reached
+    at two different nodes would need two different values.
+    """
+    at: dict[str, int] = {}
+    seen: set[tuple[int, int]] = set()
+    stack = [(0, 0)]
+    while stack:
+        i, j = stack.pop()
+        kind, payload, kids = pattern.nodes[i]
+        if kind == "v":
+            if at.setdefault(payload, j) != j:
+                return None
+            continue
+        if (i, j) in seen:
+            continue
+        seen.add((i, j))
+        k2, p2, c2 = value.nodes[j]
+        if kind != k2 or payload != p2 or len(kids) != len(c2):
+            return None
+        stack.extend(zip(kids, c2))
+    return {p: _number(value.nodes, range(len(value.nodes)), j)
+            for p, j in at.items()}
 
 
 class BuiltinTypeError(Exception):
@@ -354,23 +340,6 @@ def truncate(r: RationalTerm, depth: int) -> Term:
         return Compound(p, tuple(go(ch, remaining - 1) for ch in c))
 
     return go(0, depth)
-
-
-def is_ground_under(solved: SolvedForm, t: Term) -> bool:
-    """No unbound variable reachable from t through the solved form."""
-    seen: set[Term] = set()
-    stack: list[Term] = [t]
-    while stack:
-        x = solved.walk(stack.pop())
-        if isinstance(x, Var):
-            return False
-        if isinstance(x, Num):
-            continue
-        if x in seen:
-            continue
-        seen.add(x)
-        stack.extend(x.args)
-    return True
 
 
 def rt_is_ground(r: RationalTerm) -> bool:

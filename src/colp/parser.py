@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .terms import (Atom, BUILTIN_ARITIES, BUILTIN_NAMES, Clause, Compound,
-                    NIL, Num, Program, Term, Var, cons)
+                    NIL, Num, Program, Term, Var, cons, ordered_vars)
 from .equations import SolvedForm
 
 _SYMBOLS = [":-", ":~", "?-", "\\=", "=<", ">=",
@@ -52,7 +52,7 @@ class _Bail(Exception):
 
 @dataclass(frozen=True)
 class Tok:
-    kind: str  # "int" | "atom" | "var" | "sym" | "eof"
+    kind: str  # "int" | "atom" | "var" | "sym" | "bad" | "eof"
     text: str
     line: int
     col: int
@@ -77,9 +77,9 @@ def _lex(text: str) -> list[Tok]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(Tok("int", text[i:j], line, col))
             col += j - i
@@ -102,7 +102,10 @@ def _lex(text: str) -> list[Tok]:
                 col += len(sym)
                 break
         else:
-            raise SyntaxErrors("<input>", [ParseIssue(f"unexpected character {ch!r}", line, col)])
+            # reported by the parser, which knows the origin and recovers
+            toks.append(Tok("bad", ch, line, col))
+            i += 1
+            col += 1
     toks.append(Tok("eof", "", line, col))
     return toks
 
@@ -120,7 +123,11 @@ class _Parser:
         self.anon = 0
 
     def peek(self) -> Tok:
-        return self.toks[self.pos]
+        t = self.toks[self.pos]
+        if t.kind == "bad":
+            raise _Bail(ParseIssue(f"unexpected character {t.text!r}",
+                                   t.line, t.col))
+        return t
 
     def next(self) -> Tok:
         t = self.toks[self.pos]
@@ -164,8 +171,12 @@ class _Parser:
     def primary(self) -> Term:
         t = self.peek()
         if t.kind == "int":
+            try:
+                value = int(t.text)
+            except ValueError:  # beyond int()'s limit on decimal digits
+                self.fail(f"integer literal of {len(t.text)} digits is too long")
             self.next()
-            return Num(int(t.text))
+            return Num(value)
         if t.kind == "sym" and t.text == "-":
             self.next()
             inner = self.primary()
@@ -298,8 +309,8 @@ def parse_program(text: str, origin: str = "<string>") -> Program:
     p = _Parser(text)
     parsed: list[tuple[Clause, bool, Tok]] = []
     issues: list[ParseIssue] = []
-    while p.peek().kind != "eof":
-        start = p.peek()
+    while p.toks[p.pos].kind != "eof":
+        start = p.toks[p.pos]
         try:
             cl, is_co = p.clause()
             parsed.append((cl, is_co, start))
@@ -349,7 +360,6 @@ def parse_term_text(text: str, origin: str = "<term>") -> Term:
 
 
 def _query_vars(atom: Atom):
-    from .terms import ordered_vars
     for v in ordered_vars(atom):
         if not v.name.startswith("_#"):
             yield v

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .equations import (EMPTY_SOLVED, BuiltinTypeError, RationalTerm,
-                        SolvedForm, arith_value, free_leaf_names,
-                        rational_value, rt_is_ground, solve, substitute,
-                        truncate)
+                        SolvedForm, arith_value, match, rational_value,
+                        rt_is_ground, solve, substitute, truncate)
 from .parser import Query, SyntaxErrors, parse_term_text, term_to_str
 from .terms import (Atom, Clause, Compound, Num, Program, Term, Var,
                     is_builtin, ordered_vars, signatures)
@@ -335,20 +334,23 @@ def regular_answers(query: Query, u: Universe,
 
 def universe_instantiations(solved: SolvedForm, qvars: Sequence[Var],
                             u: Universe) -> frozenset:
-    """All ways an engine answer lands inside the universe: assign universe
-    elements to the free variable leaves of the answer values and keep the
-    assignments whose results are all universe elements."""
-    rts = [rational_value(solved, v) for v in qvars]
-    free = free_leaf_names(rts)
-    out: set[tuple[int, ...]] = set()
-    for combo in itertools.product(range(len(u)), repeat=len(free)):
-        mapping = {name: u.elements[i] for name, i in zip(free, combo)}
-        idxs = []
-        for rt in rts:
-            idx = u.index_of(substitute(rt, mapping))
-            if idx is None:
-                break
-            idxs.append(idx)
-        else:
-            out.add(tuple(idxs))
-    return frozenset(out)
+    """All ways an engine answer lands inside the universe, when each free
+    variable leaf becomes one universe element throughout.  Each value is
+    matched against each element, which fixes its leaves; a match stands
+    when every leaf lands on an element.  The matches of the query
+    variables are then joined on shared leaves."""
+    joined: list[tuple[tuple[int, ...], dict[str, int]]] = [((), {})]
+    for v in qvars:
+        rt = rational_value(solved, v)
+        options = []
+        for i, element in enumerate(u.elements):
+            leaves = match(rt, element)
+            if leaves is None:
+                continue
+            at = {p: u.index_of(x) for p, x in leaves.items()}
+            if None not in at.values():
+                options.append((i, at))
+        joined = [(row + (i,), {**env, **at})
+                  for row, env in joined for i, at in options
+                  if all(env.get(p, k) == k for p, k in at.items())]
+    return frozenset(row for row, _ in joined)

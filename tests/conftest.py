@@ -1,8 +1,10 @@
+import itertools
 from pathlib import Path
 
 import pytest
 
 from colp.engine import Config, run_query
+from colp.equations import free_leaf_names, rational_value, substitute
 from colp.parser import parse_program, parse_query, print_answer
 from colp.semantics import LoopProver
 from colp.terms import NIL, cons
@@ -68,6 +70,20 @@ def bisimilar(r1, r2):
             return False
         stack.extend(zip(c1, c2))
     return True
+
+
+def instantiations_by_enumeration(solved, qvars, u):
+    """Reference for universe_instantiations: try every assignment of
+    universe elements to the free leaves of the answer values."""
+    rts = [rational_value(solved, v) for v in qvars]
+    free = free_leaf_names(rts)
+    out = set()
+    for combo in itertools.product(u.elements, repeat=len(free)):
+        mapping = dict(zip(free, combo))
+        idxs = tuple(u.index_of(substitute(rt, mapping)) for rt in rts)
+        if None not in idxs:
+            out.add(idxs)
+    return frozenset(out)
 
 
 def loop_matches_regular(sem):

@@ -78,6 +78,42 @@ def test_run_query_syntax_error_exits_3():
     assert err.startswith("<query>:1:")
 
 
+def test_lexer_errors_name_their_origin_and_recover(tmp_path):
+    bad = tmp_path / "bad.colp"
+    bad.write_text("p(a).\nq($).\nr(b) :- p(X.\ns(\u00b2).\n")
+    code, out, err = run_cli(["run", str(bad), "p(X)."])
+    assert (code, out) == (3, "")
+    # the clauses after the bad characters are still checked
+    assert err == (f"{bad}:2:3: unexpected character '$'\n"
+                   f"{bad}:3:12: expected ')', found '.'\n"
+                   f"{bad}:4:3: unexpected character '\u00b2'\n")
+
+
+def test_superscript_digit_and_huge_literal_are_parse_errors():
+    code, out, err = run_cli(["run", LISTS, "member(\u00b2, [0])."])
+    assert (code, out, err) == (
+        3, "", "<query>:1:8: unexpected character '\u00b2'\n")
+    code, out, err = run_cli(["run", LISTS, "X = " + "1" * 5000 + "."])
+    assert (code, out, err) == (
+        3, "", "<query>:1:5: integer literal of 5000 digits is too long\n")
+
+
+def test_internal_errors_exit_3_with_one_line(monkeypatch):
+    # deep enough to exhaust the interpreter's recursion limit
+    query = "X = [" + ",".join(["0"] * 3000) + "]."
+    code, out, err = run_cli(["run", LISTS, query])
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("two\nlines")
+
+    monkeypatch.setattr(cli, "run_query", broken)
+    code, out, err = run_cli(["run", LISTS, "member(X, [0])."])
+    assert (code, out, err) == (
+        3, "", "internal error: RuntimeError: two lines\n")
+
+
 def test_run_trace_goes_to_stderr():
     code, out, err = run_cli(["run", LISTS, "member(1, [0,1]).", "--trace"])
     assert (code, out) == (0, "true\n")
@@ -126,6 +162,13 @@ def test_semantics_without_coclauses_has_reg_equal_ind():
 def test_check_passes_on_successor_loop():
     code, out, _ = run_cli(
         ["check", OMEGA, OMEGA_U, "p(X).", "--budget", "32"])
+    assert (code, out) == (0, "PASS\n")
+
+
+def test_check_open_query_with_many_free_leaves():
+    # the 16th answer of member(X, L) leaves about 17 variables free
+    code, out, _ = run_cli(
+        ["check", LISTS, LISTS_U, "member(X, L).", "--budget", "64"])
     assert (code, out) == (0, "PASS\n")
 
 

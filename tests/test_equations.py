@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 from hypothesis import assume, example, given, settings
 
 from colp.equations import (CUT, EMPTY_SOLVED, arg_equations,
-                            free_leaf_names, is_ground_under, rational_value,
+                            free_leaf_names, match, rational_value,
                             rt_is_ground, solve, substitute, truncate)
 from colp.terms import Atom, Compound, Num, Var, cons
 
@@ -78,11 +78,22 @@ def test_solve_var_var_then_binding():
 
 def test_solve_extends_base_without_mutating_it():
     base = solve([(X, f(Y))])
-    before = dict(base.binding_map())
-    ext = solve([(Y, Num(2))], base)
+    before = repr(base)  # prints the whole map
+    ext = solve([(Y, Num(2)), (Z, X)], base)
     assert ext.walk(Y) == Num(2)
-    assert base.binding_map() == before
+    assert ext.walk(Z) == f(Y)
+    assert repr(base) == before
     assert base.walk(Y) == Y
+    assert base.walk(Z) == Z
+
+
+def test_var_var_binds_the_higher_variable():
+    # either way round, the chain ends in the lower (name, index)
+    for eqs in ([(X, Y)], [(Y, X)]):
+        solved = solve(eqs)
+        assert solved.walk(X) == X and solved.walk(Y) == X
+    renamed = Var("X", 3)
+    assert solve([(X, renamed)]).walk(renamed) == X
 
 
 def test_solve_cyclic_lists_unify_up_to_bisimilarity():
@@ -155,10 +166,11 @@ def test_truncate_cyclic_list():
 
 def test_is_ground_under():
     solved = solve([(X, f(Y)), (Y, Num(1))])
-    assert is_ground_under(solved, X)
-    assert not is_ground_under(solved, Z)
+    assert rt_is_ground(rational_value(solved, X))
+    assert not rt_is_ground(rational_value(solved, Z))
+    assert not rt_is_ground(rational_value(solved, f(X, Z)))
     cyc = solve([(X, s(X))])
-    assert is_ground_under(cyc, X)
+    assert rt_is_ground(rational_value(cyc, X))
 
 
 def test_eq_vars_covers_both_sides():
@@ -187,12 +199,28 @@ def test_free_leaf_names_order_and_substitute():
     assert truncate(filled, 2) == f(Num(1), Num(2), Num(1))
 
 
+def test_match_returns_the_sub_value_at_each_leaf():
+    lz = rational_value(solve([(X, cons(Num(0), X))]), X)
+    zero = rational_value(EMPTY_SOLVED, Num(0))
+    assert match(rational_value(EMPTY_SOLVED, cons(Y, Z)), lz) == {
+        "Y": zero, "Z": lz}
+    # a cyclic pattern walks the cycle of the value
+    assert match(rational_value(solve([(X, cons(Y, X))]), X), lz) == {
+        "Y": zero}
+    assert match(lz, lz) == {}
+    # a repeated leaf must land on one value
+    assert match(rational_value(EMPTY_SOLVED, cons(Y, Y)), lz) is None
+    two = rational_value(EMPTY_SOLVED, f(Num(0), Num(0)))
+    assert match(rational_value(EMPTY_SOLVED, f(Y, Y)), two) == {"Y": zero}
+    assert match(rational_value(EMPTY_SOLVED, s(Y)), two) is None
+
+
 # --- atom-level helpers -------------------------------------------------
 
 def test_arg_equations_and_unifiable():
     a = Atom("p", (X, Num(1)))
     b = Atom("p", (Num(2), Y))
-    assert arg_equations(a, b) == frozenset({(X, Num(2)), (Num(1), Y)})
+    assert arg_equations(a, b) == [(X, Num(2)), (Num(1), Y)]
     assert arg_equations(a, Atom("p", (X,))) is None
     assert arg_equations(a, Atom("q", (X, Num(1)))) is None
     assert solve(arg_equations(a, b)) is not None
@@ -225,6 +253,22 @@ def test_solve_makes_both_sides_bisimilar(eqs):
         return
     for lhs, rhs in eqs:
         assert rational_value(solved, lhs) == rational_value(solved, rhs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(terms_strategy, terms_strategy),
+                min_size=1, max_size=4), st.randoms())
+def test_solve_ignores_equation_order_and_sides(eqs, rng):
+    """A permutation with some sides swapped solves alike and gives X, Y
+    and Z the same values, free leaves included: var-var bindings are
+    oriented by name, not by the order they are met in."""
+    other = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in eqs]
+    rng.shuffle(other)
+    s1, s2 = solve(eqs), solve(other)
+    assert (s1 is None) == (s2 is None)
+    if s1 is not None:
+        for v in (X, Y, Z):
+            assert rational_value(s1, v) == rational_value(s2, v)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,6 +1,8 @@
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from colp.parser import parse_program, parse_query
 from colp.semantics import (GroundRule, LoopProver, Universe, UniverseError,
@@ -9,10 +11,12 @@ from colp.semantics import (GroundRule, LoopProver, Universe, UniverseError,
                             immediate_consequences, least_model,
                             regular_answers, rt_to_str,
                             universe_instantiations)
-from colp.equations import EMPTY_SOLVED, rational_value
-from colp.terms import Compound, Num
+from colp.equations import (EMPTY_SOLVED, free_leaf_names, rational_value,
+                            solve)
+from colp.terms import NIL, Compound, Num, Var, cons
 
-from conftest import (PROGRAMS_DIR, load_program, loop_matches_regular,
+from conftest import (PROGRAMS_DIR, instantiations_by_enumeration,
+                      load_program, loop_matches_regular,
                       regular_by_enumeration)
 
 
@@ -300,3 +304,42 @@ def test_universe_instantiations_skip_escaping_values():
     out = run_query(prog, q, Config(budget=16, max_answers=1))
     ans = next(iter(out.answers))  # X = s(X), not in {z}
     assert universe_instantiations(ans, q.variables, u) == frozenset()
+
+
+# answer values over the function symbols of the shipped universes; A, B and
+# C stay free, X and Y are the query variables and may be bound cyclically
+X, Y = Var("X", 0), Var("Y", 0)
+A, B, C = (Var(n, 0) for n in "ABC")
+UNIVERSES = {name: load_universe(name)
+             for name in ("lists.univ", "maxelem.univ", "omega.univ")}
+# not closed under subterms, so some leaves land outside it
+UNIVERSES["open"] = Universe.from_text(
+    "[0,1]\n1\nlz := [0|lz]\n[1,0|lz]\ns(s(z))\n")
+answer_terms = st.recursive(
+    st.one_of(st.sampled_from([X, Y, A, B, C]),
+              st.sampled_from([Compound("z"), NIL, Num(0), Num(1), Num(2)])),
+    lambda inner: st.one_of(st.builds(lambda t: Compound("s", (t,)), inner),
+                            st.builds(cons, inner, inner)),
+    max_leaves=5)
+
+
+@settings(max_examples=300, deadline=None)
+@example("omega.univ", Compound("s", (A,)), A)        # A = omega or z
+@example("omega.univ", Compound("s", (X,)), Compound("s", (A,)))
+@example("lists.univ", cons(Num(0), X), A)            # X = lz, A free
+@example("lists.univ", cons(A, X), cons(A, Y))        # A repeated
+@example("lists.univ", cons(A, B), cons(B, NIL))      # [0|[1]] only
+@example("maxelem.univ", cons(Num(1), cons(Num(2), X)), cons(A, X))
+@example("maxelem.univ", cons(A, cons(B, Y)), cons(B, X))
+@example("open", cons(A, B), Compound("s", (A,)))     # A = 0 is outside
+@given(st.sampled_from(sorted(UNIVERSES)), answer_terms, answer_terms)
+def test_universe_instantiations_agree_with_enumeration(name, tx, ty):
+    u = UNIVERSES[name]
+    solved = solve([(X, tx), (Y, ty)])
+    if solved is None:
+        return
+    free = free_leaf_names(rational_value(solved, v) for v in (X, Y))
+    if len(free) > 3:
+        return
+    assert (universe_instantiations(solved, (X, Y), u)
+            == instantiations_by_enumeration(solved, (X, Y), u))
