@@ -40,8 +40,8 @@ def _load(path: str, err: IO[str], parse):
         err.write(f"cannot read {path}: {e.strerror}\n")
     except SyntaxErrors as exc:
         _report_syntax(err, exc)
-    except UniverseError as exc:  # universe syntax errors included
-        err.write(f"{path}: {exc}\n")
+    except UniverseError as exc:  # its message starts with the path
+        err.write(f"{exc}\n")
     return None
 
 
@@ -83,6 +83,17 @@ def cmd_run(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
     return EXIT_FAILED if status == FINITELY_FAILED else EXIT_EXHAUSTED
 
 
+def _budget_value(text: str) -> Optional[int]:
+    """A positive decimal integer, or None."""
+    if not text.isdecimal():
+        return None
+    try:
+        value = int(text)
+    except ValueError:  # beyond int()'s digit limit
+        return None
+    return value if value >= 1 else None
+
+
 def cmd_repl(args: argparse.Namespace, inp: IO[str], out: IO[str],
              err: IO[str]) -> int:
     prog = _load(args.program, err, parse_program)
@@ -98,8 +109,8 @@ def cmd_repl(args: argparse.Namespace, inp: IO[str], out: IO[str],
         name, rest = parts[0], parts[1:]
         if name == ":mode" and rest and rest[0] in MODES:
             mode = rest[0]
-        elif name == ":budget" and rest and rest[0].isdecimal() and int(rest[0]) >= 1:
-            budget = int(rest[0])
+        elif name == ":budget" and rest and (value := _budget_value(rest[0])):
+            budget = value
         elif name == ":trace":
             tracing = rest[0] == "on" if rest else not tracing
         else:

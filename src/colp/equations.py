@@ -132,8 +132,8 @@ class RationalTerm:
     Always in canonical form: minimal, so no two nodes unfold to the same
     tree, with nodes numbered in preorder from the root at index 0.  Two
     values therefore unfold to the same tree exactly when their node tuples
-    are equal, and == and hash are value equality.  rational_value and
-    substitute build values; both end in _minimise.
+    are equal, and == and hash are value equality.  rational_value builds
+    values and ends in _minimise.
     """
 
     nodes: tuple[tuple, ...]
@@ -166,30 +166,14 @@ def rational_value(solved: SolvedForm, t: Term) -> RationalTerm:
     return _minimise(nodes)
 
 
-def substitute(r: RationalTerm,
-               mapping: dict[str, RationalTerm]) -> RationalTerm:
-    """Replace variable leaves, by display name, with rational-term values.
-    The replacement is simultaneous: leaves inside the values stay."""
-    nodes = list(r.nodes)
-    target: dict[int, int] = {}
-    for i, (kind, payload, _) in enumerate(r.nodes):
-        if kind == "v" and payload in mapping:
-            value = mapping[payload]
-            if i == 0:  # the whole term is this leaf
-                return value
-            offset = target[i] = len(nodes)
-            nodes.extend((k, p, tuple(offset + c for c in kids))
-                         for k, p, kids in value.nodes)
-    if not target:
-        return r
-    for i, (kind, payload, kids) in enumerate(r.nodes):
-        if kids:
-            nodes[i] = (kind, payload, tuple(target.get(c, c) for c in kids))
-    return _minimise(nodes)
-
-
 def _minimise(nodes: list) -> RationalTerm:
-    """Canonical form of the graph reachable from node 0.
+    """Canonical form of the graph reachable from node 0."""
+    return _number(nodes, _classes(nodes))
+
+
+def _classes(nodes: list, roots: Iterable[int] = (0,)) -> list[int]:
+    """Classes of the nodes reachable from the roots by the tree they
+    unfold to.
 
     A post-order pass hash-conses nodes on (kind, payload, child classes);
     on an acyclic graph that merges exactly the nodes that unfold alike.
@@ -198,7 +182,7 @@ def _minimise(nodes: list) -> RationalTerm:
     block = [-1] * len(nodes)
     entered = [False] * len(nodes)
     classes: dict[tuple, int] = {}
-    stack = [0]
+    stack = list(roots)[::-1]
     while stack:
         i = stack[-1]
         if block[i] >= 0:
@@ -209,13 +193,13 @@ def _minimise(nodes: list) -> RationalTerm:
             entered[i] = True
             for c in kids:
                 if entered[c] and block[c] < 0:  # c is on the current path
-                    return _number(nodes, _refine(nodes))
+                    return _refine(nodes)
             stack.extend(reversed(kids))
             continue
         key = (kind, payload, tuple(block[c] for c in kids))
         block[i] = classes.setdefault(key, len(classes))
         stack.pop()
-    return _number(nodes, block)
+    return block
 
 
 def _refine(nodes: list) -> list[int]:

@@ -8,6 +8,19 @@ finite base is both the flexible and the regular reading.  The clauses and
 the coclauses are each ground once; the three readings share those rules.
 Instances whose atoms fall outside the universe are dropped with a warning,
 so results are exact only for universe-closed programs.
+
+Grounding works on integer node ids, not on term values.  A universe
+minimises the union of its element graphs once and numbers the distinct
+nodes: its store, closed under children, with one id per distinct tree.  A
+clause term evaluates bottom-up to an id by looking up (functor, child ids);
+a value outside the store gets a fresh id in an overlay local to one
+grounding pass, which stays exact because such a value sits acyclically
+above the store.  Assignments are searched depth first, with the variables
+bound in first-occurrence order, head first and argument by argument.  Each
+argument is checked as soon as its variables are bound, so the first escape
+or failing builtin of a partial assignment skips all its extensions.  That
+visits full assignments in the order of enumerating them all, and so keeps
+the rules and the order of the warnings.
 """
 from __future__ import annotations
 
@@ -16,11 +29,11 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .equations import (EMPTY_SOLVED, BuiltinTypeError, RationalTerm,
-                        SolvedForm, arith_value, match, rational_value,
-                        rt_is_ground, solve, substitute, truncate)
+                        SolvedForm, _classes, _number, arith_value, match,
+                        rational_value, rt_is_ground, solve, truncate)
 from .parser import Query, SyntaxErrors, parse_term_text, term_to_str
 from .terms import (Atom, Clause, Compound, Num, Program, Term, Var,
-                    is_builtin, ordered_vars, signatures)
+                    is_builtin, signatures)
 
 # a ground atom is (predicate, universe element indexes)
 GroundAtom = tuple[str, tuple[int, ...]]
@@ -35,6 +48,12 @@ class Universe:
 
     Each element keeps a display name: the declared name, or the source text
     it was written as.
+
+    The elements share one store of node ids: the union of their graphs,
+    minimised jointly, so each distinct tree among the elements and their
+    subterms has exactly one id.  store[i] is the node with id i, as
+    (kind, payload, child ids); ids maps a node back to its id; roots[e]
+    is the id of element e and element_at maps it back to e.
     """
 
     def __init__(self, entries: Iterable[tuple[str, RationalTerm]]):
@@ -49,6 +68,27 @@ class Universe:
             self._index[rt] = len(self.elements)
             self.elements.append(rt)
             self.names.append(name)
+        graph: list[tuple] = []
+        starts: list[int] = []
+        for rt in self.elements:
+            start = len(graph)
+            starts.append(start)
+            graph.extend((kind, payload, tuple(start + c for c in kids))
+                         for kind, payload, kids in rt.nodes)
+        block = _classes(graph, starts)
+        id_of: dict[int, int] = {}
+        members: list[int] = []
+        for i, b in enumerate(block):
+            if b not in id_of:
+                id_of[b] = len(members)
+                members.append(i)
+        self.store: tuple[tuple, ...] = tuple(
+            (kind, payload, tuple(id_of[block[c]] for c in kids))
+            for kind, payload, kids in (graph[i] for i in members))
+        self.ids: dict[tuple, int] = {n: i for i, n in enumerate(self.store)}
+        self.roots: list[int] = [id_of[block[s]] for s in starts]
+        self.element_at: dict[int, int] = {
+            r: e for e, r in enumerate(self.roots)}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -153,6 +193,89 @@ def eval_ground_builtin(pred: str, args: Sequence[RationalTerm]) -> bool:
     return {"<": x < y, ">": x > y, "=<": x <= y, ">=": x >= y}[pred]
 
 
+class Overlay:
+    """Node ids for one grounding pass: the universe's store, plus ids for
+    the values that escape it.
+
+    Such a value is a finite tree above store nodes, and the store is
+    minimal and closed under children, so interning on (kind, payload,
+    child ids) gives two nodes one id exactly when they unfold alike.  The
+    universe itself is never written to.
+    """
+
+    def __init__(self, u: Universe):
+        self.nodes: list[tuple] = list(u.store)
+        self.ids: dict[tuple, int] = dict(u.ids)
+        self._values: dict[int, RationalTerm] = {}
+
+    def intern(self, node: tuple) -> int:
+        i = self.ids.get(node)
+        if i is None:
+            i = self.ids[node] = len(self.nodes)
+            self.nodes.append(node)
+        return i
+
+    def value(self, i: int) -> RationalTerm:
+        """The canonical value of the node with id i."""
+        rt = self._values.get(i)
+        if rt is None:
+            rt = _number(self.nodes, range(len(self.nodes)), i)
+            self._values[i] = rt
+        return rt
+
+
+# ops of a compiled clause term, run in post-order on a stack of node ids:
+# (_CONST, id), (_VAR, slot), or (_NODE, functor, arity) over the top ids
+_CONST, _VAR, _NODE = range(3)
+# steps of a compiled clause: (_BIND, slot), (_ARG, pred, position, ops)
+# or (_TEST, atom, ops per argument)
+_BIND, _ARG, _TEST = range(3)
+
+
+def _compile(t: Term, slots: dict[Var, int], overlay: Overlay) -> list[tuple]:
+    """Ops that evaluate a clause term to a node id.  Ground subterms are
+    interned here once; a new variable gets the next slot, so slots follow
+    first occurrence."""
+    ops: list[tuple] = []
+    stack: list[tuple[Term, bool]] = [(t, False)]
+    while stack:
+        t, children_done = stack.pop()
+        if isinstance(t, Var):
+            ops.append((_VAR, slots.setdefault(t, len(slots))))
+        elif isinstance(t, Num):
+            ops.append((_CONST, overlay.intern(("n", t.value, ()))))
+        elif not children_done:
+            stack.append((t, True))
+            stack.extend((a, False) for a in reversed(t.args))
+        else:
+            n = len(t.args)
+            # a constant child compiles to exactly one _CONST op
+            kids = ops[len(ops) - n:]
+            if all(op[0] == _CONST for op in kids):
+                del ops[len(ops) - n:]
+                ops.append((_CONST, overlay.intern(
+                    ("f", t.functor, tuple(op[1] for op in kids)))))
+            else:
+                ops.append((_NODE, t.functor, n))
+    return ops
+
+
+def _evaluate(ops: list[tuple], env: list[int], overlay: Overlay) -> int:
+    stack: list[int] = []
+    for op in ops:
+        tag = op[0]
+        if tag == _VAR:
+            stack.append(env[op[1]])
+        elif tag == _CONST:
+            stack.append(op[1])
+        else:
+            n = op[2]
+            kids = tuple(stack[-n:])
+            del stack[-n:]
+            stack.append(overlay.intern(("f", op[1], kids)))
+    return stack[0]
+
+
 def ground_instances(clauses: Sequence[Clause],
                      u: Universe) -> tuple[frozenset, tuple[str, ...]]:
     """Every instance of every clause with variables drawn from the universe.
@@ -161,49 +284,100 @@ def ground_instances(clauses: Sequence[Clause],
     instance silently, a type error drops it with a warning.  Any other atom
     whose arguments leave the universe drops the instance with a warning.
     """
+    overlay = Overlay(u)
     rules: set[GroundRule] = set()
-    # a type error's message, or the (predicate, value) of an escape
+    # a type error's message, or the (predicate, node id) of an escape
     pending: dict = {}
     for clause in clauses:
-        cvars = ordered_vars(clause)
-        names = [v.display() for v in cvars]
-        atoms = [(atom, is_builtin(atom),
-                  [rational_value(EMPTY_SOLVED, t) for t in atom.args])
-                 for atom in (clause.head, *clause.body)]
-        for combo in itertools.product(u.elements, repeat=len(cvars)):
-            mapping = dict(zip(names, combo))
-            keep = True
-            ground: list[GroundAtom] = []
-            for atom, builtin, graphs in atoms:
-                if builtin:
-                    try:
-                        keep = eval_ground_builtin(
-                            atom.pred, [substitute(g, mapping) for g in graphs])
-                    except BuiltinTypeError as e:
-                        pending.setdefault(f"dropped instance of {atom.pred}/"
-                                           f"{len(atom.args)}: {e}")
-                        keep = False
-                    if not keep:
-                        break
-                    continue
-                indexes = []
-                for g in graphs:
-                    value = substitute(g, mapping)
-                    idx = u.index_of(value)
-                    if idx is None:
-                        pending.setdefault((atom.pred, value))
-                        keep = False
-                        break
-                    indexes.append(idx)
-                if not keep:
-                    break
-                ground.append((atom.pred, tuple(indexes)))
-            if keep and ground:
-                rules.add(GroundRule(frozenset(ground[1:]), ground[0]))
+        _ground_clause(clause, u, overlay, rules, pending)
     warnings = [key if isinstance(key, str) else
                 f"instance escapes the universe: {key[0]} on "
-                f"{rt_to_str(key[1])}" for key in pending]
+                f"{rt_to_str(overlay.value(key[1]))}" for key in pending]
     return frozenset(rules), tuple(dict.fromkeys(warnings))
+
+
+def _ground_clause(clause: Clause, u: Universe, overlay: Overlay,
+                   rules: set, pending: dict) -> None:
+    """Add the clause's ground instances to rules, and the first failure of
+    each dropped instance to pending.
+
+    Assignments are searched depth first in first-occurrence order of the
+    variables, each bound where it first occurs, so full assignments come in
+    the order of itertools.product over the elements.  An argument is
+    evaluated as soon as its variables are bound; when it escapes, or a
+    builtin fails, every assignment of the later variables would fail there
+    with the same value, and they are skipped.
+    """
+    slots: dict[Var, int] = {}
+    steps: list[tuple] = []
+    spans: list[tuple[str, int, int]] = []  # non-builtin atoms in row
+    width = 0
+    for atom in (clause.head, *clause.body):
+        known = len(slots)
+        if is_builtin(atom):
+            ops = [_compile(t, slots, overlay) for t in atom.args]
+            steps.extend((_BIND, s) for s in range(known, len(slots)))
+            steps.append((_TEST, atom, ops))
+            continue
+        start = width
+        for t in atom.args:
+            ops = _compile(t, slots, overlay)
+            steps.extend((_BIND, s) for s in range(known, len(slots)))
+            known = len(slots)
+            steps.append((_ARG, atom.pred, width, ops))
+            width += 1
+        spans.append((atom.pred, start, width))
+    # where a failure at each step resumes: the last bind before it
+    resume: list[int] = []
+    last = -1
+    for i, step in enumerate(steps):
+        resume.append(last)
+        if step[0] == _BIND:
+            last = i
+    resume.append(last)
+
+    roots, element_at = u.roots, u.element_at
+    env = [0] * len(slots)
+    row = [0] * width
+    choice = [-1] * len(steps)
+    i = 0
+    while i >= 0:
+        if i == len(steps):
+            if spans:
+                ground = [(pred, tuple(row[a:b])) for pred, a, b in spans]
+                rules.add(GroundRule(frozenset(ground[1:]), ground[0]))
+            i = resume[i]
+            continue
+        step = steps[i]
+        if step[0] == _BIND:
+            c = choice[i] + 1
+            if c == len(roots):
+                choice[i] = -1
+                i = resume[i]
+                continue
+            choice[i] = c
+            env[step[1]] = roots[c]
+            i += 1
+        elif step[0] == _ARG:
+            value = _evaluate(step[3], env, overlay)
+            e = element_at.get(value)
+            if e is None:
+                pending.setdefault((step[1], value))
+                i = resume[i]
+                continue
+            row[step[2]] = e
+            i += 1
+        else:
+            atom = step[1]
+            args = [overlay.value(_evaluate(ops, env, overlay))
+                    for ops in step[2]]
+            try:
+                keep = eval_ground_builtin(atom.pred, args)
+            except BuiltinTypeError as e:
+                pending.setdefault(f"dropped instance of {atom.pred}/"
+                                   f"{len(atom.args)}: {e}")
+                keep = False
+            i = i + 1 if keep else resume[i]
 
 
 def immediate_consequences(rules: frozenset, interp: frozenset) -> frozenset:

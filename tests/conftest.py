@@ -4,10 +4,12 @@ from pathlib import Path
 import pytest
 
 from colp.engine import Config, run_query
-from colp.equations import free_leaf_names, rational_value, substitute
+from colp.equations import (EMPTY_SOLVED, BuiltinTypeError, _minimise,
+                            free_leaf_names, rational_value)
 from colp.parser import parse_program, parse_query, print_answer
-from colp.semantics import LoopProver
-from colp.terms import NIL, cons
+from colp.semantics import (GroundRule, LoopProver, eval_ground_builtin,
+                            rt_to_str)
+from colp.terms import NIL, cons, is_builtin, ordered_vars
 
 PROGRAMS_DIR = Path(__file__).resolve().parent.parent / "programs"
 
@@ -50,6 +52,28 @@ def make_list(items, tail=NIL):
 
 # --- brute-force references that the tests compare colp against ----------
 
+def substitute(r, mapping):
+    """Replace variable leaves, by display name, with rational-term values.
+    The replacement is simultaneous: leaves inside the values stay."""
+    nodes = list(r.nodes)
+    target = {}
+    for i, (kind, payload, _) in enumerate(r.nodes):
+        if kind == "v" and payload in mapping:
+            value = mapping[payload]
+            if i == 0:  # the whole term is this leaf
+                return value
+            offset = target[i] = len(nodes)
+            nodes.extend((k, p, tuple(offset + c for c in kids))
+                         for k, p, kids in value.nodes)
+    if not target:
+        return r
+    for i, (kind, payload, kids) in enumerate(r.nodes):
+        if kids:
+            nodes[i] = (kind, payload, tuple(target.get(c, c) for c in kids))
+    return _minimise(nodes)
+
+
+
 def bisimilar(r1, r2):
     """Do two term graphs unfold to the same tree?
 
@@ -84,6 +108,55 @@ def instantiations_by_enumeration(solved, qvars, u):
         if None not in idxs:
             out.add(idxs)
     return frozenset(out)
+
+
+def ground_instances_by_enumeration(clauses, u):
+    """Reference for ground_instances: try every assignment of universe
+    elements to the clause variables, substituting into each argument's
+    value and looking the result up among the elements."""
+    rules = set()
+    # a type error's message, or the (predicate, value) of an escape
+    pending = {}
+    for clause in clauses:
+        cvars = ordered_vars(clause)
+        names = [v.display() for v in cvars]
+        atoms = [(atom, is_builtin(atom),
+                  [rational_value(EMPTY_SOLVED, t) for t in atom.args])
+                 for atom in (clause.head, *clause.body)]
+        for combo in itertools.product(u.elements, repeat=len(cvars)):
+            mapping = dict(zip(names, combo))
+            keep = True
+            ground = []
+            for atom, builtin, graphs in atoms:
+                if builtin:
+                    try:
+                        keep = eval_ground_builtin(
+                            atom.pred, [substitute(g, mapping) for g in graphs])
+                    except BuiltinTypeError as e:
+                        pending.setdefault(f"dropped instance of {atom.pred}/"
+                                           f"{len(atom.args)}: {e}")
+                        keep = False
+                    if not keep:
+                        break
+                    continue
+                indexes = []
+                for g in graphs:
+                    value = substitute(g, mapping)
+                    idx = u.index_of(value)
+                    if idx is None:
+                        pending.setdefault((atom.pred, value))
+                        keep = False
+                        break
+                    indexes.append(idx)
+                if not keep:
+                    break
+                ground.append((atom.pred, tuple(indexes)))
+            if keep and ground:
+                rules.add(GroundRule(frozenset(ground[1:]), ground[0]))
+    warnings = [key if isinstance(key, str) else
+                f"instance escapes the universe: {key[0]} on "
+                f"{rt_to_str(key[1])}" for key in pending]
+    return frozenset(rules), tuple(dict.fromkeys(warnings))
 
 
 def loop_matches_regular(sem):

@@ -157,6 +157,18 @@ def test_semantics_without_coclauses_has_reg_equal_ind():
     assert lines["Reg"] == lines["Ind"] != "(empty)"
 
 
+def test_universe_errors_name_the_file_once(tmp_path):
+    shapes = [("Bad := f(a)\n", "{}:1: bad universe name 'Bad'\n"),
+              ("a\nx := f(\n",
+               "{}:2:1:3: expected a term, found 'end of input'\n"),
+              ("x := f(Y)\n", "{}: element 'x' is not ground\n")]
+    for text, message in shapes:
+        bad = tmp_path / "bad.univ"
+        bad.write_text(text)
+        code, out, err = run_cli(["semantics", OMEGA, str(bad)])
+        assert (code, out, err) == (3, "", message.format(bad))
+
+
 # --- check ---------------------------------------------------------------------
 
 def test_check_passes_on_successor_loop():
@@ -234,6 +246,14 @@ def test_repl_directives_and_error_recovery():
     assert out == "?- ?- budget exhausted\n?- ?- ?- ?- "
     assert "unknown directive: :wat\n" in err
     assert "<query>:1:" in err
+
+
+def test_repl_budget_beyond_the_digit_limit_is_unknown():
+    session = ":budget " + "9" * 5000 + "\n:budget 3\np(z).\n:quit\n"
+    code, out, err = run_cli(["repl", OMEGA], stdin=session)
+    assert code == 0
+    assert out == "?- ?- ?- budget exhausted\n?- "
+    assert err == "unknown directive: :budget " + "9" * 5000 + "\n"
 
 
 def test_repl_trace_toggle():

@@ -5,10 +5,10 @@ from hypothesis import assume, example, given, settings
 
 from colp.equations import (CUT, EMPTY_SOLVED, arg_equations,
                             free_leaf_names, match, rational_value,
-                            rt_is_ground, solve, substitute, truncate)
+                            rt_is_ground, solve, truncate)
 from colp.terms import Atom, Compound, Num, Var, cons
 
-from conftest import bisimilar, make_list
+from conftest import bisimilar, make_list, substitute
 
 X, Y, Z = Var("X", 0), Var("Y", 0), Var("Z", 0)
 

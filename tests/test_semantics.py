@@ -5,19 +5,20 @@ import pytest
 from hypothesis import example, given, settings
 
 from colp.parser import parse_program, parse_query
-from colp.semantics import (GroundRule, LoopProver, Universe, UniverseError,
-                            compute_semantics, eval_ground_builtin,
-                            ground_instances, greatest_consistent_within,
+from colp.semantics import (GroundRule, LoopProver, Overlay, Universe,
+                            UniverseError, compute_semantics,
+                            eval_ground_builtin, ground_instances,
+                            greatest_consistent_within,
                             immediate_consequences, least_model,
                             regular_answers, rt_to_str,
                             universe_instantiations)
 from colp.equations import (EMPTY_SOLVED, free_leaf_names, rational_value,
                             solve)
-from colp.terms import NIL, Compound, Num, Var, cons
+from colp.terms import NIL, Atom, Clause, Compound, Num, Var, cons
 
-from conftest import (PROGRAMS_DIR, instantiations_by_enumeration,
-                      load_program, loop_matches_regular,
-                      regular_by_enumeration)
+from conftest import (PROGRAMS_DIR, ground_instances_by_enumeration,
+                      instantiations_by_enumeration, load_program,
+                      loop_matches_regular, regular_by_enumeration)
 
 
 def load_universe(name):
@@ -64,6 +65,61 @@ def test_universe_rejects_clashing_definitions():
         Universe.from_text("a := f(a)\na := g(a)\n")
 
 
+def succ(t):
+    return Compound("s", (t,))
+
+
+def element_ids(u):
+    return {u.display(e): u.roots[e] for e in range(len(u))}
+
+
+def test_store_gives_lz_unfolded_once_the_id_of_lz():
+    u = load_universe("lists.univ")
+    lz = element_ids(u)["lz"]
+    zero = u.ids[("n", 0, ())]
+    assert u.ids[("f", ".", (zero, lz))] == lz
+
+
+def test_store_shares_the_node_common_to_lw_and_lt():
+    u = load_universe("maxelem.univ")
+    ids = element_ids(u)
+    one, two = ids["1"], ids["2"]
+    # lw = [1|lt] and lt = [2|lw]: four trees, four ids
+    assert len(u.store) == 4
+    assert u.store[ids["lw"]] == ("f", ".", (one, ids["lt"]))
+    assert u.store[ids["lt"]] == ("f", ".", (two, ids["lw"]))
+
+
+def test_escaping_value_gets_an_id_no_element_has():
+    u = load_universe("omega.univ")
+    ids = element_ids(u)
+    overlay = Overlay(u)
+    assert overlay.intern(("f", "s", (ids["z"],))) == ids["s(z)"]
+    assert overlay.intern(("f", "s", (ids["omega"],))) == ids["omega"]
+    ssz = overlay.intern(("f", "s", (ids["s(z)"],)))
+    assert ssz not in u.element_at and ssz not in u.ids
+    assert overlay.intern(("f", "s", (ids["s(z)"],))) == ssz
+    assert overlay.value(ssz) == rational_value(EMPTY_SOLVED,
+                                                succ(succ(Compound("z"))))
+    assert len(u.store) == len(u.ids) == 3  # the universe is not written to
+
+
+@pytest.mark.parametrize("text", [
+    "z\ns(z)\nomega := s(omega)\n",
+    "a := f(b)\nb := f(a)\nc := f(c)\nf(f(d))\nd\n",
+    "1\n2\nlw := [1,2|lw]\nlt := [2|lw]\n[1,2,1|lt]\n",
+    "[0,1]\n1\nlz := [0|lz]\n[1,0|lz]\ns(s(z))\n"])
+def test_store_agrees_with_elements(text):
+    u = Universe.from_text(text)
+    overlay = Overlay(u)
+    assert len(set(u.store)) == len(u.store)  # minimal: one id per tree
+    assert all(c < len(u.store) for _, _, kids in u.store for c in kids)
+    for e, rt in enumerate(u.elements):
+        assert u.index_of(rt) == e
+        assert u.element_at[u.roots[e]] == e
+        assert overlay.value(u.roots[e]) == rt
+
+
 def test_rt_to_str_truncates_cycles():
     u = load_universe("omega.univ")
     assert rt_to_str(u.elements[2], depth=3) == "s(s(s(...)))"
@@ -93,6 +149,21 @@ def test_ground_instances_warn_on_escapes():
     rules, warnings = ground_instances(prog.clauses, u)
     assert rules == frozenset()
     assert warnings == ("instance escapes the universe: p on s(z)",)
+
+
+def test_wide_and_deep_clauses_ground_within_the_recursion_limit():
+    u = load_universe("omega.univ")
+    wide = parse_program("p(" + ", ".join(["X"] * 1500) + ") :- q(X).\n")
+    rules, warnings = ground_instances(wide.clauses, u)
+    assert {r.conclusion[1] for r in rules} == {(e,) * 1500 for e in range(3)}
+    assert warnings == ()
+    deep = Var("X", 0)
+    for _ in range(1500):
+        deep = succ(deep)
+    rules, warnings = ground_instances([Clause(Atom("p", (deep,)))], u)
+    assert rules == frozenset({rule(("p", (2,)))})  # only omega stays
+    assert warnings == (
+        "instance escapes the universe: p on s(s(s(s(s(s(s(s(...))))))))",)
 
 
 def test_eval_ground_builtin():
@@ -343,3 +414,47 @@ def test_universe_instantiations_agree_with_enumeration(name, tx, ty):
         return
     assert (universe_instantiations(solved, (X, Y), u)
             == instantiations_by_enumeration(solved, (X, Y), u))
+
+
+# clauses over X, Y and A with function symbols, repeated variables and
+# builtins; + and > on non-numbers raise type errors
+clause_terms = st.recursive(
+    st.one_of(st.sampled_from([X, Y, A]),
+              st.sampled_from([Compound("z"), NIL, Num(0), Num(1), Num(2)])),
+    lambda inner: st.one_of(
+        st.builds(succ, inner), st.builds(cons, inner, inner),
+        st.builds(lambda a, b: Compound("+", (a, b)), inner, inner)),
+    max_leaves=4)
+user_atoms = st.builds(lambda pred, args: Atom(pred, tuple(args)),
+                       st.sampled_from(["p", "q"]),
+                       st.lists(clause_terms, min_size=1, max_size=2))
+builtin_atoms = st.one_of(
+    st.builds(lambda op, a, b: Atom(op, (a, b)),
+              st.sampled_from(["=", "\\=", "is", ">"]),
+              clause_terms, clause_terms),
+    st.just(Atom("true")))
+clauses = st.builds(lambda head, body: Clause(head, tuple(body)), user_atoms,
+                    st.lists(st.one_of(user_atoms, builtin_atoms), max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@example("maxelem.univ", [Clause(Atom("p", (cons(Num(2), X),)))])  # [2|lw]
+@example("lists.univ", [Clause(Atom("p", (cons(Num(0), X), Y)),
+                               (Atom("q", (X,)),))])              # [0|lz]
+@example("omega.univ", [Clause(Atom("p", (succ(succ(X)),)))])  # two escapes
+@example("omega.univ", [Clause(Atom("p", (X, succ(Y))),
+                               (Atom("q", (succ(X),)),))])
+@example("open", [Clause(Atom("p", (cons(Num(1), cons(Num(0), X)),)))])
+@example("omega.univ", [Clause(Atom("p", (X,)),
+                               (Atom("is", (Y, Compound("+", (X, Num(1))))),
+                                Atom(">", (X, Num(0)))))])
+@example("lists.univ", [Clause(Atom("p", (X,)),
+                               (Atom("=", (Y, cons(X, Y))), Atom("q", (Y,))))])
+@given(st.sampled_from(sorted(UNIVERSES)), st.lists(clauses, min_size=1,
+                                                   max_size=2))
+def test_ground_instances_agree_with_enumeration(name, clause_list):
+    u = UNIVERSES[name]
+    rules, warnings = ground_instances(clause_list, u)
+    want_rules, want_warnings = ground_instances_by_enumeration(clause_list, u)
+    assert rules == want_rules
+    assert warnings == want_warnings
