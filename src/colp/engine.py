@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import IO, Iterator, Optional
 
-from .equations import (SolvedForm, EMPTY_SOLVED, BuiltinTypeError,
+from .equations import (COMPARE, EMPTY_SOLVED, BuiltinTypeError, SolvedForm,
                         arg_equations, arith_value, free_leaf_names,
                         rational_value, rt_is_ground, solve)
 from .parser import Query, atom_snapshot
@@ -111,12 +111,11 @@ def eval_builtin(atom: Atom, solved: SolvedForm) -> Optional[SolvedForm]:
             raise BuiltinTypeError("\\= needs ground arguments")
         return None if ra == rb else solved
     if pred == "is":
-        value = arith_value(rational_value(solved, b))
+        value = arith_value(rational_value(solved, b).nodes)
         return solve([(a, Num(value))], solved)
-    x = arith_value(rational_value(solved, a))
-    y = arith_value(rational_value(solved, b))
-    holds = {"<": x < y, ">": x > y, "=<": x <= y, ">=": x >= y}[pred]
-    return solved if holds else None
+    x = arith_value(rational_value(solved, a).nodes)
+    y = arith_value(rational_value(solved, b).nodes)
+    return solved if COMPARE[pred](x, y) else None
 
 
 class _Run:

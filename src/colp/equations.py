@@ -12,13 +12,15 @@ RationalTerm is the value side: a finite term graph denoting a regular
 tree.  Two graphs denote the same tree when a bisimulation relates their
 roots.  Every RationalTerm is kept minimal and numbered in preorder, so two
 values denote the same tree exactly when their node tuples are equal:
-Python == and hash are value equality.
+Python == and hash are value equality.  The readers match, arith_value and
+truncate take any minimal node table and a root in it: a RationalTerm's
+nodes, or the store of node ids the oracle keeps for a finite universe.
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .terms import Atom, Compound, Num, Term, Var, vars_of
 
@@ -163,12 +165,13 @@ def rational_value(solved: SolvedForm, t: Term) -> RationalTerm:
         return idx
 
     build(t)
-    return _minimise(nodes)
+    return RationalTerm(_minimise(nodes)[0])
 
 
-def _minimise(nodes: list) -> RationalTerm:
-    """Canonical form of the graph reachable from node 0."""
-    return _number(nodes, _classes(nodes))
+def _minimise(nodes: list, roots=(0,)) -> tuple[tuple, list[int]]:
+    """The minimal graph reachable from the roots, numbered as _number
+    does, and the id of each root."""
+    return _number(nodes, _classes(nodes, roots), roots)
 
 
 def _classes(nodes: list, roots: Iterable[int] = (0,)) -> list[int]:
@@ -219,13 +222,14 @@ def _refine(nodes: list) -> list[int]:
         block, count = nxt, len(sigs)
 
 
-def _number(nodes: list, block, root: int = 0) -> RationalTerm:
+def _number(nodes: list, block, roots) -> tuple[tuple, list[int]]:
     """The quotient graph by the given classes, numbered in preorder from
-    the class of the root.  Any member stands for its class, since the
-    members of a class share their label and child classes."""
+    the class of each root in turn, and the id of each root.  Any member
+    stands for its class, since the members of a class share their label
+    and child classes."""
     seq: dict[int, int] = {}
     members: list[int] = []
-    stack = [root]
+    stack = list(roots)[::-1]
     while stack:
         i = stack.pop()
         if block[i] in seq:
@@ -233,23 +237,24 @@ def _number(nodes: list, block, root: int = 0) -> RationalTerm:
         seq[block[i]] = len(members)
         members.append(i)
         stack.extend(reversed(nodes[i][2]))
-    return RationalTerm(tuple(
-        (kind, payload, tuple(seq[block[c]] for c in kids))
-        for kind, payload, kids in (nodes[i] for i in members)))
+    return (tuple((kind, payload, tuple(seq[block[c]] for c in kids))
+                  for kind, payload, kids in (nodes[i] for i in members)),
+            [seq[block[r]] for r in roots])
 
 
-def match(pattern: RationalTerm,
-          value: RationalTerm) -> Optional[dict[str, RationalTerm]]:
-    """The sub-values of value at the variable leaves of pattern, when
-    replacing each leaf by its sub-value turns pattern into value; else None.
+def match(pattern: RationalTerm, nodes: Sequence[tuple],
+          root: int = 0) -> Optional[dict[str, int]]:
+    """The node of a minimal node table at each variable leaf of pattern,
+    when replacing each leaf by the tree below its node turns pattern into
+    the tree at root; else None.
 
     A coinductive pair walk: a pair under comparison is assumed to match
-    while its children are compared.  value is minimal, so a leaf reached
-    at two different nodes would need two different values.
+    while its children are compared.  The table is minimal, so a leaf
+    reached at two different nodes would need two different values.
     """
     at: dict[str, int] = {}
     seen: set[tuple[int, int]] = set()
-    stack = [(0, 0)]
+    stack = [(0, root)]
     while stack:
         i, j = stack.pop()
         kind, payload, kids = pattern.nodes[i]
@@ -260,12 +265,11 @@ def match(pattern: RationalTerm,
         if (i, j) in seen:
             continue
         seen.add((i, j))
-        k2, p2, c2 = value.nodes[j]
+        k2, p2, c2 = nodes[j]
         if kind != k2 or payload != p2 or len(kids) != len(c2):
             return None
         stack.extend(zip(kids, c2))
-    return {p: _number(value.nodes, range(len(value.nodes)), j)
-            for p, j in at.items()}
+    return at
 
 
 class BuiltinTypeError(Exception):
@@ -279,14 +283,18 @@ class BuiltinTypeError(Exception):
 # arithmetic accepted on the right of is/2 and on both sides of comparisons
 _ARITH2 = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "max": max, "min": min}
+# the arithmetic comparison builtins
+COMPARE = {"<": operator.lt, ">": operator.gt, "=<": operator.le,
+           ">=": operator.ge}
 
 
-def arith_value(r: RationalTerm) -> int:
-    """Evaluate an integer expression over + - * max min and unary minus."""
+def arith_value(nodes: Sequence[tuple], root: int = 0) -> int:
+    """Evaluate the integer expression at root of a node table, over + - *
+    max min and unary minus."""
     active: set[int] = set()
 
     def ev(i: int) -> int:
-        kind, payload, kids = r.nodes[i]
+        kind, payload, kids = nodes[i]
         if kind == "n":
             return payload
         if kind == "v":
@@ -304,26 +312,26 @@ def arith_value(r: RationalTerm) -> int:
         finally:
             active.discard(i)
 
-    return ev(0)
+    return ev(root)
 
 
 CUT = Compound("...", ())
 
 
-def truncate(r: RationalTerm, depth: int) -> Term:
-    """Unfold to a finite tree, replacing every node at the given depth with
-    a cut marker."""
+def truncate(nodes: Sequence[tuple], depth: int, root: int = 0) -> Term:
+    """Unfold the tree at root of a node table to a finite tree, replacing
+    every node at the given depth with a cut marker."""
     def go(i: int, remaining: int) -> Term:
         if remaining <= 0:
             return CUT
-        k, p, c = r.nodes[i]
+        k, p, c = nodes[i]
         if k == "v":
             return Var(p, 0)
         if k == "n":
             return Num(p)
         return Compound(p, tuple(go(ch, remaining - 1) for ch in c))
 
-    return go(0, depth)
+    return go(root, depth)
 
 
 def rt_is_ground(r: RationalTerm) -> bool:

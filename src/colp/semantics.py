@@ -15,10 +15,16 @@ nodes: its store, closed under children, with one id per distinct tree.  A
 clause term evaluates bottom-up to an id by looking up (functor, child ids);
 a value outside the store gets a fresh id in an overlay local to one
 grounding pass, which stays exact because such a value sits acyclically
-above the store.  Assignments are searched depth first, with the variables
-bound in first-occurrence order, head first and argument by argument.  Each
-argument is checked as soon as its variables are bound, so the first escape
-or failing builtin of a partial assignment skips all its extensions.  That
+above the store.  Builtins read ids as well: = and \\= compare them, is
+compares with the id of the computed number, and arithmetic reads the
+overlay's nodes.  Escape warnings render from the overlay, and check
+matches engine answers against the store, so once a universe is built no
+id is turned back into a RationalTerm.
+
+Assignments are searched by an odometer over the variables in
+first-occurrence order, head first and argument by argument.  Each argument
+is checked as soon as its variables are bound, so the first escape or
+failing builtin of a partial assignment skips all its extensions.  That
 visits full assignments in the order of enumerating them all, and so keeps
 the rules and the order of the warnings.
 """
@@ -28,9 +34,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .equations import (EMPTY_SOLVED, BuiltinTypeError, RationalTerm,
-                        SolvedForm, _classes, _number, arith_value, match,
-                        rational_value, rt_is_ground, solve, truncate)
+from .equations import (COMPARE, BuiltinTypeError, RationalTerm, SolvedForm,
+                        _minimise, arith_value, match, rational_value,
+                        rt_is_ground, solve, truncate)
 from .parser import Query, SyntaxErrors, parse_term_text, term_to_str
 from .terms import (Atom, Clause, Compound, Num, Program, Term, Var,
                     is_builtin, signatures)
@@ -75,18 +81,8 @@ class Universe:
             starts.append(start)
             graph.extend((kind, payload, tuple(start + c for c in kids))
                          for kind, payload, kids in rt.nodes)
-        block = _classes(graph, starts)
-        id_of: dict[int, int] = {}
-        members: list[int] = []
-        for i, b in enumerate(block):
-            if b not in id_of:
-                id_of[b] = len(members)
-                members.append(i)
-        self.store: tuple[tuple, ...] = tuple(
-            (kind, payload, tuple(id_of[block[c]] for c in kids))
-            for kind, payload, kids in (graph[i] for i in members))
+        self.store, self.roots = _minimise(graph, starts)
         self.ids: dict[tuple, int] = {n: i for i, n in enumerate(self.store)}
-        self.roots: list[int] = [id_of[block[s]] for s in starts]
         self.element_at: dict[int, int] = {
             r: e for e, r in enumerate(self.roots)}
 
@@ -114,13 +110,15 @@ class Universe:
         """
         items: list[tuple[Optional[str], str, int]] = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("%", 1)[0].strip()
-            if not line:
+            line = raw.split("%", 1)[0]
+            if not line.strip():
                 continue
             name = None
             body = line
             if ":=" in line:
-                name, body = (part.strip() for part in line.split(":=", 1))
+                name, body = line.split(":=", 1)
+                body = " " * (len(name) + 2) + body  # keep the line's columns
+                name = name.strip()
                 if not name.isidentifier() or not name[0].islower():
                     raise UniverseError(
                         f"{origin}:{lineno}: bad universe name {name!r}")
@@ -141,14 +139,16 @@ class Universe:
         roots: list[tuple[str, Term]] = []
         for name, body, lineno in items:
             try:
-                term = link(parse_term_text(body, origin=f"{origin}:{lineno}"))
+                term = link(parse_term_text(body))
             except SyntaxErrors as e:
-                raise UniverseError(str(e)) from None
+                issue = e.issues[0]
+                raise UniverseError(f"{origin}:{lineno}:{issue.col}: "
+                                    f"{issue.message}") from None
             if name is not None:
                 eqs.append((Var(f"#{name}", 0), term))
                 roots.append((name, Var(f"#{name}", 0)))
             else:
-                roots.append((body, term))
+                roots.append((body.strip(), term))
         solved = solve(eqs)
         if solved is None:
             raise UniverseError(f"{origin}: definitions have no solution")
@@ -162,35 +162,15 @@ class Universe:
         return cls(entries)
 
 
-def rt_to_str(rt: RationalTerm, depth: int = 8) -> str:
-    """Finite rendering of a possibly-cyclic ground term for messages."""
-    return term_to_str(truncate(rt, depth))
+def rt_to_str(nodes: Sequence[tuple], root: int = 0, depth: int = 8) -> str:
+    """Finite rendering of the tree at root of a node table, for messages."""
+    return term_to_str(truncate(nodes, depth, root))
 
 
 @dataclass(frozen=True)
 class GroundRule:
     premises: frozenset  # of GroundAtom
     conclusion: GroundAtom
-
-
-def eval_ground_builtin(pred: str, args: Sequence[RationalTerm]) -> bool:
-    """Truth of a builtin atom on ground rational terms.
-
-    Raises BuiltinTypeError outside the builtin's contract, which grounding
-    treats as an instance to drop with a warning.
-    """
-    if pred == "true":
-        return True
-    a, b = args
-    if pred == "=":
-        return a == b
-    if pred == "\\=":
-        return a != b
-    if pred == "is":
-        return a == rational_value(EMPTY_SOLVED, Num(arith_value(b)))
-    x = arith_value(a)
-    y = arith_value(b)
-    return {"<": x < y, ">": x > y, "=<": x <= y, ">=": x >= y}[pred]
 
 
 class Overlay:
@@ -206,7 +186,6 @@ class Overlay:
     def __init__(self, u: Universe):
         self.nodes: list[tuple] = list(u.store)
         self.ids: dict[tuple, int] = dict(u.ids)
-        self._values: dict[int, RationalTerm] = {}
 
     def intern(self, node: tuple) -> int:
         i = self.ids.get(node)
@@ -215,21 +194,27 @@ class Overlay:
             self.nodes.append(node)
         return i
 
-    def value(self, i: int) -> RationalTerm:
-        """The canonical value of the node with id i."""
-        rt = self._values.get(i)
-        if rt is None:
-            rt = _number(self.nodes, range(len(self.nodes)), i)
-            self._values[i] = rt
-        return rt
+
+def _holds(pred: str, args: list[int], overlay: Overlay) -> bool:
+    """Truth of a builtin atom on the ids of its ground arguments, which
+    are equal exactly when their trees are, as the overlay is minimal.
+    Raises BuiltinTypeError outside the builtin's contract."""
+    if pred == "true":
+        return True
+    a, b = args
+    if pred == "=":
+        return a == b
+    if pred == "\\=":
+        return a != b
+    nodes = overlay.nodes
+    if pred == "is":
+        return a == overlay.intern(("n", arith_value(nodes, b), ()))
+    return COMPARE[pred](arith_value(nodes, a), arith_value(nodes, b))
 
 
 # ops of a compiled clause term, run in post-order on a stack of node ids:
 # (_CONST, id), (_VAR, slot), or (_NODE, functor, arity) over the top ids
 _CONST, _VAR, _NODE = range(3)
-# steps of a compiled clause: (_BIND, slot), (_ARG, pred, position, ops)
-# or (_TEST, atom, ops per argument)
-_BIND, _ARG, _TEST = range(3)
 
 
 def _compile(t: Term, slots: dict[Var, int], overlay: Overlay) -> list[tuple]:
@@ -292,7 +277,7 @@ def ground_instances(clauses: Sequence[Clause],
         _ground_clause(clause, u, overlay, rules, pending)
     warnings = [key if isinstance(key, str) else
                 f"instance escapes the universe: {key[0]} on "
-                f"{rt_to_str(overlay.value(key[1]))}" for key in pending]
+                f"{rt_to_str(overlay.nodes, key[1])}" for key in pending]
     return frozenset(rules), tuple(dict.fromkeys(warnings))
 
 
@@ -301,83 +286,73 @@ def _ground_clause(clause: Clause, u: Universe, overlay: Overlay,
     """Add the clause's ground instances to rules, and the first failure of
     each dropped instance to pending.
 
-    Assignments are searched depth first in first-occurrence order of the
-    variables, each bound where it first occurs, so full assignments come in
-    the order of itertools.product over the elements.  An argument is
-    evaluated as soon as its variables are bound; when it escapes, or a
-    builtin fails, every assignment of the later variables would fail there
-    with the same value, and they are skipped.
+    An odometer over the variables in first-occurrence order, head first
+    and argument by argument, so full assignments come in the order of
+    itertools.product over the elements.  checks[k] holds the argument and
+    builtin checks that come after the first k variables are bound and
+    before the next one.  A failing check moves the last bound variable on
+    to its next element: every assignment of the later variables would fail
+    there with the same value, and they are skipped.
     """
     slots: dict[Var, int] = {}
-    steps: list[tuple] = []
+    # (pred, row position, ops) for an argument of a non-builtin atom, and
+    # (pred, None, ops per argument) for a builtin
+    checks: dict[int, list[tuple]] = {}
     spans: list[tuple[str, int, int]] = []  # non-builtin atoms in row
     width = 0
     for atom in (clause.head, *clause.body):
-        known = len(slots)
         if is_builtin(atom):
             ops = [_compile(t, slots, overlay) for t in atom.args]
-            steps.extend((_BIND, s) for s in range(known, len(slots)))
-            steps.append((_TEST, atom, ops))
+            checks.setdefault(len(slots), []).append((atom.pred, None, ops))
             continue
         start = width
         for t in atom.args:
             ops = _compile(t, slots, overlay)
-            steps.extend((_BIND, s) for s in range(known, len(slots)))
-            known = len(slots)
-            steps.append((_ARG, atom.pred, width, ops))
+            checks.setdefault(len(slots), []).append((atom.pred, width, ops))
             width += 1
         spans.append((atom.pred, start, width))
-    # where a failure at each step resumes: the last bind before it
-    resume: list[int] = []
-    last = -1
-    for i, step in enumerate(steps):
-        resume.append(last)
-        if step[0] == _BIND:
-            last = i
-    resume.append(last)
 
     roots, element_at = u.roots, u.element_at
     env = [0] * len(slots)
     row = [0] * width
-    choice = [-1] * len(steps)
-    i = 0
-    while i >= 0:
-        if i == len(steps):
-            if spans:
-                ground = [(pred, tuple(row[a:b])) for pred, a, b in spans]
-                rules.add(GroundRule(frozenset(ground[1:]), ground[0]))
-            i = resume[i]
-            continue
-        step = steps[i]
-        if step[0] == _BIND:
-            c = choice[i] + 1
-            if c == len(roots):
-                choice[i] = -1
-                i = resume[i]
+
+    def passes(level: int) -> bool:
+        for pred, position, ops in checks.get(level, ()):
+            if position is not None:
+                value = _evaluate(ops, env, overlay)
+                e = element_at.get(value)
+                if e is None:
+                    pending.setdefault((pred, value))
+                    return False
+                row[position] = e
                 continue
-            choice[i] = c
-            env[step[1]] = roots[c]
-            i += 1
-        elif step[0] == _ARG:
-            value = _evaluate(step[3], env, overlay)
-            e = element_at.get(value)
-            if e is None:
-                pending.setdefault((step[1], value))
-                i = resume[i]
-                continue
-            row[step[2]] = e
-            i += 1
-        else:
-            atom = step[1]
-            args = [overlay.value(_evaluate(ops, env, overlay))
-                    for ops in step[2]]
             try:
-                keep = eval_ground_builtin(atom.pred, args)
+                if not _holds(pred, [_evaluate(o, env, overlay) for o in ops],
+                              overlay):
+                    return False
             except BuiltinTypeError as e:
-                pending.setdefault(f"dropped instance of {atom.pred}/"
-                                   f"{len(atom.args)}: {e}")
-                keep = False
-            i = i + 1 if keep else resume[i]
+                pending.setdefault(
+                    f"dropped instance of {pred}/{len(ops)}: {e}")
+                return False
+        return True
+
+    choice = [-1] * len(env)
+    k = 0 if passes(0) else -1
+    while k >= 0:
+        if k == len(env):
+            ground = [(pred, tuple(row[a:b])) for pred, a, b in spans]
+            rules.add(GroundRule(frozenset(ground[1:]), ground[0]))
+            k -= 1
+            continue
+        c = choice[k] + 1
+        if c == len(roots):
+            choice[k] = -1
+            k -= 1
+            continue
+        choice[k] = c
+        env[k] = roots[c]
+        if passes(k + 1):
+            k += 1
 
 
 def immediate_consequences(rules: frozenset, interp: frozenset) -> frozenset:
@@ -510,18 +485,19 @@ def universe_instantiations(solved: SolvedForm, qvars: Sequence[Var],
                             u: Universe) -> frozenset:
     """All ways an engine answer lands inside the universe, when each free
     variable leaf becomes one universe element throughout.  Each value is
-    matched against each element, which fixes its leaves; a match stands
-    when every leaf lands on an element.  The matches of the query
-    variables are then joined on shared leaves."""
+    matched against the store at the root of each element, which fixes the
+    node of each leaf; a match stands when every leaf's node is the root of
+    an element.  The matches of the query variables are then joined on
+    shared leaves."""
     joined: list[tuple[tuple[int, ...], dict[str, int]]] = [((), {})]
     for v in qvars:
         rt = rational_value(solved, v)
         options = []
-        for i, element in enumerate(u.elements):
-            leaves = match(rt, element)
+        for i, root in enumerate(u.roots):
+            leaves = match(rt, u.store, root)
             if leaves is None:
                 continue
-            at = {p: u.index_of(x) for p, x in leaves.items()}
+            at = {p: u.element_at.get(j) for p, j in leaves.items()}
             if None not in at.values():
                 options.append((i, at))
         joined = [(row + (i,), {**env, **at})

@@ -4,12 +4,12 @@ from pathlib import Path
 import pytest
 
 from colp.engine import Config, run_query
-from colp.equations import (EMPTY_SOLVED, BuiltinTypeError, _minimise,
-                            free_leaf_names, rational_value)
+from colp.equations import (EMPTY_SOLVED, BuiltinTypeError, RationalTerm,
+                            _minimise, arith_value, free_leaf_names,
+                            rational_value)
 from colp.parser import parse_program, parse_query, print_answer
-from colp.semantics import (GroundRule, LoopProver, eval_ground_builtin,
-                            rt_to_str)
-from colp.terms import NIL, cons, is_builtin, ordered_vars
+from colp.semantics import GroundRule, LoopProver, rt_to_str
+from colp.terms import NIL, Num, cons, is_builtin, ordered_vars
 
 PROGRAMS_DIR = Path(__file__).resolve().parent.parent / "programs"
 
@@ -70,8 +70,7 @@ def substitute(r, mapping):
     for i, (kind, payload, kids) in enumerate(r.nodes):
         if kids:
             nodes[i] = (kind, payload, tuple(target.get(c, c) for c in kids))
-    return _minimise(nodes)
-
+    return RationalTerm(_minimise(nodes)[0])
 
 
 def bisimilar(r1, r2):
@@ -108,6 +107,23 @@ def instantiations_by_enumeration(solved, qvars, u):
         if None not in idxs:
             out.add(idxs)
     return frozenset(out)
+
+
+def eval_ground_builtin(pred, args):
+    """Truth of a builtin atom on ground rational terms; raises
+    BuiltinTypeError outside the builtin's contract."""
+    if pred == "true":
+        return True
+    a, b = args
+    if pred == "=":
+        return a == b
+    if pred == "\\=":
+        return a != b
+    if pred == "is":
+        return a == rational_value(EMPTY_SOLVED, Num(arith_value(b.nodes)))
+    x = arith_value(a.nodes)
+    y = arith_value(b.nodes)
+    return {"<": x < y, ">": x > y, "=<": x <= y, ">=": x >= y}[pred]
 
 
 def ground_instances_by_enumeration(clauses, u):
@@ -155,7 +171,7 @@ def ground_instances_by_enumeration(clauses, u):
                 rules.add(GroundRule(frozenset(ground[1:]), ground[0]))
     warnings = [key if isinstance(key, str) else
                 f"instance escapes the universe: {key[0]} on "
-                f"{rt_to_str(key[1])}" for key in pending]
+                f"{rt_to_str(key[1].nodes)}" for key in pending]
     return frozenset(rules), tuple(dict.fromkeys(warnings))
 
 

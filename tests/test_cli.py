@@ -160,7 +160,8 @@ def test_semantics_without_coclauses_has_reg_equal_ind():
 def test_universe_errors_name_the_file_once(tmp_path):
     shapes = [("Bad := f(a)\n", "{}:1: bad universe name 'Bad'\n"),
               ("a\nx := f(\n",
-               "{}:2:1:3: expected a term, found 'end of input'\n"),
+               "{}:2:8: expected a term, found 'end of input'\n"),
+              ("1\n   [1,2 | ]\n", "{}:2:11: expected a term, found ']'\n"),
               ("x := f(Y)\n", "{}: element 'x' is not ground\n")]
     for text, message in shapes:
         bad = tmp_path / "bad.univ"

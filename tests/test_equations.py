@@ -67,7 +67,7 @@ def test_solve_without_occurs_check():
     assert solved is not None
     r = rational_value(solved, X)
     assert rt_is_ground(r)
-    assert truncate(r, 3) == s(s(s(CUT)))
+    assert truncate(r.nodes, 3) == s(s(s(CUT)))
 
 
 def test_solve_var_var_then_binding():
@@ -161,7 +161,7 @@ def test_truncate_cyclic_list():
     solved = solve([(X, make_list([Num(1), Num(2)], X))])
     r = rational_value(solved, X)
     # depth counts constructor levels; a cons spends one per element
-    assert truncate(r, 3) == cons(Num(1), cons(Num(2), cons(CUT, CUT)))
+    assert truncate(r.nodes, 3) == cons(Num(1), cons(Num(2), cons(CUT, CUT)))
 
 
 def test_is_ground_under():
@@ -184,7 +184,7 @@ def test_substitute_splices_values():
     w = solve([(X, s(X))])
     omega = rational_value(w, X)
     r = substitute(rational_value(EMPTY_SOLVED, f(Y, Num(1))), {"Y": omega})
-    assert truncate(r, 3) == f(s(s(CUT)), Num(1))
+    assert truncate(r.nodes, 3) == f(s(s(CUT)), Num(1))
     # the result is canonical: s(omega) is omega again
     assert substitute(rational_value(EMPTY_SOLVED, s(Y)), {"Y": omega}) == omega
 
@@ -196,23 +196,28 @@ def test_free_leaf_names_order_and_substitute():
     two = rational_value(EMPTY_SOLVED, Num(2))
     filled = substitute(r, {"Y": one, "X": two})
     assert rt_is_ground(filled)
-    assert truncate(filled, 2) == f(Num(1), Num(2), Num(1))
+    assert truncate(filled.nodes, 2) == f(Num(1), Num(2), Num(1))
 
 
 def test_match_returns_the_sub_value_at_each_leaf():
+    # lz = [0|lz] is the node table  0: [1|0]  1: 0
     lz = rational_value(solve([(X, cons(Num(0), X))]), X)
-    zero = rational_value(EMPTY_SOLVED, Num(0))
-    assert match(rational_value(EMPTY_SOLVED, cons(Y, Z)), lz) == {
-        "Y": zero, "Z": lz}
+    assert lz.nodes == (("f", ".", (1, 0)), ("n", 0, ()))
+    assert match(rational_value(EMPTY_SOLVED, cons(Y, Z)), lz.nodes) == {
+        "Y": 1, "Z": 0}
     # a cyclic pattern walks the cycle of the value
-    assert match(rational_value(solve([(X, cons(Y, X))]), X), lz) == {
-        "Y": zero}
-    assert match(lz, lz) == {}
+    assert match(rational_value(solve([(X, cons(Y, X))]), X), lz.nodes) == {
+        "Y": 1}
+    assert match(lz, lz.nodes) == {}
     # a repeated leaf must land on one value
-    assert match(rational_value(EMPTY_SOLVED, cons(Y, Y)), lz) is None
+    assert match(rational_value(EMPTY_SOLVED, cons(Y, Y)), lz.nodes) is None
+    # matching starts at the given root
+    assert match(rational_value(EMPTY_SOLVED, Y), lz.nodes, 1) == {"Y": 1}
+    assert match(rational_value(EMPTY_SOLVED, cons(Y, Z)), lz.nodes, 1) is None
     two = rational_value(EMPTY_SOLVED, f(Num(0), Num(0)))
-    assert match(rational_value(EMPTY_SOLVED, f(Y, Y)), two) == {"Y": zero}
-    assert match(rational_value(EMPTY_SOLVED, s(Y)), two) is None
+    assert match(rational_value(EMPTY_SOLVED, f(Y, Y)), two.nodes) == {"Y": 1}
+    assert two.nodes[1] == ("n", 0, ())
+    assert match(rational_value(EMPTY_SOLVED, s(Y)), two.nodes) is None
 
 
 # --- atom-level helpers -------------------------------------------------

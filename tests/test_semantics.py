@@ -7,13 +7,12 @@ from hypothesis import example, given, settings
 from colp.parser import parse_program, parse_query
 from colp.semantics import (GroundRule, LoopProver, Overlay, Universe,
                             UniverseError, compute_semantics,
-                            eval_ground_builtin, ground_instances,
-                            greatest_consistent_within,
+                            ground_instances, greatest_consistent_within,
                             immediate_consequences, least_model,
                             regular_answers, rt_to_str,
                             universe_instantiations)
-from colp.equations import (EMPTY_SOLVED, free_leaf_names, rational_value,
-                            solve)
+from colp.equations import (EMPTY_SOLVED, free_leaf_names, match,
+                            rational_value, solve)
 from colp.terms import NIL, Atom, Clause, Compound, Num, Var, cons
 
 from conftest import (PROGRAMS_DIR, ground_instances_by_enumeration,
@@ -99,8 +98,7 @@ def test_escaping_value_gets_an_id_no_element_has():
     ssz = overlay.intern(("f", "s", (ids["s(z)"],)))
     assert ssz not in u.element_at and ssz not in u.ids
     assert overlay.intern(("f", "s", (ids["s(z)"],))) == ssz
-    assert overlay.value(ssz) == rational_value(EMPTY_SOLVED,
-                                                succ(succ(Compound("z"))))
+    assert rt_to_str(overlay.nodes, ssz) == "s(s(z))"
     assert len(u.store) == len(u.ids) == 3  # the universe is not written to
 
 
@@ -111,18 +109,17 @@ def test_escaping_value_gets_an_id_no_element_has():
     "[0,1]\n1\nlz := [0|lz]\n[1,0|lz]\ns(s(z))\n"])
 def test_store_agrees_with_elements(text):
     u = Universe.from_text(text)
-    overlay = Overlay(u)
     assert len(set(u.store)) == len(u.store)  # minimal: one id per tree
     assert all(c < len(u.store) for _, _, kids in u.store for c in kids)
     for e, rt in enumerate(u.elements):
         assert u.index_of(rt) == e
         assert u.element_at[u.roots[e]] == e
-        assert overlay.value(u.roots[e]) == rt
+        assert match(rt, u.store, u.roots[e]) == {}  # the same tree
 
 
 def test_rt_to_str_truncates_cycles():
     u = load_universe("omega.univ")
-    assert rt_to_str(u.elements[2], depth=3) == "s(s(s(...)))"
+    assert rt_to_str(u.elements[2].nodes, depth=3) == "s(s(s(...)))"
 
 
 # --- ground rule instances ----------------------------------------------
@@ -166,14 +163,14 @@ def test_wide_and_deep_clauses_ground_within_the_recursion_limit():
         "instance escapes the universe: p on s(s(s(s(s(s(s(s(...))))))))",)
 
 
-def test_eval_ground_builtin():
-    one = rational_value(EMPTY_SOLVED, Num(1))
-    two = rational_value(EMPTY_SOLVED, Num(2))
-    assert eval_ground_builtin("<", (one, two))
-    assert not eval_ground_builtin("=", (one, two))
-    assert eval_ground_builtin("\\=", (one, two))
-    plus = rational_value(EMPTY_SOLVED, Compound("+", (Num(1), Num(1))))
-    assert eval_ground_builtin("is", (two, plus))
+def test_ground_instances_evaluate_builtins():
+    u = Universe.from_text("1\n2\n")
+    for body, holds in [("1 < 2", True), ("1 = 2", False), ("1 \\= 2", True),
+                        ("2 is 1 + 1", True)]:
+        prog = parse_program(f"p :- {body}.\n")
+        rules, warnings = ground_instances(prog.clauses, u)
+        assert rules == ({rule(("p", ()))} if holds else frozenset()), body
+        assert warnings == ()
 
 
 # --- fixpoints ------------------------------------------------------------
@@ -386,6 +383,9 @@ UNIVERSES = {name: load_universe(name)
 # not closed under subterms, so some leaves land outside it
 UNIVERSES["open"] = Universe.from_text(
     "[0,1]\n1\nlz := [0|lz]\n[1,0|lz]\ns(s(z))\n")
+# a negative number, a cyclic arithmetic term (1 occurs only inside it) and
+# a non-number
+UNIVERSES["arith"] = Universe.from_text("-1\n0\n2\nc := c + 1\nz\n")
 answer_terms = st.recursive(
     st.one_of(st.sampled_from([X, Y, A, B, C]),
               st.sampled_from([Compound("z"), NIL, Num(0), Num(1), Num(2)])),
@@ -417,20 +417,21 @@ def test_universe_instantiations_agree_with_enumeration(name, tx, ty):
 
 
 # clauses over X, Y and A with function symbols, repeated variables and
-# builtins; + and > on non-numbers raise type errors
+# builtins; arithmetic on non-numbers or cyclic terms raises type errors
 clause_terms = st.recursive(
     st.one_of(st.sampled_from([X, Y, A]),
               st.sampled_from([Compound("z"), NIL, Num(0), Num(1), Num(2)])),
     lambda inner: st.one_of(
         st.builds(succ, inner), st.builds(cons, inner, inner),
-        st.builds(lambda a, b: Compound("+", (a, b)), inner, inner)),
+        st.builds(lambda op, a, b: Compound(op, (a, b)),
+                  st.sampled_from(["+", "-", "*"]), inner, inner)),
     max_leaves=4)
 user_atoms = st.builds(lambda pred, args: Atom(pred, tuple(args)),
                        st.sampled_from(["p", "q"]),
                        st.lists(clause_terms, min_size=1, max_size=2))
 builtin_atoms = st.one_of(
     st.builds(lambda op, a, b: Atom(op, (a, b)),
-              st.sampled_from(["=", "\\=", "is", ">"]),
+              st.sampled_from(["=", "\\=", "is", "<", ">", "=<", ">="]),
               clause_terms, clause_terms),
     st.just(Atom("true")))
 clauses = st.builds(lambda head, body: Clause(head, tuple(body)), user_atoms,
@@ -450,6 +451,11 @@ clauses = st.builds(lambda head, body: Clause(head, tuple(body)), user_atoms,
                                 Atom(">", (X, Num(0)))))])
 @example("lists.univ", [Clause(Atom("p", (X,)),
                                (Atom("=", (Y, cons(X, Y))), Atom("q", (Y,))))])
+@example("arith", [Clause(Atom("p", (X,)), (Atom("=<", (X, Num(0))),))])
+@example("arith", [Clause(Atom("p", (X,)), (Atom(">=", (
+    Compound("*", (X, X)), Compound("-", (X, Num(1))))),))])
+@example("lists.univ", [Clause(Atom("p", (X,)), (Atom("is", (
+    Num(2), Compound("+", (X, Num(1))))),))])         # 2 is not an element
 @given(st.sampled_from(sorted(UNIVERSES)), st.lists(clauses, min_size=1,
                                                    max_size=2))
 def test_ground_instances_agree_with_enumeration(name, clause_list):
