@@ -30,12 +30,18 @@ def _report_syntax(err: IO[str], exc: SyntaxErrors) -> None:
         err.write(f"{exc.origin}:{issue.line}:{issue.col}: {issue.message}\n")
 
 
-def _load(path: str, err: IO[str], parse):
-    """parse(text, origin=path) on the file's text, or None after reporting
-    why the file could not be read or parsed."""
+def _load(err: IO[str], *files, query: Optional[str] = None) -> Optional[list]:
+    """Each (parse, path) in turn as parse(text, origin=path) on the file's
+    text, then the query text if given, in argv order; or None after
+    reporting why the first of them could not be read or parsed."""
+    loaded = []
     try:
-        with open(path, encoding="utf-8") as fh:
-            return parse(fh.read(), origin=path)
+        for parse, path in files:
+            with open(path, encoding="utf-8") as fh:
+                loaded.append(parse(fh.read(), origin=path))
+        if query is not None:
+            loaded.append(parse_query(query))
+        return loaded
     except OSError as e:
         err.write(f"cannot read {path}: {e.strerror}\n")
     except SyntaxErrors as exc:
@@ -56,15 +62,10 @@ def _flush_diagnostics(diagnostics: list[str], err: IO[str]) -> None:
 
 
 def cmd_run(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
-    prog = _load(args.program, err, parse_program)
-    if prog is None:
+    loaded = _load(err, (parse_program, args.program), query=args.query)
+    if loaded is None:
         return EXIT_ERROR
-    try:
-        query = parse_query(args.query)
-    except SyntaxErrors as exc:
-        _report_syntax(err, exc)
-        return EXIT_ERROR
-
+    prog, query = loaded
     cap = args.answers if args.answers is not None else 1
     trace = err if args.trace else None
     outcome = run_query(prog, query, _config(args, cap), trace=trace)
@@ -96,9 +97,10 @@ def _budget_value(text: str) -> Optional[int]:
 
 def cmd_repl(args: argparse.Namespace, inp: IO[str], out: IO[str],
              err: IO[str]) -> int:
-    prog = _load(args.program, err, parse_program)
-    if prog is None:
+    loaded = _load(err, (parse_program, args.program))
+    if loaded is None:
         return EXIT_ERROR
+    [prog] = loaded
     mode = args.mode
     budget = args.budget
     tracing = args.trace
@@ -131,11 +133,10 @@ def cmd_repl(args: argparse.Namespace, inp: IO[str], out: IO[str],
         if line.startswith(":"):
             directive(line)
             continue
-        try:
-            query = parse_query(line)
-        except SyntaxErrors as exc:
-            _report_syntax(err, exc)
+        loaded = _load(err, query=line)
+        if loaded is None:
             continue
+        [query] = loaded
         cfg = Config(mode=mode, strategy=args.strategy, budget=budget,
                      prefer=args.prefer)
         outcome = run_query(prog, query, cfg, trace=err if tracing else None)
@@ -152,11 +153,11 @@ def cmd_repl(args: argparse.Namespace, inp: IO[str], out: IO[str],
 
 
 def cmd_semantics(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
-    prog = _load(args.program, err, parse_program)
-    universe = (_load(args.universe, err, Universe.from_text)
-                if prog is not None else None)
-    if prog is None or universe is None:
+    loaded = _load(err, (parse_program, args.program),
+                   (Universe.from_text, args.universe))
+    if loaded is None:
         return EXIT_ERROR
+    prog, universe = loaded
     result = compute_semantics(apply_mode(prog, args.mode), universe)
     for label, atoms in (("Ind", result.ind), ("CoInd", result.coind),
                          ("Reg", result.reg)):
@@ -176,17 +177,11 @@ def _assignment_str(indexes: tuple[int, ...], query, universe: Universe) -> str:
 
 
 def cmd_check(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
-    prog = _load(args.program, err, parse_program)
-    universe = (_load(args.universe, err, Universe.from_text)
-                if prog is not None else None)
-    if prog is None or universe is None:
+    loaded = _load(err, (parse_program, args.program),
+                   (Universe.from_text, args.universe), query=args.query)
+    if loaded is None:
         return EXIT_ERROR
-    try:
-        query = parse_query(args.query)
-    except SyntaxErrors as exc:
-        _report_syntax(err, exc)
-        return EXIT_ERROR
-
+    prog, universe, query = loaded
     applied = apply_mode(prog, args.mode)
     result = compute_semantics(applied, universe)
     expected = regular_answers(query, universe, result.reg)

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import IO, Iterator, Optional
 
 from .equations import (COMPARE, EMPTY_SOLVED, BuiltinTypeError, SolvedForm,
-                        arg_equations, arith_value, free_leaf_names,
-                        rational_value, rt_is_ground, solve)
+                        arith_value, free_leaf_names, rational_value,
+                        rt_is_ground, solve)
 from .parser import Query, atom_snapshot
 from .terms import (Atom, Clause, Num, Program, Var, fresh_rename, is_builtin,
                     signatures, vars_of)
@@ -65,15 +65,10 @@ class Outcome:
     search ended.  exhaustion stays None while answers remain unpulled or
     when the stream was cut off by max_answers."""
 
-    def __init__(self, answers: Iterator[SolvedForm], diagnostics: list[str],
-                 cell: dict):
+    def __init__(self, answers: Iterator[SolvedForm], diagnostics: list[str]):
         self.answers = answers
         self.diagnostics = diagnostics
-        self._cell = cell
-
-    @property
-    def exhaustion(self) -> Optional[str]:
-        return self._cell.get("exhaustion")
+        self.exhaustion: Optional[str] = None
 
 
 def apply_mode(prog: Program, mode: str) -> Program:
@@ -132,15 +127,16 @@ class _Run:
         self.pruned = False
         self.fresh = itertools.count(1)
         self.has_co = bool(prog.coclauses)
-        named = [(f"c{i + 1}", cl) for i, cl in enumerate(prog.clauses)]
-        named += [(f"co{i + 1}", cl) for i, cl in enumerate(prog.coclauses)]
+        # (id, clause) by head signature; inside co-hyp re-derivations the
+        # coclauses follow the clauses
         self.outer: dict[tuple[str, int], list] = {}
-        self.inner: dict[tuple[str, int], list] = {}
-        for cid, cl in named:
+        for i, cl in enumerate(prog.clauses, 1):
             sig = (cl.head.pred, len(cl.head.args))
-            self.inner.setdefault(sig, []).append((cid, cl))
-            if not cid.startswith("co"):
-                self.outer.setdefault(sig, []).append((cid, cl))
+            self.outer.setdefault(sig, []).append((f"c{i}", cl))
+        self.inner = {sig: list(alts) for sig, alts in self.outer.items()}
+        for i, cl in enumerate(prog.coclauses, 1):
+            sig = (cl.head.pred, len(cl.head.args))
+            self.inner.setdefault(sig, []).append((f"co{i}", cl))
 
     def _tline(self, depth: int, text: str) -> None:
         if self.trace is not None:
@@ -150,31 +146,19 @@ class _Run:
         if message not in self.diagnostics:
             self.diagnostics.append(message)
 
-    def _candidates(self, frame: Frame, solved: SolvedForm) -> list[tuple]:
-        atom = frame.atom
-        sig = (atom.pred, len(atom.args))
-        table = self.inner if frame.inner else self.outer
-        steps = [("step", cid, cl) for cid, cl in table.get(sig, ())]
-        # inner frames carry no hypotheses
-        cohyps = [("cohyp", h) for h in frame.hyps
-                  if self.has_co and (h.pred, len(h.args)) == sig]
-        if self.prefer == "cohyp":
-            return cohyps + steps
-        return steps + cohyps
-
-    def solve_frames(self, frames: tuple[Frame, ...], solved: SolvedForm,
-                     used: int) -> Iterator[tuple[SolvedForm, int]]:
+    def solve_frames(self, frames: tuple[Frame, ...],
+                     solved: SolvedForm) -> Iterator[SolvedForm]:
         """Depth-first backtracking over an explicit stack of pending states,
         so derivation length is bounded by the budget, not the interpreter's
-        recursion limit.  Yields (equations, budget consumed) per success."""
-        stack: list[tuple] = [(frames, solved, used, None)]
+        recursion limit.  Yields the equations of each success."""
+        stack: list[tuple] = [(frames, solved, 0, None)]
         while stack:
             frames, solved, used, note = stack.pop()
             if note is not None:
                 self._tline(note[0], note[1])
             if not frames:
                 self._tline(0, "EMPTY")
-                yield solved, used
+                yield solved
                 continue
             frame, rest = frames[0], frames[1:]
             atom = frame.atom
@@ -189,40 +173,42 @@ class _Run:
                     stack.append((rest, after, used, None))
                 continue
 
-            alts = []
-            for cand in self._candidates(frame, solved):
-                if cand[0] == "step":
-                    cid, clause = cand[1], cand[2]
-                    renamed = fresh_rename(clause, self.fresh)
-                    after = solve(arg_equations(atom, renamed.head), solved)
-                    if after is None:
-                        continue
-                    if frame.inner:
-                        hyps: tuple[Atom, ...] = ()
-                    else:
-                        hyps = (frame.hyps if atom in frame.hyps
-                                else frame.hyps + (atom,))
-                    body = tuple(Frame(b, hyps, frame.inner, frame.depth + 1)
-                                 for b in renamed.body)
-                    if self.check:
-                        self._assert_hyps(body, after)
-                    note = None
-                    if self.trace is not None:
-                        note = (frame.depth,
-                                f"STEP {atom_snapshot(atom, after)} via {cid}")
-                    alts.append((body + rest, after, used + 1, note))
-                else:
-                    hyp = cand[1]
-                    after = solve(arg_equations(atom, hyp), solved)
-                    if after is None:
-                        continue
-                    note = None
-                    if self.trace is not None:
-                        note = (frame.depth,
-                                f"COHYP {atom_snapshot(atom, after)} "
-                                f"~ {atom_snapshot(hyp, after)}")
-                    redo = Frame(atom, (), True, frame.depth + 1)
-                    alts.append(((redo,) + rest, after, used + 1, note))
+            sig = (atom.pred, len(atom.args))
+            if frame.inner:
+                hyps: tuple[Atom, ...] = ()
+            else:
+                hyps = (frame.hyps if atom in frame.hyps
+                        else frame.hyps + (atom,))
+            steps = []
+            for cid, clause in (self.inner if frame.inner
+                                else self.outer).get(sig, ()):
+                renamed = fresh_rename(clause, self.fresh)
+                after = solve(zip(atom.args, renamed.head.args), solved)
+                if after is None:
+                    continue
+                body = tuple(Frame(b, hyps, frame.inner, frame.depth + 1)
+                             for b in renamed.body)
+                if self.check:
+                    self._assert_hyps(body, after)
+                note = None
+                if self.trace is not None:
+                    note = (frame.depth,
+                            f"STEP {atom_snapshot(atom, after)} via {cid}")
+                steps.append((body + rest, after, used + 1, note))
+            cohyps = []
+            for hyp in frame.hyps:  # none in inner frames
+                if not self.has_co or (hyp.pred, len(hyp.args)) != sig:
+                    continue
+                after = solve(zip(atom.args, hyp.args), solved)
+                if after is None:
+                    continue
+                note = None
+                if self.trace is not None:
+                    note = (frame.depth, f"COHYP {atom_snapshot(atom, after)} "
+                                         f"~ {atom_snapshot(hyp, after)}")
+                redo = Frame(atom, (), True, frame.depth + 1)
+                cohyps.append(((redo,) + rest, after, used + 1, note))
+            alts = cohyps + steps if self.prefer == "cohyp" else steps + cohyps
 
             if used >= self.budget:
                 if alts:
@@ -276,16 +262,14 @@ def run_query(prog: Program, query: Query, cfg: Config,
     """
     applied = apply_mode(prog, cfg.mode)
     frames = tuple(Frame(a, (), False, 0) for a in query.atoms)
-    diagnostics: list[str] = []
-    cell: dict = {}
 
     def generate() -> Iterator[SolvedForm]:
         seen: set = set()
         emitted = 0
         for level in _budget_levels(cfg):
-            run = _Run(applied, level, cfg.prefer, diagnostics, trace,
-                       cfg.check_invariants)
-            for solved, _ in run.solve_frames(frames, EMPTY_SOLVED, 0):
+            run = _Run(applied, level, cfg.prefer, outcome.diagnostics,
+                       trace, cfg.check_invariants)
+            for solved in run.solve_frames(frames, EMPTY_SOLVED):
                 key = _answer_key(solved, query.variables)
                 if key in seen:
                     continue
@@ -295,8 +279,9 @@ def run_query(prog: Program, query: Query, cfg: Config,
                 if cfg.max_answers is not None and emitted >= cfg.max_answers:
                     return
             if not run.pruned:
-                cell["exhaustion"] = COMPLETE if emitted else FINITELY_FAILED
+                outcome.exhaustion = COMPLETE if emitted else FINITELY_FAILED
                 return
-        cell["exhaustion"] = BUDGET_EXHAUSTED
+        outcome.exhaustion = BUDGET_EXHAUSTED
 
-    return Outcome(generate(), diagnostics, cell)
+    outcome = Outcome(generate(), [])
+    return outcome

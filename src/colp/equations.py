@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .terms import Atom, Compound, Num, Term, Var, vars_of
+from .terms import Compound, Num, Term, Var, vars_of
 
 EqPair = tuple[Term, Term]
 
@@ -108,14 +108,6 @@ def solve(eqs: Iterable[EqPair],
         seen.add((t, s))
         work.extend(zip(s.args, t.args))
     return SolvedForm(bound)
-
-
-def arg_equations(a: Atom, b: Atom) -> Optional[list[EqPair]]:
-    """Pairwise argument equations of two atoms, in argument order, or None
-    on a predicate/arity mismatch."""
-    if a.pred != b.pred or len(a.args) != len(b.args):
-        return None
-    return list(zip(a.args, b.args))
 
 
 # ---------------------------------------------------------------------------
@@ -290,29 +282,36 @@ COMPARE = {"<": operator.lt, ">": operator.gt, "=<": operator.le,
 
 def arith_value(nodes: Sequence[tuple], root: int = 0) -> int:
     """Evaluate the integer expression at root of a node table, over + - *
-    max min and unary minus."""
-    active: set[int] = set()
-
-    def ev(i: int) -> int:
+    max min and unary minus.  A post-order walk on an explicit stack, so
+    the depth of an expression is not bounded by the recursion limit; it
+    meets errors in the order of a left-to-right recursive evaluation."""
+    active: set[int] = set()  # the operator nodes on the current path
+    values: list[int] = []
+    stack = [(root, False)]
+    while stack:
+        i, entered = stack.pop()
         kind, payload, kids = nodes[i]
-        if kind == "n":
-            return payload
-        if kind == "v":
-            raise BuiltinTypeError(f"unbound variable {payload} in arithmetic")
-        if i in active:
-            raise BuiltinTypeError("cyclic arithmetic expression")
-        active.add(i)
-        try:
-            if payload == "-" and len(kids) == 1:
-                return -ev(kids[0])
-            if payload in _ARITH2 and len(kids) == 2:
-                x = ev(kids[0])
-                return _ARITH2[payload](x, ev(kids[1]))
-            raise BuiltinTypeError(f"not arithmetic: {payload}/{len(kids)}")
-        finally:
+        if entered:
             active.discard(i)
-
-    return ev(root)
+            if len(kids) == 1:
+                values[-1] = -values[-1]
+            else:
+                y = values.pop()
+                values[-1] = _ARITH2[payload](values[-1], y)
+        elif kind == "n":
+            values.append(payload)
+        elif kind == "v":
+            raise BuiltinTypeError(f"unbound variable {payload} in arithmetic")
+        elif i in active:
+            raise BuiltinTypeError("cyclic arithmetic expression")
+        elif (payload == "-" and len(kids) == 1) or (
+                payload in _ARITH2 and len(kids) == 2):
+            active.add(i)
+            stack.append((i, True))
+            stack.extend((k, False) for k in reversed(kids))
+        else:
+            raise BuiltinTypeError(f"not arithmetic: {payload}/{len(kids)}")
+    return values[0]
 
 
 CUT = Compound("...", ())

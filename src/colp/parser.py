@@ -268,19 +268,13 @@ class _Parser:
         if self.at_sym("."):
             self.next()
             return Clause(h, ()), False
-        if self.at_sym(":-"):
-            self.next()
-            b = self.body()
-            self.expect_sym(".")
-            return Clause(h, b), False
-        if self.at_sym(":~"):
-            self.next()
-            if self.at_sym("."):
+        for neck, co in ((":-", False), (":~", True)):
+            if self.at_sym(neck):
                 self.next()
-                return Clause(h, ()), True
-            b = self.body()
-            self.expect_sym(".")
-            return Clause(h, b), True
+                # only a coclause may have an empty body
+                b = () if co and self.at_sym(".") else self.body()
+                self.expect_sym(".")
+                return Clause(h, b), co
         self.fail("expected '.', ':-' or ':~' after the clause head")
 
     def skip_past_dot(self) -> None:
@@ -339,12 +333,9 @@ def parse_query(text: str, origin: str = "<query>") -> Query:
         raise SyntaxErrors(origin, [b.issue]) from None
     if atoms == (Atom("true", ()),):
         atoms = ()
-    variables = []
-    for atom in atoms:
-        for v in _query_vars(atom):
-            if v not in variables:
-                variables.append(v)
-    return Query(tuple(atoms), tuple(variables))
+    variables = tuple(v for v in ordered_vars(atoms)
+                      if not v.name.startswith("_#"))
+    return Query(atoms, variables)
 
 
 def parse_term_text(text: str, origin: str = "<term>") -> Term:
@@ -357,12 +348,6 @@ def parse_term_text(text: str, origin: str = "<term>") -> Term:
     except _Bail as b:
         raise SyntaxErrors(origin, [b.issue]) from None
     return t
-
-
-def _query_vars(atom: Atom):
-    for v in ordered_vars(atom):
-        if not v.name.startswith("_#"):
-            yield v
 
 
 # ---------------------------------------------------------------------------

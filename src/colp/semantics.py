@@ -67,8 +67,6 @@ class Universe:
         self.names: list[str] = []
         self._index: dict[RationalTerm, int] = {}
         for name, rt in entries:
-            if not rt_is_ground(rt):
-                raise UniverseError(f"universe element {name!r} is not ground")
             if rt in self._index:
                 continue
             self._index[rt] = len(self.elements)
@@ -410,60 +408,6 @@ def compute_semantics(prog: Program, u: Universe) -> SemanticsResult:
     warnings.update(dict.fromkeys(warn2))
     return SemanticsResult(ind, coind, reg, ind_all, rules, base,
                            tuple(warnings))
-
-
-class LoopProver:
-    """Derivability of hypothetical judgments: an atom holds under a set of
-    already-visited atoms if it is a visited atom in the inductive model of
-    clauses plus coclauses, or some ground clause concludes it with all
-    premises derivable after adding it to the visited set.
-
-    Judgments with the atom inside the hypothesis set form one stratum per
-    hypothesis set and are solved together as a least fixed point; all other
-    recursion strictly grows the hypothesis set, so the search terminates.
-    """
-
-    def __init__(self, rules: frozenset, ind_all: frozenset):
-        self.ind_all = ind_all
-        self.by_conclusion: dict[GroundAtom, list[frozenset]] = {}
-        for r in rules:
-            self.by_conclusion.setdefault(r.conclusion, []).append(r.premises)
-        self._clusters: dict[frozenset, frozenset] = {}
-        self._jumps: dict[tuple[frozenset, GroundAtom], bool] = {}
-
-    def derivable(self, hyps: frozenset, atom: GroundAtom) -> bool:
-        if atom in hyps:
-            return atom in self._cluster(hyps)
-        key = (hyps, atom)
-        got = self._jumps.get(key)
-        if got is None:
-            grown = hyps | {atom}
-            got = any(all(self.derivable(grown, b) for b in premises)
-                      for premises in self.by_conclusion.get(atom, ()))
-            self._jumps[key] = got
-        return got
-
-    def _cluster(self, hyps: frozenset) -> frozenset:
-        got = self._clusters.get(hyps)
-        if got is not None:
-            return got
-        derived = {a for a in hyps if a in self.ind_all}
-        changed = True
-        while changed:
-            changed = False
-            for atom in hyps:
-                if atom in derived:
-                    continue
-                for premises in self.by_conclusion.get(atom, ()):
-                    if all(b in derived if b in hyps
-                           else self.derivable(hyps | {b}, b)
-                           for b in premises):
-                        derived.add(atom)
-                        changed = True
-                        break
-        result = frozenset(derived)
-        self._clusters[hyps] = result
-        return result
 
 
 def regular_answers(query: Query, u: Universe,

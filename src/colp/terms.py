@@ -1,4 +1,4 @@
-"""Syntactic terms, atoms, clauses and substitutions.
+"""Syntactic terms, atoms, clauses and clause renaming.
 
 Everything in this module is a finite tree.  Possibly-infinite (rational)
 values never appear here; they arise only as solutions of equation sets,
@@ -132,25 +132,6 @@ def ordered_vars(x) -> list[Var]:
     return list(dict.fromkeys(_iter_vars(x)))
 
 
-Subst = dict  # Var -> Term, applied simultaneously
-
-
-def apply_subst(subst: Subst, x):
-    """Simultaneous substitution; bindings are not re-substituted into."""
-    if isinstance(x, Var):
-        return subst.get(x, x)
-    if isinstance(x, Num):
-        return x
-    if isinstance(x, Compound):
-        return Compound(x.functor, tuple(apply_subst(subst, a) for a in x.args))
-    if isinstance(x, Atom):
-        return Atom(x.pred, tuple(apply_subst(subst, a) for a in x.args))
-    if isinstance(x, Clause):
-        return Clause(apply_subst(subst, x.head),
-                      tuple(apply_subst(subst, b) for b in x.body))
-    raise TypeError(f"cannot substitute into {x!r}")
-
-
 def fresh_rename(clause: Clause, counter: Iterator[int]) -> Clause:
     """Variant of a clause with every variable stamped with one fresh index.
 
@@ -159,7 +140,17 @@ def fresh_rename(clause: Clause, counter: Iterator[int]) -> Clause:
     pairwise distinct names, which the parser guarantees.
     """
     stamp = next(counter)
-    vs = ordered_vars(clause)
-    if not vs:
-        return clause
-    return apply_subst({v: Var(v.name, stamp) for v in vs}, clause)
+    if next(_iter_vars(clause), None) is None:
+        return clause  # ground, so shared rather than rebuilt
+
+    def term(t: Term) -> Term:
+        if isinstance(t, Var):
+            return Var(t.name, stamp)
+        if isinstance(t, Compound):
+            return Compound(t.functor, tuple(map(term, t.args)))
+        return t
+
+    def atom(a: Atom) -> Atom:
+        return Atom(a.pred, tuple(map(term, a.args)))
+
+    return Clause(atom(clause.head), tuple(map(atom, clause.body)))

@@ -8,7 +8,7 @@ from colp.equations import (EMPTY_SOLVED, BuiltinTypeError, RationalTerm,
                             _minimise, arith_value, free_leaf_names,
                             rational_value)
 from colp.parser import parse_program, parse_query, print_answer
-from colp.semantics import GroundRule, LoopProver, rt_to_str
+from colp.semantics import GroundAtom, GroundRule, rt_to_str
 from colp.terms import NIL, Num, cons, is_builtin, ordered_vars
 
 PROGRAMS_DIR = Path(__file__).resolve().parent.parent / "programs"
@@ -173,6 +173,62 @@ def ground_instances_by_enumeration(clauses, u):
                 f"instance escapes the universe: {key[0]} on "
                 f"{rt_to_str(key[1].nodes)}" for key in pending]
     return frozenset(rules), tuple(dict.fromkeys(warnings))
+
+
+# the paper's loop-derivability reading of Reg, checked against the
+# fixed points
+class LoopProver:
+    """Derivability of hypothetical judgments: an atom holds under a set of
+    already-visited atoms if it is a visited atom in the inductive model of
+    clauses plus coclauses, or some ground clause concludes it with all
+    premises derivable after adding it to the visited set.
+
+    Judgments with the atom inside the hypothesis set form one stratum per
+    hypothesis set and are solved together as a least fixed point; all other
+    recursion strictly grows the hypothesis set, so the search terminates.
+    """
+
+    def __init__(self, rules: frozenset, ind_all: frozenset):
+        self.ind_all = ind_all
+        self.by_conclusion: dict[GroundAtom, list[frozenset]] = {}
+        for r in rules:
+            self.by_conclusion.setdefault(r.conclusion, []).append(r.premises)
+        self._clusters: dict[frozenset, frozenset] = {}
+        self._jumps: dict[tuple[frozenset, GroundAtom], bool] = {}
+
+    def derivable(self, hyps: frozenset, atom: GroundAtom) -> bool:
+        if atom in hyps:
+            return atom in self._cluster(hyps)
+        key = (hyps, atom)
+        got = self._jumps.get(key)
+        if got is None:
+            grown = hyps | {atom}
+            got = any(all(self.derivable(grown, b) for b in premises)
+                      for premises in self.by_conclusion.get(atom, ()))
+            self._jumps[key] = got
+        return got
+
+    def _cluster(self, hyps: frozenset) -> frozenset:
+        got = self._clusters.get(hyps)
+        if got is not None:
+            return got
+        derived = {a for a in hyps if a in self.ind_all}
+        changed = True
+        while changed:
+            changed = False
+            for atom in hyps:
+                if atom in derived:
+                    continue
+                for premises in self.by_conclusion.get(atom, ()):
+                    if all(b in derived if b in hyps
+                           else self.derivable(hyps | {b}, b)
+                           for b in premises):
+                        derived.add(atom)
+                        changed = True
+                        break
+        result = frozenset(derived)
+        self._clusters[hyps] = result
+        return result
 
 
 def loop_matches_regular(sem):

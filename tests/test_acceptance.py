@@ -12,12 +12,12 @@ from colp import cli
 from colp.engine import BUDGET_EXHAUSTED, Config, run_query
 from colp.equations import rational_value, solve
 from colp.parser import parse_query, print_answer
-from colp.semantics import (GroundRule, LoopProver,
-                            greatest_consistent_within,
+from colp.semantics import (GroundRule, greatest_consistent_within,
                             immediate_consequences, least_model)
 from colp.terms import Compound, Var
 
-from conftest import PROGRAMS_DIR, load_program, regular_by_enumeration
+from conftest import (PROGRAMS_DIR, LoopProver, load_program,
+                      regular_by_enumeration)
 
 MAXELEM = str(PROGRAMS_DIR / "maxelem.colp")
 MAXELEM_U = str(PROGRAMS_DIR / "maxelem.univ")

@@ -114,6 +114,12 @@ def test_internal_errors_exit_3_with_one_line(monkeypatch):
         3, "", "internal error: RuntimeError: two lines\n")
 
 
+def test_cyclic_answers_name_the_variable_that_closes_the_cycle():
+    # Y's value re-enters X's binding, so X prints with X as the cycle name
+    code, out, err = run_cli(["run", LISTS, "X = [1|Y], Y = [1|Y]."])
+    assert (code, out, err) == (0, "X = [1|X]\nY = [1|Y]\n", "")
+
+
 def test_run_trace_goes_to_stderr():
     code, out, err = run_cli(["run", LISTS, "member(1, [0,1]).", "--trace"])
     assert (code, out) == (0, "true\n")
@@ -168,6 +174,29 @@ def test_universe_errors_name_the_file_once(tmp_path):
         bad.write_text(text)
         code, out, err = run_cli(["semantics", OMEGA, str(bad)])
         assert (code, out, err) == (3, "", message.format(bad))
+
+
+def test_semantics_evaluates_long_arithmetic_within_the_recursion_limit(
+        tmp_path):
+    prog = tmp_path / "long.colp"
+    prog.write_text("q(0). q(1). p(X) :- q(X), X > "
+                    + "+".join(["1"] * 2000) + ".\n")
+    univ = tmp_path / "01.univ"
+    univ.write_text("0\n1\n")
+    code, out, err = run_cli(["semantics", str(prog), str(univ)])
+    assert (code, out, err) == (
+        0, "Ind: q(0), q(1)\nCoInd: q(0), q(1)\nReg: q(0), q(1)\n", "")
+
+
+def test_empty_universe_is_loaded_not_taken_for_a_failure(tmp_path):
+    empty = tmp_path / "empty.univ"
+    empty.write_text("")
+    code, out, err = run_cli(["semantics", LISTS, str(empty)])
+    assert (code, out) == (0, "Ind: (empty)\nCoInd: (empty)\nReg: (empty)\n")
+    assert err == ("warning: instance escapes the universe: append on []\n"
+                   "warning: instance escapes the universe: all_pos on []\n")
+    code, out, err = run_cli(["check", LISTS, str(empty), "member(X, [0])."])
+    assert (code, out, err) == (0, "PASS\n", "")
 
 
 # --- check ---------------------------------------------------------------------

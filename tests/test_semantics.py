@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from colp.parser import parse_program, parse_query
-from colp.semantics import (GroundRule, LoopProver, Overlay, Universe,
+from colp.semantics import (GroundRule, Overlay, Universe,
                             UniverseError, compute_semantics,
                             ground_instances, greatest_consistent_within,
                             immediate_consequences, least_model,
@@ -15,7 +15,8 @@ from colp.equations import (EMPTY_SOLVED, free_leaf_names, match,
                             rational_value, solve)
 from colp.terms import NIL, Atom, Clause, Compound, Num, Var, cons
 
-from conftest import (PROGRAMS_DIR, ground_instances_by_enumeration,
+from conftest import (PROGRAMS_DIR, LoopProver,
+                      ground_instances_by_enumeration,
                       instantiations_by_enumeration, load_program,
                       loop_matches_regular, regular_by_enumeration)
 
