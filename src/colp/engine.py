@@ -22,9 +22,8 @@ import itertools
 from dataclasses import dataclass
 from typing import IO, Iterator, Optional
 
-from .equations import (COMPARE, EMPTY_SOLVED, BuiltinTypeError, SolvedForm,
-                        arith_value, free_leaf_names, rational_value,
-                        rt_is_ground, solve)
+from .equations import (EMPTY_SOLVED, BuiltinTypeError, SolvedForm,
+                        arith_value, holds, rational_values, solve)
 from .parser import Query, atom_snapshot
 from .terms import (Atom, Clause, Num, Program, Var, fresh_rename, is_builtin,
                     signatures, vars_of)
@@ -100,17 +99,12 @@ def eval_builtin(atom: Atom, solved: SolvedForm) -> Optional[SolvedForm]:
     a, b = atom.args
     if pred == "=":
         return solve([(a, b)], solved)
-    if pred == "\\=":
-        ra, rb = rational_value(solved, a), rational_value(solved, b)
-        if not (rt_is_ground(ra) and rt_is_ground(rb)):
-            raise BuiltinTypeError("\\= needs ground arguments")
-        return None if ra == rb else solved
+    nodes, (ra, rb) = rational_values(solved, atom.args)
     if pred == "is":
-        value = arith_value(rational_value(solved, b).nodes)
-        return solve([(a, Num(value))], solved)
-    x = arith_value(rational_value(solved, a).nodes)
-    y = arith_value(rational_value(solved, b).nodes)
-    return solved if COMPARE[pred](x, y) else None
+        return solve([(a, Num(arith_value(nodes, rb)))], solved)
+    if pred == "\\=" and any(k == "v" for k, _, _ in nodes):
+        raise BuiltinTypeError("\\= needs ground arguments")
+    return solved if holds(pred, nodes, ra, rb) else None
 
 
 class _Run:
@@ -228,13 +222,13 @@ class _Run:
 
 def _answer_key(solved: SolvedForm, qvars: tuple[Var, ...]) -> tuple:
     """Equality-up-to-renaming key for one answer: the query variables'
-    values with free leaves renamed in node order, which in canonical form
-    is their order of first appearance."""
-    rts = [rational_value(solved, v) for v in qvars]
-    names = {p: f"?{i}" for i, p in enumerate(free_leaf_names(rts))}
-    return tuple(tuple((k, names[p], kids) if k == "v" else (k, p, kids)
-                       for k, p, kids in r.nodes)
-                 for r in rts)
+    values in one canonical table, with free leaves renamed in node order,
+    which is their order of first appearance."""
+    nodes, roots = rational_values(solved, qvars)
+    names: dict[str, str] = {}
+    return tuple(roots), tuple(
+        (k, names.setdefault(p, f"?{len(names)}"), kids) if k == "v"
+        else (k, p, kids) for k, p, kids in nodes)
 
 
 def _budget_levels(cfg: Config) -> list[int]:

@@ -12,9 +12,10 @@ RationalTerm is the value side: a finite term graph denoting a regular
 tree.  Two graphs denote the same tree when a bisimulation relates their
 roots.  Every RationalTerm is kept minimal and numbered in preorder, so two
 values denote the same tree exactly when their node tuples are equal:
-Python == and hash are value equality.  The readers match, arith_value and
-truncate take any minimal node table and a root in it: a RationalTerm's
-nodes, or the store of node ids the oracle keeps for a finite universe.
+Python == and hash are value equality.  The readers match, arith_value,
+holds and truncate take any minimal node table and a root in it: a
+RationalTerm's nodes, the joint table rational_values builds for several
+terms, or the store of node ids the oracle keeps for a finite universe.
 """
 from __future__ import annotations
 
@@ -74,13 +75,14 @@ def solve(eqs: Iterable[EqPair],
 
     Returns None when unsolvable.  Decomposition memoizes compound pairs so
     that cyclic bindings terminate: a pair being decomposed is assumed equal
-    while its arguments are compared.
+    while its arguments are compared.  The memo keys pairs by identity, as
+    only finitely many term objects are reachable.
     """
     # copy the base map only once a write happens; clashes stay cheap
     bound = base._bound
     owned = False
     work: list[EqPair] = list(eqs)
-    seen: set[EqPair] = set()
+    seen: set[tuple[int, int]] = set()
     while work:
         s, t = work.pop()
         s = _walk(bound, s)
@@ -102,10 +104,10 @@ def solve(eqs: Iterable[EqPair],
             return None  # unequal numbers, or number vs compound
         if s.functor != t.functor or len(s.args) != len(t.args):
             return None
-        if (s, t) in seen:
+        if (id(s), id(t)) in seen:
             continue
-        seen.add((s, t))
-        seen.add((t, s))
+        seen.add((id(s), id(t)))
+        seen.add((id(t), id(s)))
         work.extend(zip(s.args, t.args))
     return SolvedForm(bound)
 
@@ -126,38 +128,48 @@ class RationalTerm:
     Always in canonical form: minimal, so no two nodes unfold to the same
     tree, with nodes numbered in preorder from the root at index 0.  Two
     values therefore unfold to the same tree exactly when their node tuples
-    are equal, and == and hash are value equality.  rational_value builds
+    are equal, and == and hash are value equality.  rational_values builds
     values and ends in _minimise.
     """
 
     nodes: tuple[tuple, ...]
 
 
-def rational_value(solved: SolvedForm, t: Term) -> RationalTerm:
-    """Unfold a term through a solved form into a term graph, sharing a node
-    whenever the same dereferenced term is reached again.  Cyclic bindings
-    become cycles in the graph."""
+def rational_values(solved: SolvedForm,
+                    terms: Sequence[Term]) -> tuple[tuple, list[int]]:
+    """Unfold terms through a solved form into one minimal node table, and
+    the id of each term's value in it.  Each reached term object is one
+    node, keyed by identity: that closes cycles, as they run through the
+    one binding object of a variable, and _minimise merges the rest."""
     nodes: list = []
-    memo: dict[Term, int] = {}
+    memo: dict[int, int] = {}
 
-    def build(t: Term) -> int:
+    def node(t: Term) -> int:
         t = solved.walk(t)
-        got = memo.get(t)
-        if got is not None:
-            return got
-        idx = len(nodes)
-        memo[t] = idx
-        if isinstance(t, Var):
-            nodes.append(("v", t.display(), ()))
-        elif isinstance(t, Num):
-            nodes.append(("n", t.value, ()))
-        else:
-            nodes.append(None)  # reserve the slot before recursing
-            nodes[idx] = ("f", t.functor, tuple(build(a) for a in t.args))
-        return idx
+        i = memo.get(id(t))
+        if i is None:
+            i = memo[id(t)] = len(nodes)
+            nodes.append(t)  # encoded by the loop below
+        return i
 
-    build(t)
-    return RationalTerm(_minimise(nodes)[0])
+    roots = [node(t) for t in terms]
+    for i, t in enumerate(nodes):  # also visits what node() appends
+        if isinstance(t, Var):
+            nodes[i] = ("v", t.display(), ())
+        elif isinstance(t, Num):
+            nodes[i] = ("n", t.value, ())
+        else:
+            nodes[i] = ("f", t.functor, tuple(map(node, t.args)))
+    return _minimise(nodes, roots)
+
+
+def rational_value(solved: SolvedForm, t: Term) -> RationalTerm:
+    return RationalTerm(rational_values(solved, [t])[0])
+
+
+def value_at(nodes: Sequence[tuple], root: int) -> RationalTerm:
+    """The value at root of a minimal node table, numbered on its own."""
+    return RationalTerm(_number(nodes, range(len(nodes)), [root])[0])
 
 
 def _minimise(nodes: list, roots=(0,)) -> tuple[tuple, list[int]]:
@@ -314,6 +326,18 @@ def arith_value(nodes: Sequence[tuple], root: int = 0) -> int:
     return values[0]
 
 
+def holds(pred: str, nodes: Sequence[tuple], a: int, b: int) -> bool:
+    """Truth of a builtin on the ids of two ground values in a minimal node
+    table; raises BuiltinTypeError outside the builtin's contract."""
+    if pred == "=":
+        return a == b
+    if pred == "\\=":
+        return a != b
+    if pred == "is":
+        return nodes[a] == ("n", arith_value(nodes, b), ())
+    return COMPARE[pred](arith_value(nodes, a), arith_value(nodes, b))
+
+
 CUT = Compound("...", ())
 
 
@@ -335,13 +359,3 @@ def truncate(nodes: Sequence[tuple], depth: int, root: int = 0) -> Term:
 
 def rt_is_ground(r: RationalTerm) -> bool:
     return all(k != "v" for k, _, _ in r.nodes)
-
-
-def free_leaf_names(rts: Iterable[RationalTerm]) -> list[str]:
-    """Variable leaf names across values, first-appearance order."""
-    out: dict[str, None] = {}
-    for r in rts:
-        for k, p, _ in r.nodes:
-            if k == "v":
-                out.setdefault(p)
-    return list(out)

@@ -10,16 +10,17 @@ Instances whose atoms fall outside the universe are dropped with a warning,
 so results are exact only for universe-closed programs.
 
 Grounding works on integer node ids, not on term values.  A universe
-minimises the union of its element graphs once and numbers the distinct
-nodes: its store, closed under children, with one id per distinct tree.  A
-clause term evaluates bottom-up to an id by looking up (functor, child ids);
-a value outside the store gets a fresh id in an overlay local to one
-grounding pass, which stays exact because such a value sits acyclically
-above the store.  Builtins read ids as well: = and \\= compare them, is
-compares with the id of the computed number, and arithmetic reads the
-overlay's nodes.  Escape warnings render from the overlay, and check
-matches engine answers against the store, so once a universe is built no
-id is turned back into a RationalTerm.
+unfolds its elements together and minimises them once into its store,
+closed under children, with one id per distinct tree.  A clause term
+evaluates bottom-up to an id by looking up (functor, child ids); a value
+outside the store gets a fresh id in an overlay local to one grounding
+pass, which stays exact because such a value sits acyclically above the
+store.  Builtins read ids as well, through the equations.holds the engine
+uses: = and \\= compare ids, is compares the node at an id with the
+computed number, and arithmetic reads the overlay's nodes.  Escape warnings
+render from the overlay, and check matches engine answers against the
+store, so once a universe is built no id is turned back into a
+RationalTerm.
 
 Assignments are searched by an odometer over the variables in
 first-occurrence order, head first and argument by argument.  Each argument
@@ -32,14 +33,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .equations import (COMPARE, BuiltinTypeError, RationalTerm, SolvedForm,
-                        _minimise, arith_value, match, rational_value,
-                        rt_is_ground, solve, truncate)
+from .equations import (BuiltinTypeError, RationalTerm, SolvedForm, holds,
+                        match, rational_value, rational_values, rt_is_ground,
+                        solve, truncate, value_at)
 from .parser import Query, SyntaxErrors, parse_term_text, term_to_str
 from .terms import (Atom, Clause, Compound, Num, Program, Term, Var,
-                    is_builtin, signatures)
+                    is_builtin, map_leaves, signatures)
 
 # a ground atom is (predicate, universe element indexes)
 GroundAtom = tuple[str, tuple[int, ...]]
@@ -55,40 +56,31 @@ class Universe:
     Each element keeps a display name: the declared name, or the source text
     it was written as.
 
-    The elements share one store of node ids: the union of their graphs,
-    minimised jointly, so each distinct tree among the elements and their
-    subterms has exactly one id.  store[i] is the node with id i, as
-    (kind, payload, child ids); ids maps a node back to its id; roots[e]
-    is the id of element e and element_at maps it back to e.
+    The elements share one store of node ids, a minimal node table, so each
+    distinct tree among them and their subterms has exactly one id: store[i]
+    is the node with id i, as (kind, payload, child ids), and ids maps it
+    back.  roots[e] is the id of element e, the first entry at that id;
+    element_at maps it back to e, and elements[e] is its value on its own.
     """
 
-    def __init__(self, entries: Iterable[tuple[str, RationalTerm]]):
-        self.elements: list[RationalTerm] = []
-        self.names: list[str] = []
-        self._index: dict[RationalTerm, int] = {}
-        for name, rt in entries:
-            if rt in self._index:
-                continue
-            self._index[rt] = len(self.elements)
-            self.elements.append(rt)
-            self.names.append(name)
-        graph: list[tuple] = []
-        starts: list[int] = []
-        for rt in self.elements:
-            start = len(graph)
-            starts.append(start)
-            graph.extend((kind, payload, tuple(start + c for c in kids))
-                         for kind, payload, kids in rt.nodes)
-        self.store, self.roots = _minimise(graph, starts)
-        self.ids: dict[tuple, int] = {n: i for i, n in enumerate(self.store)}
+    def __init__(self, names: Sequence[str], store: tuple,
+                 roots: Sequence[int]):
+        first: dict[int, str] = {}
+        for name, root in zip(names, roots):
+            first.setdefault(root, name)
+        self.names = list(first.values())
+        self.roots = list(first)
+        self.store = store
+        self.ids: dict[tuple, int] = {n: i for i, n in enumerate(store)}
         self.element_at: dict[int, int] = {
             r: e for e, r in enumerate(self.roots)}
+        self.elements = [value_at(store, r) for r in self.roots]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.roots)
 
     def index_of(self, rt: RationalTerm) -> Optional[int]:
-        return self._index.get(rt)
+        return next((e for e, x in enumerate(self.elements) if x == rt), None)
 
     def display(self, i: int) -> str:
         return self.names[i]
@@ -127,37 +119,34 @@ class Universe:
         def link(t: Term) -> Term:
             # defined names parse as constants; turn them into variables so
             # one equation system ties all definitions together
-            if isinstance(t, Compound):
-                if not t.args and t.functor in defined:
-                    return Var(f"#{t.functor}", 0)
-                return Compound(t.functor, tuple(link(a) for a in t.args))
+            if isinstance(t, Compound) and t.functor in defined:
+                return Var(f"#{t.functor}", 0)
             return t
 
         eqs = []
-        roots: list[tuple[str, Term]] = []
+        names: list[str] = []
+        terms: list[Term] = []
         for name, body, lineno in items:
             try:
-                term = link(parse_term_text(body))
+                term = map_leaves(parse_term_text(body), link)
             except SyntaxErrors as e:
                 issue = e.issues[0]
                 raise UniverseError(f"{origin}:{lineno}:{issue.col}: "
                                     f"{issue.message}") from None
             if name is not None:
                 eqs.append((Var(f"#{name}", 0), term))
-                roots.append((name, Var(f"#{name}", 0)))
-            else:
-                roots.append((body.strip(), term))
+                term = Var(f"#{name}", 0)
+            names.append(body.strip() if name is None else name)
+            terms.append(term)
         solved = solve(eqs)
         if solved is None:
             raise UniverseError(f"{origin}: definitions have no solution")
-        entries = []
-        for name, term in roots:
-            rt = rational_value(solved, term)
+        u = cls(names, *rational_values(solved, terms))
+        for name, rt in zip(u.names, u.elements):
             if not rt_is_ground(rt):
                 raise UniverseError(
                     f"{origin}: element {name!r} is not ground")
-            entries.append((name, rt))
-        return cls(entries)
+        return u
 
 
 def rt_to_str(nodes: Sequence[tuple], root: int = 0, depth: int = 8) -> str:
@@ -191,23 +180,6 @@ class Overlay:
             i = self.ids[node] = len(self.nodes)
             self.nodes.append(node)
         return i
-
-
-def _holds(pred: str, args: list[int], overlay: Overlay) -> bool:
-    """Truth of a builtin atom on the ids of its ground arguments, which
-    are equal exactly when their trees are, as the overlay is minimal.
-    Raises BuiltinTypeError outside the builtin's contract."""
-    if pred == "true":
-        return True
-    a, b = args
-    if pred == "=":
-        return a == b
-    if pred == "\\=":
-        return a != b
-    nodes = overlay.nodes
-    if pred == "is":
-        return a == overlay.intern(("n", arith_value(nodes, b), ()))
-    return COMPARE[pred](arith_value(nodes, a), arith_value(nodes, b))
 
 
 # ops of a compiled clause term, run in post-order on a stack of node ids:
@@ -300,8 +272,9 @@ def _ground_clause(clause: Clause, u: Universe, overlay: Overlay,
     width = 0
     for atom in (clause.head, *clause.body):
         if is_builtin(atom):
-            ops = [_compile(t, slots, overlay) for t in atom.args]
-            checks.setdefault(len(slots), []).append((atom.pred, None, ops))
+            if atom.args:  # true/0 always holds
+                ops = [_compile(t, slots, overlay) for t in atom.args]
+                checks.setdefault(len(slots), []).append((atom.pred, None, ops))
             continue
         start = width
         for t in atom.args:
@@ -325,8 +298,8 @@ def _ground_clause(clause: Clause, u: Universe, overlay: Overlay,
                 row[position] = e
                 continue
             try:
-                if not _holds(pred, [_evaluate(o, env, overlay) for o in ops],
-                              overlay):
+                if not holds(pred, overlay.nodes,
+                             *[_evaluate(o, env, overlay) for o in ops]):
                     return False
             except BuiltinTypeError as e:
                 pending.setdefault(

@@ -7,7 +7,7 @@ over in `equations`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,22 +102,19 @@ def signatures(clauses: Iterable[Clause]) -> list[tuple[str, int]]:
 
 
 def _iter_vars(x) -> Iterator[Var]:
-    if isinstance(x, Var):
-        yield x
-    elif isinstance(x, Num):
-        return
-    elif isinstance(x, (Compound, Atom)):
-        for a in x.args:
-            yield from _iter_vars(a)
-    elif isinstance(x, Clause):
-        yield from _iter_vars(x.head)
-        for b in x.body:
-            yield from _iter_vars(b)
-    elif isinstance(x, (tuple, list, set, frozenset)):
-        for item in x:
-            yield from _iter_vars(item)
-    else:
-        raise TypeError(f"cannot collect variables from {x!r}")
+    stack = [x]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Var):
+            yield x
+        elif isinstance(x, (Compound, Atom)):
+            stack.extend(reversed(x.args))
+        elif isinstance(x, Clause):
+            stack.extend(reversed((x.head, *x.body)))
+        elif isinstance(x, (tuple, list, set, frozenset)):
+            stack.extend(reversed(list(x)))
+        elif not isinstance(x, Num):
+            raise TypeError(f"cannot collect variables from {x!r}")
 
 
 def vars_of(x) -> set[Var]:
@@ -132,6 +129,25 @@ def ordered_vars(x) -> list[Var]:
     return list(dict.fromkeys(_iter_vars(x)))
 
 
+def map_leaves(t: Term, leaf: Callable[[Term], Term]) -> Term:
+    """The term with each variable, number and constant x replaced by
+    leaf(x), rebuilt on an explicit stack, so its depth is not bounded by
+    the recursion limit."""
+    out: list[Term] = []
+    stack: list[tuple[Term, bool]] = [(t, False)]
+    while stack:
+        t, built = stack.pop()
+        if built:
+            n = len(t.args)
+            out[-n:] = [Compound(t.functor, tuple(out[-n:]))]
+        elif isinstance(t, Compound) and t.args:
+            stack.append((t, True))
+            stack.extend((a, False) for a in reversed(t.args))
+        else:
+            out.append(leaf(t))
+    return out[0]
+
+
 def fresh_rename(clause: Clause, counter: Iterator[int]) -> Clause:
     """Variant of a clause with every variable stamped with one fresh index.
 
@@ -143,14 +159,10 @@ def fresh_rename(clause: Clause, counter: Iterator[int]) -> Clause:
     if next(_iter_vars(clause), None) is None:
         return clause  # ground, so shared rather than rebuilt
 
-    def term(t: Term) -> Term:
-        if isinstance(t, Var):
-            return Var(t.name, stamp)
-        if isinstance(t, Compound):
-            return Compound(t.functor, tuple(map(term, t.args)))
-        return t
+    def leaf(t: Term) -> Term:
+        return Var(t.name, stamp) if isinstance(t, Var) else t
 
     def atom(a: Atom) -> Atom:
-        return Atom(a.pred, tuple(map(term, a.args)))
+        return Atom(a.pred, tuple(map_leaves(t, leaf) for t in a.args))
 
     return Clause(atom(clause.head), tuple(map(atom, clause.body)))

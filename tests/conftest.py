@@ -5,11 +5,10 @@ import pytest
 
 from colp.engine import Config, run_query
 from colp.equations import (EMPTY_SOLVED, BuiltinTypeError, RationalTerm,
-                            _minimise, arith_value, free_leaf_names,
-                            rational_value)
+                            _minimise, arith_value, rational_value)
 from colp.parser import parse_program, parse_query, print_answer
 from colp.semantics import GroundAtom, GroundRule, rt_to_str
-from colp.terms import NIL, Num, cons, is_builtin, ordered_vars
+from colp.terms import NIL, Num, Var, cons, is_builtin, ordered_vars
 
 PROGRAMS_DIR = Path(__file__).resolve().parent.parent / "programs"
 
@@ -51,6 +50,43 @@ def make_list(items, tail=NIL):
 
 
 # --- brute-force references that the tests compare colp against ----------
+
+def free_leaf_names(rts):
+    """Variable leaf names across values, first-appearance order."""
+    out = {}
+    for r in rts:
+        for k, p, _ in r.nodes:
+            if k == "v":
+                out.setdefault(p)
+    return list(out)
+
+
+def rational_value_by_recursion(solved, t):
+    """Reference for rational_values: unfold a term through a solved form
+    recursively, sharing a node whenever a structurally equal dereferenced
+    term is reached again, then minimise."""
+    nodes = []
+    memo = {}
+
+    def build(t):
+        t = solved.walk(t)
+        got = memo.get(t)
+        if got is not None:
+            return got
+        idx = len(nodes)
+        memo[t] = idx
+        if isinstance(t, Var):
+            nodes.append(("v", t.display(), ()))
+        elif isinstance(t, Num):
+            nodes.append(("n", t.value, ()))
+        else:
+            nodes.append(None)  # reserve the slot before recursing
+            nodes[idx] = ("f", t.functor, tuple(build(a) for a in t.args))
+        return idx
+
+    build(t)
+    return RationalTerm(_minimise(nodes)[0])
+
 
 def substitute(r, mapping):
     """Replace variable leaves, by display name, with rational-term values.

@@ -188,6 +188,47 @@ def test_semantics_evaluates_long_arithmetic_within_the_recursion_limit(
         0, "Ind: q(0), q(1)\nCoInd: q(0), q(1)\nReg: q(0), q(1)\n", "")
 
 
+ONES = "+".join(["1"] * 2000)
+
+
+def test_run_and_check_long_arithmetic_within_the_recursion_limit(tmp_path):
+    prog = tmp_path / "long.colp"
+    prog.write_text(f"q(0). q(1). q(2001). p(X) :- q(X), X > {ONES}.\n")
+    univ = tmp_path / "long.univ"
+    univ.write_text("0\n1\n2001\n")
+    assert run_cli(["run", str(prog), "p(X)."]) == (0, "X = 2001\n", "")
+    assert run_cli(["check", str(prog), str(univ), "p(X)."]) == (
+        0, "PASS\n", "")
+    assert run_cli(["run", LISTS, f"X is {ONES}."]) == (0, "X = 2000\n", "")
+
+
+def test_semantics_over_long_elements_within_the_recursion_limit(tmp_path):
+    prog = tmp_path / "long.colp"
+    prog.write_text("big(X) :- X > 1999.\nzeros([0|T]) :- zeros(T).\n"
+                    "const(z).\n")
+    univ = tmp_path / "long.univ"
+    univ.write_text(f"d := {ONES}\nl := [{','.join(['0'] * 3000)}]\nz\n")
+    code, out, err = run_cli(["semantics", str(prog), str(univ)])
+    assert (code, out) == (0, "Ind: big(d), const(z)\n"
+                              "CoInd: big(d), const(z)\n"
+                              "Reg: big(d), const(z)\n")
+    assert err == (
+        "warning: dropped instance of >/2: not arithmetic: ./2\n"
+        "warning: dropped instance of >/2: not arithmetic: z/0\n"
+        "warning: instance escapes the universe: zeros on "
+        "[0|...+...+1+1+1+1+1+1]\n"
+        "warning: instance escapes the universe: zeros on "
+        "[0,0,0,0,0,0,0,...|...]\n"
+        "warning: instance escapes the universe: zeros on [0|z]\n")
+
+
+def test_not_equal_compares_the_values_of_both_sides():
+    code, out, _ = run_cli(["run", LISTS, "X = [1|X], Y = [1,1|Y], X \\= Y."])
+    assert (code, out) == (1, "failed\n")
+    code, out, _ = run_cli(["run", LISTS, "X = [1|X], Y = [1,2|Y], X \\= Y."])
+    assert (code, out) == (0, "X = [1|X]\nY = [1,2|Y]\n")
+
+
 def test_empty_universe_is_loaded_not_taken_for_a_failure(tmp_path):
     empty = tmp_path / "empty.univ"
     empty.write_text("")

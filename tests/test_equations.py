@@ -1,13 +1,16 @@
+import itertools
 from collections import namedtuple
 
 import hypothesis.strategies as st
 from hypothesis import assume, example, given, settings
 
-from colp.equations import (CUT, EMPTY_SOLVED, free_leaf_names, match,
-                            rational_value, rt_is_ground, solve, truncate)
+from colp.equations import (CUT, EMPTY_SOLVED, match, rational_value,
+                            rational_values, rt_is_ground, solve, truncate,
+                            value_at)
 from colp.terms import Atom, Compound, Num, Var, cons
 
-from conftest import bisimilar, make_list, substitute
+from conftest import (bisimilar, free_leaf_names, make_list,
+                      rational_value_by_recursion, substitute)
 
 X, Y, Z = Var("X", 0), Var("Y", 0), Var("Z", 0)
 
@@ -377,3 +380,25 @@ def test_rotated_cycles_equal_exactly_when_bisimilar(digits, shift):
     solved = solve([(X, make_list([Num(d) for d in digits], X)),
                     (Y, make_list([Num(d) for d in rotated], Y))])
     _equal_exactly_when_bisimilar(solved, [(X, Y)])
+
+
+# --- rational_values against the recursive reference ---------------------
+
+@settings(max_examples=200, deadline=None)
+@example([(X, f(X)), (Y, f(f(Y)))], [X, Y, f(X)])     # one cycle, three ways
+@example([(X, Y), (Y, Z), (Z, s(X))], [X, s(Y), Z])   # a chain into a cycle
+@example([(X, f(Num(1), X))], [f(Num(1), Num(1)), X, Num(1), Num(1)])
+@given(st.lists(st.tuples(variables, terms_strategy), min_size=1, max_size=4),
+       st.lists(terms_strategy, min_size=1, max_size=4))
+def test_rational_values_agree_with_the_recursive_reference(eqs, terms):
+    """Solved forms with cyclic bindings and variable chains: the joint
+    table gives each term the reference value, and one id to two terms
+    exactly when their reference values are equal."""
+    solved = solve(eqs)
+    assume(solved is not None)
+    nodes, roots = rational_values(solved, terms)
+    expected = [rational_value_by_recursion(solved, t) for t in terms]
+    for root, value in zip(roots, expected):
+        assert value_at(nodes, root) == value
+    for (r1, v1), (r2, v2) in itertools.combinations(zip(roots, expected), 2):
+        assert (r1 == r2) == (v1 == v2)

@@ -11,14 +11,14 @@ from colp.semantics import (GroundRule, Overlay, Universe,
                             immediate_consequences, least_model,
                             regular_answers, rt_to_str,
                             universe_instantiations)
-from colp.equations import (EMPTY_SOLVED, free_leaf_names, match,
-                            rational_value, solve)
+from colp.equations import EMPTY_SOLVED, match, rational_value, solve
 from colp.terms import NIL, Atom, Clause, Compound, Num, Var, cons
 
-from conftest import (PROGRAMS_DIR, LoopProver,
+from conftest import (PROGRAMS_DIR, LoopProver, free_leaf_names,
                       ground_instances_by_enumeration,
                       instantiations_by_enumeration, load_program,
-                      loop_matches_regular, regular_by_enumeration)
+                      loop_matches_regular, rational_value_by_recursion,
+                      regular_by_enumeration)
 
 
 def load_universe(name):
@@ -103,16 +103,39 @@ def test_escaping_value_gets_an_id_no_element_has():
     assert len(u.store) == len(u.ids) == 3  # the universe is not written to
 
 
-@pytest.mark.parametrize("text", [
-    "z\ns(z)\nomega := s(omega)\n",
-    "a := f(b)\nb := f(a)\nc := f(c)\nf(f(d))\nd\n",
-    "1\n2\nlw := [1,2|lw]\nlt := [2|lw]\n[1,2,1|lt]\n",
-    "[0,1]\n1\nlz := [0|lz]\n[1,0|lz]\ns(s(z))\n"])
+def fn(*args):
+    return Compound("f", args)
+
+
+W = Var("W", 0)
+ONE, TWO, Z_, D_ = Num(1), Num(2), Compound("z"), Compound("d")
+
+
+# universes, each with equations and terms written by hand whose values are
+# its elements in order (duplicates left out)
+ELEMENTS_BY_HAND = {
+    "z\ns(z)\nomega := s(omega)\n":
+        ([(W, succ(W))], [Z_, succ(Z_), W]),
+    "a := f(b)\nb := f(a)\nc := f(c)\nf(f(d))\nd\n":
+        ([(W, fn(W))], [W, fn(fn(D_)), D_]),
+    "1\n2\nlw := [1,2|lw]\nlt := [2|lw]\n[1,2,1|lt]\n":
+        ([(W, cons(ONE, cons(TWO, W)))], [ONE, TWO, W, cons(TWO, W)]),
+    "[0,1]\n1\nlz := [0|lz]\n[1,0|lz]\ns(s(z))\n":
+        ([(W, cons(Num(0), W))], [cons(Num(0), cons(ONE, NIL)), ONE, W,
+                                  cons(ONE, W), succ(succ(Z_))]),
+}
+
+
+@pytest.mark.parametrize("text", list(ELEMENTS_BY_HAND))
 def test_store_agrees_with_elements(text):
     u = Universe.from_text(text)
     assert len(set(u.store)) == len(u.store)  # minimal: one id per tree
     assert all(c < len(u.store) for _, _, kids in u.store for c in kids)
-    for e, rt in enumerate(u.elements):
+    eqs, terms = ELEMENTS_BY_HAND[text]
+    solved = solve(eqs)
+    expected = [rational_value_by_recursion(solved, t) for t in terms]
+    assert u.elements == expected
+    for e, rt in enumerate(expected):
         assert u.index_of(rt) == e
         assert u.element_at[u.roots[e]] == e
         assert match(rt, u.store, u.roots[e]) == {}  # the same tree
