@@ -8,19 +8,20 @@ map from variables to terms whose right-hand sides may refer back to bound
 variables; cycles through compounds are exactly how infinite solutions stay
 finitely representable.
 
-RationalTerm is the value side: a finite term graph denoting a regular
-tree.  Two graphs denote the same tree when a bisimulation relates their
-roots.  Every RationalTerm is kept minimal and numbered in preorder, so two
-values denote the same tree exactly when their node tuples are equal:
-Python == and hash are value equality.  The readers match, arith_value,
-holds and truncate take any minimal node table and a root in it: a
-RationalTerm's nodes, the joint table rational_values builds for several
-terms, or the store of node ids the oracle keeps for a finite universe.
+A value is a regular tree, held as an id in a minimal node table: a finite
+term graph of (kind, payload, child ids) nodes, no two of which unfold to
+the same tree.  rational_values builds every value and ends in _minimise.
+A table numbered in preorder from root 0, such as
+rational_values(solved, [t])[0], is the canonical form of a value, so
+tuple equality is value equality.  The readers match, arith_value, holds
+and truncate take any minimal node table and a root in it: the joint table
+rational_values builds for several terms, or the store of node ids the
+oracle keeps for a finite universe.
 """
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+import sys
 from typing import Iterable, Optional, Sequence
 
 from .terms import Compound, Num, Term, Var, vars_of
@@ -87,7 +88,9 @@ def solve(eqs: Iterable[EqPair],
         s, t = work.pop()
         s = _walk(bound, s)
         t = _walk(bound, t)
-        if s == t:
+        # compounds by identity: == would recurse down a long list, and
+        # equal but distinct compounds are decomposed below
+        if s is t or (not isinstance(s, Compound) and s == t):
             continue
         if isinstance(s, Var) or isinstance(t, Var):
             # bind the variable, or the higher (name, index) of two, so the
@@ -113,26 +116,12 @@ def solve(eqs: Iterable[EqPair],
 
 
 # ---------------------------------------------------------------------------
-# Rational terms: finite rooted term graphs in canonical form.
+# Rational values: minimal node tables.
 # ---------------------------------------------------------------------------
 
 # Node encodings: ("f", functor, child-index tuple)
 #                 ("n", int value, ())
 #                 ("v", variable display name, ())
-
-
-@dataclass(frozen=True, slots=True)
-class RationalTerm:
-    """A finite term graph denoting a regular (possibly infinite) tree.
-
-    Always in canonical form: minimal, so no two nodes unfold to the same
-    tree, with nodes numbered in preorder from the root at index 0.  Two
-    values therefore unfold to the same tree exactly when their node tuples
-    are equal, and == and hash are value equality.  rational_values builds
-    values and ends in _minimise.
-    """
-
-    nodes: tuple[tuple, ...]
 
 
 def rational_values(solved: SolvedForm,
@@ -161,15 +150,6 @@ def rational_values(solved: SolvedForm,
         else:
             nodes[i] = ("f", t.functor, tuple(map(node, t.args)))
     return _minimise(nodes, roots)
-
-
-def rational_value(solved: SolvedForm, t: Term) -> RationalTerm:
-    return RationalTerm(rational_values(solved, [t])[0])
-
-
-def value_at(nodes: Sequence[tuple], root: int) -> RationalTerm:
-    """The value at root of a minimal node table, numbered on its own."""
-    return RationalTerm(_number(nodes, range(len(nodes)), [root])[0])
 
 
 def _minimise(nodes: list, roots=(0,)) -> tuple[tuple, list[int]]:
@@ -246,11 +226,11 @@ def _number(nodes: list, block, roots) -> tuple[tuple, list[int]]:
             [seq[block[r]] for r in roots])
 
 
-def match(pattern: RationalTerm, nodes: Sequence[tuple],
-          root: int = 0) -> Optional[dict[str, int]]:
-    """The node of a minimal node table at each variable leaf of pattern,
-    when replacing each leaf by the tree below its node turns pattern into
-    the tree at root; else None.
+def match(pattern: Sequence[tuple], proot: int, nodes: Sequence[tuple],
+          root: int) -> Optional[dict[str, int]]:
+    """The node of a minimal node table at each variable leaf of the
+    pattern's tree at proot, when replacing each leaf by the tree below its
+    node turns that tree into the tree at root; else None.
 
     A coinductive pair walk: a pair under comparison is assumed to match
     while its children are compared.  The table is minimal, so a leaf
@@ -258,10 +238,10 @@ def match(pattern: RationalTerm, nodes: Sequence[tuple],
     """
     at: dict[str, int] = {}
     seen: set[tuple[int, int]] = set()
-    stack = [(0, root)]
+    stack = [(proot, root)]
     while stack:
         i, j = stack.pop()
-        kind, payload, kids = pattern.nodes[i]
+        kind, payload, kids = pattern[i]
         if kind == "v":
             if at.setdefault(payload, j) != j:
                 return None
@@ -290,13 +270,17 @@ _ARITH2 = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 # the arithmetic comparison builtins
 COMPARE = {"<": operator.lt, ">": operator.gt, "=<": operator.le,
            ">=": operator.ge}
+# str() and int() convert integers of at most _DIGITS digits; 0: no limit
+_DIGITS = getattr(sys, "get_int_max_str_digits", int)()
+_TOO_LONG = 10 ** _DIGITS if _DIGITS else float("inf")
 
 
 def arith_value(nodes: Sequence[tuple], root: int = 0) -> int:
     """Evaluate the integer expression at root of a node table, over + - *
     max min and unary minus.  A post-order walk on an explicit stack, so
     the depth of an expression is not bounded by the recursion limit; it
-    meets errors in the order of a left-to-right recursive evaluation."""
+    meets errors in the order of a left-to-right recursive evaluation.  A
+    result too long to print is a type error."""
     active: set[int] = set()  # the operator nodes on the current path
     values: list[int] = []
     stack = [(root, False)]
@@ -323,6 +307,9 @@ def arith_value(nodes: Sequence[tuple], root: int = 0) -> int:
             stack.extend((k, False) for k in reversed(kids))
         else:
             raise BuiltinTypeError(f"not arithmetic: {payload}/{len(kids)}")
+    if abs(values[0]) >= _TOO_LONG:
+        raise BuiltinTypeError(
+            f"integer result has more than {_DIGITS} digits")
     return values[0]
 
 
@@ -355,7 +342,3 @@ def truncate(nodes: Sequence[tuple], depth: int, root: int = 0) -> Term:
         return Compound(p, tuple(go(ch, remaining - 1) for ch in c))
 
     return go(root, depth)
-
-
-def rt_is_ground(r: RationalTerm) -> bool:
-    return all(k != "v" for k, _, _ in r.nodes)

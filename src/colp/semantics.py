@@ -18,9 +18,8 @@ pass, which stays exact because such a value sits acyclically above the
 store.  Builtins read ids as well, through the equations.holds the engine
 uses: = and \\= compare ids, is compares the node at an id with the
 computed number, and arithmetic reads the overlay's nodes.  Escape warnings
-render from the overlay, and check matches engine answers against the
-store, so once a universe is built no id is turned back into a
-RationalTerm.
+render from the overlay, and check matches the joint table of each engine
+answer against the store, so a value is always an id in a node table.
 
 Assignments are searched by an odometer over the variables in
 first-occurrence order, head first and argument by argument.  Each argument
@@ -35,9 +34,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .equations import (BuiltinTypeError, RationalTerm, SolvedForm, holds,
-                        match, rational_value, rational_values, rt_is_ground,
-                        solve, truncate, value_at)
+from .equations import (BuiltinTypeError, SolvedForm, holds, match,
+                        rational_values, solve, truncate)
 from .parser import Query, SyntaxErrors, parse_term_text, term_to_str
 from .terms import (Atom, Clause, Compound, Num, Program, Term, Var,
                     is_builtin, map_leaves, signatures)
@@ -59,8 +57,8 @@ class Universe:
     The elements share one store of node ids, a minimal node table, so each
     distinct tree among them and their subterms has exactly one id: store[i]
     is the node with id i, as (kind, payload, child ids), and ids maps it
-    back.  roots[e] is the id of element e, the first entry at that id;
-    element_at maps it back to e, and elements[e] is its value on its own.
+    back.  roots[e] is the id of element e, the first entry at that id, and
+    element_at maps it back to e.
     """
 
     def __init__(self, names: Sequence[str], store: tuple,
@@ -74,13 +72,14 @@ class Universe:
         self.ids: dict[tuple, int] = {n: i for i, n in enumerate(store)}
         self.element_at: dict[int, int] = {
             r: e for e, r in enumerate(self.roots)}
-        self.elements = [value_at(store, r) for r in self.roots]
 
     def __len__(self) -> int:
         return len(self.roots)
 
-    def index_of(self, rt: RationalTerm) -> Optional[int]:
-        return next((e for e, x in enumerate(self.elements) if x == rt), None)
+    def index_of(self, nodes: Sequence[tuple], root: int = 0) -> Optional[int]:
+        """The element whose tree is the one at root of a node table."""
+        return next((e for e, r in enumerate(self.roots)
+                     if match(nodes, root, self.store, r) == {}), None)
 
     def display(self, i: int) -> str:
         return self.names[i]
@@ -142,8 +141,9 @@ class Universe:
         if solved is None:
             raise UniverseError(f"{origin}: definitions have no solution")
         u = cls(names, *rational_values(solved, terms))
-        for name, rt in zip(u.names, u.elements):
-            if not rt_is_ground(rt):
+        for name, root in zip(u.names, u.roots):
+            # matched against itself, an element binds its variable leaves
+            if match(u.store, root, u.store, root):
                 raise UniverseError(
                     f"{origin}: element {name!r} is not ground")
         return u
@@ -401,17 +401,17 @@ def regular_answers(query: Query, u: Universe,
 def universe_instantiations(solved: SolvedForm, qvars: Sequence[Var],
                             u: Universe) -> frozenset:
     """All ways an engine answer lands inside the universe, when each free
-    variable leaf becomes one universe element throughout.  Each value is
-    matched against the store at the root of each element, which fixes the
-    node of each leaf; a match stands when every leaf's node is the root of
-    an element.  The matches of the query variables are then joined on
-    shared leaves."""
+    variable leaf becomes one universe element throughout.  The query
+    variables' values are built into one table, and each is matched against
+    the store at the root of each element, which fixes the node of each
+    leaf; a match stands when every leaf's node is the root of an element.
+    The matches of the query variables are then joined on shared leaves."""
+    nodes, vroots = rational_values(solved, qvars)
     joined: list[tuple[tuple[int, ...], dict[str, int]]] = [((), {})]
-    for v in qvars:
-        rt = rational_value(solved, v)
+    for vroot in vroots:
         options = []
         for i, root in enumerate(u.roots):
-            leaves = match(rt, u.store, root)
+            leaves = match(nodes, vroot, u.store, root)
             if leaves is None:
                 continue
             at = {p: u.element_at.get(j) for p, j in leaves.items()}

@@ -4,8 +4,8 @@ from pathlib import Path
 import pytest
 
 from colp.engine import Config, run_query
-from colp.equations import (EMPTY_SOLVED, BuiltinTypeError, RationalTerm,
-                            _minimise, arith_value, rational_value)
+from colp.equations import (EMPTY_SOLVED, BuiltinTypeError, _minimise,
+                            arith_value, rational_values)
 from colp.parser import parse_program, parse_query, print_answer
 from colp.semantics import GroundAtom, GroundRule, rt_to_str
 from colp.terms import NIL, Num, Var, cons, is_builtin, ordered_vars
@@ -49,13 +49,39 @@ def make_list(items, tail=NIL):
     return out
 
 
+# --- values: node tables numbered in preorder from root 0 ----------------
+
+def value(solved, t):
+    """The canonical table of a term's value under a solved form."""
+    return rational_values(solved, [t])[0]
+
+
+def renumbered(nodes, root):
+    """The nodes reachable from root, numbered in preorder from it as colp
+    numbers a value; no two nodes are merged."""
+    seq, order, stack = {}, [], [root]
+    while stack:
+        i = stack.pop()
+        if i not in seq:
+            seq[i] = len(order)
+            order.append(i)
+            stack.extend(reversed(nodes[i][2]))
+    return tuple((k, p, tuple(seq[c] for c in kids))
+                 for k, p, kids in (nodes[i] for i in order))
+
+
+def elements(u):
+    """The value of each universe element, read off its store."""
+    return [renumbered(u.store, r) for r in u.roots]
+
+
 # --- brute-force references that the tests compare colp against ----------
 
-def free_leaf_names(rts):
+def free_leaf_names(values):
     """Variable leaf names across values, first-appearance order."""
     out = {}
-    for r in rts:
-        for k, p, _ in r.nodes:
+    for nodes in values:
+        for k, p, _ in nodes:
             if k == "v":
                 out.setdefault(p)
     return list(out)
@@ -85,28 +111,28 @@ def rational_value_by_recursion(solved, t):
         return idx
 
     build(t)
-    return RationalTerm(_minimise(nodes)[0])
+    return _minimise(nodes)[0]
 
 
 def substitute(r, mapping):
-    """Replace variable leaves, by display name, with rational-term values.
+    """Replace variable leaves of a value, by display name, with values.
     The replacement is simultaneous: leaves inside the values stay."""
-    nodes = list(r.nodes)
+    nodes = list(r)
     target = {}
-    for i, (kind, payload, _) in enumerate(r.nodes):
+    for i, (kind, payload, _) in enumerate(r):
         if kind == "v" and payload in mapping:
-            value = mapping[payload]
+            sub = mapping[payload]
             if i == 0:  # the whole term is this leaf
-                return value
+                return sub
             offset = target[i] = len(nodes)
             nodes.extend((k, p, tuple(offset + c for c in kids))
-                         for k, p, kids in value.nodes)
+                         for k, p, kids in sub)
     if not target:
         return r
-    for i, (kind, payload, kids) in enumerate(r.nodes):
+    for i, (kind, payload, kids) in enumerate(r):
         if kids:
             nodes[i] = (kind, payload, tuple(target.get(c, c) for c in kids))
-    return RationalTerm(_minimise(nodes)[0])
+    return _minimise(nodes)[0]
 
 
 def bisimilar(r1, r2):
@@ -123,8 +149,8 @@ def bisimilar(r1, r2):
         if (i, j) in seen:
             continue
         seen.add((i, j))
-        k1, p1, c1 = r1.nodes[i]
-        k2, p2, c2 = r2.nodes[j]
+        k1, p1, c1 = r1[i]
+        k2, p2, c2 = r2[j]
         if k1 != k2 or p1 != p2 or len(c1) != len(c2):
             return False
         stack.extend(zip(c1, c2))
@@ -134,10 +160,10 @@ def bisimilar(r1, r2):
 def instantiations_by_enumeration(solved, qvars, u):
     """Reference for universe_instantiations: try every assignment of
     universe elements to the free leaves of the answer values."""
-    rts = [rational_value(solved, v) for v in qvars]
+    rts = [value(solved, v) for v in qvars]
     free = free_leaf_names(rts)
     out = set()
-    for combo in itertools.product(u.elements, repeat=len(free)):
+    for combo in itertools.product(elements(u), repeat=len(free)):
         mapping = dict(zip(free, combo))
         idxs = tuple(u.index_of(substitute(rt, mapping)) for rt in rts)
         if None not in idxs:
@@ -146,7 +172,7 @@ def instantiations_by_enumeration(solved, qvars, u):
 
 
 def eval_ground_builtin(pred, args):
-    """Truth of a builtin atom on ground rational terms; raises
+    """Truth of a builtin atom on ground values; raises
     BuiltinTypeError outside the builtin's contract."""
     if pred == "true":
         return True
@@ -156,9 +182,9 @@ def eval_ground_builtin(pred, args):
     if pred == "\\=":
         return a != b
     if pred == "is":
-        return a == rational_value(EMPTY_SOLVED, Num(arith_value(b.nodes)))
-    x = arith_value(a.nodes)
-    y = arith_value(b.nodes)
+        return a == value(EMPTY_SOLVED, Num(arith_value(b)))
+    x = arith_value(a)
+    y = arith_value(b)
     return {"<": x < y, ">": x > y, "=<": x <= y, ">=": x >= y}[pred]
 
 
@@ -173,9 +199,9 @@ def ground_instances_by_enumeration(clauses, u):
         cvars = ordered_vars(clause)
         names = [v.display() for v in cvars]
         atoms = [(atom, is_builtin(atom),
-                  [rational_value(EMPTY_SOLVED, t) for t in atom.args])
+                  [value(EMPTY_SOLVED, t) for t in atom.args])
                  for atom in (clause.head, *clause.body)]
-        for combo in itertools.product(u.elements, repeat=len(cvars)):
+        for combo in itertools.product(elements(u), repeat=len(cvars)):
             mapping = dict(zip(names, combo))
             keep = True
             ground = []
@@ -193,10 +219,10 @@ def ground_instances_by_enumeration(clauses, u):
                     continue
                 indexes = []
                 for g in graphs:
-                    value = substitute(g, mapping)
-                    idx = u.index_of(value)
+                    filled = substitute(g, mapping)
+                    idx = u.index_of(filled)
                     if idx is None:
-                        pending.setdefault((atom.pred, value))
+                        pending.setdefault((atom.pred, filled))
                         keep = False
                         break
                     indexes.append(idx)
@@ -207,7 +233,7 @@ def ground_instances_by_enumeration(clauses, u):
                 rules.add(GroundRule(frozenset(ground[1:]), ground[0]))
     warnings = [key if isinstance(key, str) else
                 f"instance escapes the universe: {key[0]} on "
-                f"{rt_to_str(key[1].nodes)}" for key in pending]
+                f"{rt_to_str(key[1])}" for key in pending]
     return frozenset(rules), tuple(dict.fromkeys(warnings))
 
 

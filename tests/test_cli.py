@@ -222,6 +222,30 @@ def test_semantics_over_long_elements_within_the_recursion_limit(tmp_path):
         "warning: instance escapes the universe: zeros on [0|z]\n")
 
 
+def test_unifying_long_equal_lists_within_the_recursion_limit():
+    zeros = "[" + ",".join(["0"] * 3000) + "]"
+    assert run_cli(["run", LISTS, f"{zeros} = {zeros}."]) == (0, "true\n", "")
+
+
+def test_integer_results_too_long_to_print_are_type_errors(tmp_path):
+    nines = "9" * 3000
+    square = f"{nines} * {nines}"
+    code, out, err = run_cli(["run", LISTS, f"X is {square}."])
+    assert (code, out) == (3, "failed\n")
+    assert err.startswith("type error: integer result has more than ")
+    assert err.count("\n") == 1 and f"in X is {nines}*{nines}" in err
+    assert run_cli(["run", LISTS, f"X is {square} - {square}."]) == (
+        0, "X = 0\n", "")
+    prog = tmp_path / "big.colp"
+    prog.write_text(f"q(0). big(X) :- q(X), X is {square}.\n")
+    univ = tmp_path / "0.univ"
+    univ.write_text("0\n")
+    code, out, err = run_cli(["semantics", str(prog), str(univ)])
+    assert (code, out) == (0, "Ind: q(0)\nCoInd: q(0)\nReg: q(0)\n")
+    assert err.startswith("warning: dropped instance of is/2: integer result "
+                          "has more than ")
+
+
 def test_not_equal_compares_the_values_of_both_sides():
     code, out, _ = run_cli(["run", LISTS, "X = [1|X], Y = [1,1|Y], X \\= Y."])
     assert (code, out) == (1, "failed\n")

@@ -2,13 +2,14 @@ import io
 
 import pytest
 
-from colp.engine import (BUDGET_EXHAUSTED, COMPLETE, FINITELY_FAILED, Config,
-                         apply_mode, eval_builtin, run_query)
-from colp.equations import EMPTY_SOLVED, rational_value
+from colp.engine import (BUDGET_EXHAUSTED, COMPLETE, FINITELY_FAILED, MODES,
+                         Config, _answer_key, apply_mode, eval_builtin,
+                         run_query)
+from colp.equations import EMPTY_SOLVED
 from colp.parser import parse_program, parse_query, print_answer
-from colp.terms import Atom, Num, Var
+from colp.terms import Atom, Num, Program, Var
 
-from conftest import answers
+from conftest import answers, load_program, value
 
 
 # --- plain SLD behaviour (no coclauses) ---------------------------------
@@ -221,7 +222,7 @@ def test_answers_extend_query_equations(maxelem):
     ans = next(iter(out.answers))
     # the query's own equation still holds in the answer
     lhs, rhs = q.atoms[0].args
-    assert rational_value(ans, lhs) == rational_value(ans, rhs)
+    assert value(ans, lhs) == value(ans, rhs)
     # every query variable is covered by the answer equations
     assert set(q.variables) <= ans.eq_vars()
 
@@ -233,3 +234,36 @@ def test_config_validation():
         Config(mode="other")
     with pytest.raises(ValueError):
         Config(max_answers=0)
+
+
+# --- metamorphic: the answer set ignores search order -------------------
+
+# corpus queries whose search completes at budget 16
+COMPLETING_QUERIES = [
+    ("lists.colp", "member(X, [0,1,2])."),
+    ("lists.colp", "append(X, Y, [1,2,3])."),
+    ("lists.colp", "all_pos([1,2,0])."),
+    ("maxelem.colp", "L = [1,2|L], member(X, L)."),
+    ("bigstep.colp", "eval(seq(out(1), skip), R, S)."),
+    ("regex.colp", "match([0,1], cat(0,1))."),
+    ("regex.colp", "match(W, cat(0,1))."),
+]
+
+
+@pytest.mark.parametrize("name, text", COMPLETING_QUERIES)
+def test_answer_set_ignores_strategy_preference_and_clause_order(name, text):
+    prog = load_program(name)
+    flipped = Program(prog.clauses[::-1], prog.coclauses[::-1])
+    q = parse_query(text)
+    for mode in MODES:
+        sets = set()
+        for p in (prog, flipped):
+            for strategy in ("dfs", "iddfs"):
+                for prefer in ("cohyp", "step"):
+                    cfg = Config(mode=mode, strategy=strategy, budget=16,
+                                 prefer=prefer)
+                    outcome = run_query(p, q, cfg)
+                    sets.add(frozenset(_answer_key(a, q.variables)
+                                       for a in outcome.answers))
+                    assert outcome.exhaustion != BUDGET_EXHAUSTED
+        assert len(sets) == 1, (mode, len(sets))

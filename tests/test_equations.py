@@ -1,16 +1,15 @@
 import itertools
-from collections import namedtuple
 
 import hypothesis.strategies as st
 from hypothesis import assume, example, given, settings
 
-from colp.equations import (CUT, EMPTY_SOLVED, match, rational_value,
-                            rational_values, rt_is_ground, solve, truncate,
-                            value_at)
+from colp.equations import (CUT, EMPTY_SOLVED, match, rational_values, solve,
+                            truncate)
 from colp.terms import Atom, Compound, Num, Var, cons
 
 from conftest import (bisimilar, free_leaf_names, make_list,
-                      rational_value_by_recursion, substitute)
+                      rational_value_by_recursion, renumbered, substitute,
+                      value)
 
 X, Y, Z = Var("X", 0), Var("Y", 0), Var("Z", 0)
 
@@ -23,7 +22,8 @@ def s(t):
     return Compound("s", (t,))
 
 
-Graph = namedtuple("Graph", "nodes")
+def is_ground(nodes):
+    return all(k != "v" for k, _, _ in nodes)
 
 
 def raw_graph(solved, t):
@@ -47,7 +47,7 @@ def raw_graph(solved, t):
         return idx
 
     build(t)
-    return Graph(tuple(nodes))
+    return tuple(nodes)
 
 
 # --- solve ------------------------------------------------------------
@@ -67,9 +67,9 @@ def test_solve_clash_returns_none():
 def test_solve_without_occurs_check():
     solved = solve([(X, s(X))])
     assert solved is not None
-    r = rational_value(solved, X)
-    assert rt_is_ground(r)
-    assert truncate(r.nodes, 3) == s(s(s(CUT)))
+    r = value(solved, X)
+    assert is_ground(r)
+    assert truncate(r, 3) == s(s(s(CUT)))
 
 
 def test_solve_var_var_then_binding():
@@ -104,7 +104,7 @@ def test_solve_cyclic_lists_unify_up_to_bisimilarity():
     ly = make_list([Num(1), Num(2), Num(1), Num(2)], Y)
     solved = solve([(X, lx), (Y, ly), (X, Y)])
     assert solved is not None
-    assert rational_value(solved, X) == rational_value(solved, Y)
+    assert value(solved, X) == value(solved, Y)
 
 
 def test_solve_cyclic_mismatch_fails():
@@ -125,16 +125,16 @@ def test_long_union_chain_stays_consistent():
 # --- rational terms ----------------------------------------------------
 
 def test_rational_value_of_unbound_var_is_leaf():
-    r = rational_value(EMPTY_SOLVED, X)
-    assert r.nodes == (("v", "X", ()),)
-    assert not rt_is_ground(r)
+    r = value(EMPTY_SOLVED, X)
+    assert r == (("v", "X", ()),)
+    assert not is_ground(r)
 
 
 def test_bisimilar_one_and_two_node_cycles():
     s1 = solve([(X, s(X))])
     s2 = solve([(Y, s(Z)), (Z, s(Y))])
-    r1 = rational_value(s1, X)
-    r2 = rational_value(s2, Y)
+    r1 = value(s1, X)
+    r2 = value(s2, Y)
     assert bisimilar(r1, r2)
     assert r1 == r2
 
@@ -142,7 +142,7 @@ def test_bisimilar_one_and_two_node_cycles():
 def test_rotated_cycle_is_not_bisimilar():
     s1 = solve([(X, make_list([Num(1), Num(2)], X))])
     s2 = solve([(Y, make_list([Num(2), Num(1)], Y))])
-    r1, r2 = rational_value(s1, X), rational_value(s2, Y)
+    r1, r2 = value(s1, X), value(s2, Y)
     assert not bisimilar(r1, r2)
     assert r1 != r2
 
@@ -152,27 +152,27 @@ def test_hash_agrees_on_bisimilar_values_from_different_graphs():
     a, b, c = Var("A", 0), Var("B", 0), Var("C", 0)
     two = solve([(a, Compound("f", (b,))), (b, Compound("f", (a,)))])
     one = solve([(c, Compound("f", (c,)))])
-    assert len(raw_graph(two, a).nodes) == 2
-    assert len(raw_graph(one, c).nodes) == 1
-    ra, rc = rational_value(two, a), rational_value(one, c)
+    assert len(raw_graph(two, a)) == 2
+    assert len(raw_graph(one, c)) == 1
+    ra, rc = value(two, a), value(one, c)
     assert ra == rc and hash(ra) == hash(rc)
     assert {ra: "a"}[rc] == "a"
 
 
 def test_truncate_cyclic_list():
     solved = solve([(X, make_list([Num(1), Num(2)], X))])
-    r = rational_value(solved, X)
+    r = value(solved, X)
     # depth counts constructor levels; a cons spends one per element
-    assert truncate(r.nodes, 3) == cons(Num(1), cons(Num(2), cons(CUT, CUT)))
+    assert truncate(r, 3) == cons(Num(1), cons(Num(2), cons(CUT, CUT)))
 
 
 def test_is_ground_under():
     solved = solve([(X, f(Y)), (Y, Num(1))])
-    assert rt_is_ground(rational_value(solved, X))
-    assert not rt_is_ground(rational_value(solved, Z))
-    assert not rt_is_ground(rational_value(solved, f(X, Z)))
+    assert is_ground(value(solved, X))
+    assert not is_ground(value(solved, Z))
+    assert not is_ground(value(solved, f(X, Z)))
     cyc = solve([(X, s(X))])
-    assert rt_is_ground(rational_value(cyc, X))
+    assert is_ground(value(cyc, X))
 
 
 def test_eq_vars_covers_both_sides():
@@ -184,42 +184,42 @@ def test_eq_vars_covers_both_sides():
 
 def test_substitute_splices_values():
     w = solve([(X, s(X))])
-    omega = rational_value(w, X)
-    r = substitute(rational_value(EMPTY_SOLVED, f(Y, Num(1))), {"Y": omega})
-    assert truncate(r.nodes, 3) == f(s(s(CUT)), Num(1))
+    omega = value(w, X)
+    r = substitute(value(EMPTY_SOLVED, f(Y, Num(1))), {"Y": omega})
+    assert truncate(r, 3) == f(s(s(CUT)), Num(1))
     # the result is canonical: s(omega) is omega again
-    assert substitute(rational_value(EMPTY_SOLVED, s(Y)), {"Y": omega}) == omega
+    assert substitute(value(EMPTY_SOLVED, s(Y)), {"Y": omega}) == omega
 
 
 def test_free_leaf_names_order_and_substitute():
-    r = rational_value(EMPTY_SOLVED, f(Y, X, Y))
+    r = value(EMPTY_SOLVED, f(Y, X, Y))
     assert free_leaf_names([r]) == ["Y", "X"]
-    one = rational_value(EMPTY_SOLVED, Num(1))
-    two = rational_value(EMPTY_SOLVED, Num(2))
+    one = value(EMPTY_SOLVED, Num(1))
+    two = value(EMPTY_SOLVED, Num(2))
     filled = substitute(r, {"Y": one, "X": two})
-    assert rt_is_ground(filled)
-    assert truncate(filled.nodes, 2) == f(Num(1), Num(2), Num(1))
+    assert is_ground(filled)
+    assert truncate(filled, 2) == f(Num(1), Num(2), Num(1))
 
 
 def test_match_returns_the_sub_value_at_each_leaf():
     # lz = [0|lz] is the node table  0: [1|0]  1: 0
-    lz = rational_value(solve([(X, cons(Num(0), X))]), X)
-    assert lz.nodes == (("f", ".", (1, 0)), ("n", 0, ()))
-    assert match(rational_value(EMPTY_SOLVED, cons(Y, Z)), lz.nodes) == {
+    lz = value(solve([(X, cons(Num(0), X))]), X)
+    assert lz == (("f", ".", (1, 0)), ("n", 0, ()))
+    assert match(value(EMPTY_SOLVED, cons(Y, Z)), 0, lz, 0) == {
         "Y": 1, "Z": 0}
     # a cyclic pattern walks the cycle of the value
-    assert match(rational_value(solve([(X, cons(Y, X))]), X), lz.nodes) == {
+    assert match(value(solve([(X, cons(Y, X))]), X), 0, lz, 0) == {
         "Y": 1}
-    assert match(lz, lz.nodes) == {}
+    assert match(lz, 0, lz, 0) == {}
     # a repeated leaf must land on one value
-    assert match(rational_value(EMPTY_SOLVED, cons(Y, Y)), lz.nodes) is None
+    assert match(value(EMPTY_SOLVED, cons(Y, Y)), 0, lz, 0) is None
     # matching starts at the given root
-    assert match(rational_value(EMPTY_SOLVED, Y), lz.nodes, 1) == {"Y": 1}
-    assert match(rational_value(EMPTY_SOLVED, cons(Y, Z)), lz.nodes, 1) is None
-    two = rational_value(EMPTY_SOLVED, f(Num(0), Num(0)))
-    assert match(rational_value(EMPTY_SOLVED, f(Y, Y)), two.nodes) == {"Y": 1}
-    assert two.nodes[1] == ("n", 0, ())
-    assert match(rational_value(EMPTY_SOLVED, s(Y)), two.nodes) is None
+    assert match(value(EMPTY_SOLVED, Y), 0, lz, 1) == {"Y": 1}
+    assert match(value(EMPTY_SOLVED, cons(Y, Z)), 0, lz, 1) is None
+    two = value(EMPTY_SOLVED, f(Num(0), Num(0)))
+    assert match(value(EMPTY_SOLVED, f(Y, Y)), 0, two, 0) == {"Y": 1}
+    assert two[1] == ("n", 0, ())
+    assert match(value(EMPTY_SOLVED, s(Y)), 0, two, 0) is None
 
 
 # --- atom-level helpers -------------------------------------------------
@@ -256,7 +256,7 @@ def test_solve_makes_both_sides_bisimilar(eqs):
     if solved is None:
         return
     for lhs, rhs in eqs:
-        assert rational_value(solved, lhs) == rational_value(solved, rhs)
+        assert value(solved, lhs) == value(solved, rhs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -272,7 +272,7 @@ def test_solve_ignores_equation_order_and_sides(eqs, rng):
     assert (s1 is None) == (s2 is None)
     if s1 is not None:
         for v in (X, Y, Z):
-            assert rational_value(s1, v) == rational_value(s2, v)
+            assert value(s1, v) == value(s2, v)
 
 
 @settings(max_examples=150, deadline=None)
@@ -290,15 +290,15 @@ def test_extending_preserves_earlier_equations(first, second):
     s1 = solve(first)
     if s1 is None:
         return
-    snapshot = {v: rational_value(s1, v) for v in (X, Y, Z)}
+    snapshot = {v: value(s1, v) for v in (X, Y, Z)}
     s2 = solve(second, s1)
     if s2 is None:
         return
     # anything the base equated stays equated in the extension
     for lhs, rhs in first:
-        assert rational_value(s2, lhs) == rational_value(s2, rhs)
+        assert value(s2, lhs) == value(s2, rhs)
     # and the base itself is untouched
-    assert snapshot == {v: rational_value(s1, v) for v in (X, Y, Z)}
+    assert snapshot == {v: value(s1, v) for v in (X, Y, Z)}
 
 
 @settings(max_examples=100, deadline=None)
@@ -314,8 +314,8 @@ def test_value_ignores_one_unfolding(t):
     solved = solve([(X, t)])
     if solved is None:  # t contains X in a clashing way; cannot happen
         return
-    r1 = rational_value(solved, X)
-    r2 = rational_value(solved, t)
+    r1 = value(solved, X)
+    r2 = value(solved, t)
     assert bisimilar(r1, r2)
     assert r1 == r2
 
@@ -341,7 +341,7 @@ def _replace_at(t, path, leaf):
 
 def _equal_exactly_when_bisimilar(solved, pairs):
     for a, b in pairs:
-        ra, rb = rational_value(solved, a), rational_value(solved, b)
+        ra, rb = value(solved, a), value(solved, b)
         # the canonical value denotes the same tree as the raw graph
         assert bisimilar(ra, raw_graph(solved, a))
         assert (ra == rb) == bisimilar(raw_graph(solved, a),
@@ -398,7 +398,7 @@ def test_rational_values_agree_with_the_recursive_reference(eqs, terms):
     assume(solved is not None)
     nodes, roots = rational_values(solved, terms)
     expected = [rational_value_by_recursion(solved, t) for t in terms]
-    for root, value in zip(roots, expected):
-        assert value_at(nodes, root) == value
+    for root, want in zip(roots, expected):
+        assert renumbered(nodes, root) == want
     for (r1, v1), (r2, v2) in itertools.combinations(zip(roots, expected), 2):
         assert (r1 == r2) == (v1 == v2)

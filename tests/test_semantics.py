@@ -11,14 +11,14 @@ from colp.semantics import (GroundRule, Overlay, Universe,
                             immediate_consequences, least_model,
                             regular_answers, rt_to_str,
                             universe_instantiations)
-from colp.equations import EMPTY_SOLVED, match, rational_value, solve
+from colp.equations import EMPTY_SOLVED, match, solve
 from colp.terms import NIL, Atom, Clause, Compound, Num, Var, cons
 
-from conftest import (PROGRAMS_DIR, LoopProver, free_leaf_names,
+from conftest import (PROGRAMS_DIR, LoopProver, elements, free_leaf_names,
                       ground_instances_by_enumeration,
                       instantiations_by_enumeration, load_program,
                       loop_matches_regular, rational_value_by_recursion,
-                      regular_by_enumeration)
+                      regular_by_enumeration, value)
 
 
 def load_universe(name):
@@ -46,7 +46,7 @@ def test_universe_deduplicates_bisimilar_terms():
 def test_universe_definitions_may_be_mutually_recursive():
     u = load_universe("maxelem.univ")
     assert [u.display(i) for i in range(len(u))] == ["1", "2", "lw", "lt"]
-    rt = rational_value(EMPTY_SOLVED, Num(1))
+    rt = value(EMPTY_SOLVED, Num(1))
     assert u.index_of(rt) == 0
 
 
@@ -134,16 +134,16 @@ def test_store_agrees_with_elements(text):
     eqs, terms = ELEMENTS_BY_HAND[text]
     solved = solve(eqs)
     expected = [rational_value_by_recursion(solved, t) for t in terms]
-    assert u.elements == expected
+    assert elements(u) == expected
     for e, rt in enumerate(expected):
         assert u.index_of(rt) == e
         assert u.element_at[u.roots[e]] == e
-        assert match(rt, u.store, u.roots[e]) == {}  # the same tree
+        assert match(rt, 0, u.store, u.roots[e]) == {}  # the same tree
 
 
 def test_rt_to_str_truncates_cycles():
     u = load_universe("omega.univ")
-    assert rt_to_str(u.elements[2].nodes, depth=3) == "s(s(s(...)))"
+    assert rt_to_str(u.store, u.roots[2], depth=3) == "s(s(s(...)))"
 
 
 # --- ground rule instances ----------------------------------------------
@@ -433,7 +433,7 @@ def test_universe_instantiations_agree_with_enumeration(name, tx, ty):
     solved = solve([(X, tx), (Y, ty)])
     if solved is None:
         return
-    free = free_leaf_names(rational_value(solved, v) for v in (X, Y))
+    free = free_leaf_names(value(solved, v) for v in (X, Y))
     if len(free) > 3:
         return
     assert (universe_instantiations(solved, (X, Y), u)
