@@ -101,20 +101,16 @@ def cmd_repl(args: argparse.Namespace, inp: IO[str], out: IO[str],
     if loaded is None:
         return EXIT_ERROR
     [prog] = loaded
-    mode = args.mode
-    budget = args.budget
-    tracing = args.trace
 
     def directive(line: str) -> None:
-        nonlocal mode, budget, tracing
         parts = line.split()
         name, rest = parts[0], parts[1:]
         if name == ":mode" and rest and rest[0] in MODES:
-            mode = rest[0]
+            args.mode = rest[0]
         elif name == ":budget" and rest and (value := _budget_value(rest[0])):
-            budget = value
+            args.budget = value
         elif name == ":trace":
-            tracing = rest[0] == "on" if rest else not tracing
+            args.trace = rest[0] == "on" if rest else not args.trace
         else:
             err.write(f"unknown directive: {line}\n")
 
@@ -137,9 +133,8 @@ def cmd_repl(args: argparse.Namespace, inp: IO[str], out: IO[str],
         if loaded is None:
             continue
         [query] = loaded
-        cfg = Config(mode=mode, strategy=args.strategy, budget=budget,
-                     prefer=args.prefer)
-        outcome = run_query(prog, query, cfg, trace=err if tracing else None)
+        outcome = run_query(prog, query, _config(args, None),
+                            trace=err if args.trace else None)
         stopped = False
         for answer in outcome.answers:
             out.write(print_answer(answer, query.variables) + "\n")

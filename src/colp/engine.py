@@ -161,7 +161,9 @@ class _Run:
                 try:
                     after = eval_builtin(atom, solved)
                 except BuiltinTypeError as e:
-                    self._diag(f"type error: {e} in {atom_snapshot(atom, solved)}")
+                    snap = atom_snapshot(atom, solved)  # one line, however big
+                    snap = snap if len(snap) <= 200 else snap[:197] + "..."
+                    self._diag(f"type error: {e} in {snap}")
                     continue
                 if after is not None:
                     stack.append((rest, after, used, None))

@@ -4,6 +4,7 @@
     head :~ b1, ..., bn.     coclause        head :~.   cofact
     ?- a1, ..., an.          query
 
+A name is a letter or `_` then letters, digits and `_`, so `²x` is an error.
 Variables start with an uppercase letter or underscore; a bare `_` is
 anonymous and fresh at each occurrence.  Lists are sugar over '.'/2 and [].
 `%` comments to end of line.  The infix builtins  =  \\=  <  >  =<  >=  is
@@ -11,6 +12,7 @@ are goal-level only; + - * build terms anywhere and are evaluated by is.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,7 +23,14 @@ from .equations import SolvedForm
 _SYMBOLS = [":-", ":~", "?-", "\\=", "=<", ">=",
             "=", "<", ">", "(", ")", "[", "]", "|", ",", ".", "+", "-", "*"]
 
-_INFIX_GOALS = {"=", "\\=", "<", ">", "=<", ">=", "is"}
+_INFIX_GOALS = {name for name, arity in BUILTIN_ARITIES if arity == 2}
+
+# One alternative per token kind, tried in this order at each position.  A
+# trailing comment is part of end of input, which keeps the column of its %.
+_TOKEN = re.compile("|".join((
+    r"(?P<nl>\n)", r"(?P<eof>(?:%[^\n]*)?\Z)", r"(?P<skip>[ \t\r]+|%[^\n]*)",
+    r"(?P<int>\d+)", r"(?P<word>\w+)",
+    "(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + ")", r"(?P<bad>.)")))
 
 
 @dataclass(frozen=True)
@@ -60,54 +69,26 @@ class Tok:
 
 def _lex(text: str) -> list[Tok]:
     toks: list[Tok] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            toks.append(Tok("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "var" if (ch == "_" or ch.isupper()) else "atom"
+    i, line, line_start = 0, 1, 0
+    while True:
+        m = _TOKEN.match(text, i)
+        kind, word, col = m.lastgroup, m.group(), i - line_start + 1
+        i = m.end()
+        if kind == "word":
+            first = word[0]
+            if not (first.isalpha() or first == "_"):  # \w also takes '²'
+                kind, word, i = "bad", first, m.start() + 1
+            else:
+                kind = "var" if first == "_" or first.isupper() else "atom"
+        if kind == "nl":
+            line, line_start = line + 1, i
+        elif kind == "eof":
+            toks.append(Tok("eof", "", line, col))
+            return toks
+        elif kind != "skip":
+            # a "bad" token is reported by the parser, which knows the
+            # origin and recovers
             toks.append(Tok(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Tok("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            # reported by the parser, which knows the origin and recovers
-            toks.append(Tok("bad", ch, line, col))
-            i += 1
-            col += 1
-    toks.append(Tok("eof", "", line, col))
-    return toks
 
 
 @dataclass(frozen=True)
@@ -237,7 +218,7 @@ class _Parser:
         start = self.peek()
         left = self.term()
         t = self.peek()
-        if (t.kind == "sym" and t.text in _INFIX_GOALS) or (t.kind == "atom" and t.text == "is"):
+        if t.text in _INFIX_GOALS:  # a symbol token, or the atom is
             self.next()
             right = self.term()
             return Atom(t.text, (left, right))

@@ -6,7 +6,7 @@ import pytest
 from colp.engine import Config, run_query
 from colp.equations import (EMPTY_SOLVED, BuiltinTypeError, _minimise,
                             arith_value, rational_values)
-from colp.parser import parse_program, parse_query, print_answer
+from colp.parser import _SYMBOLS, Tok, parse_program, parse_query, print_answer
 from colp.semantics import GroundAtom, GroundRule, rt_to_str
 from colp.terms import NIL, Num, Var, cons, is_builtin, ordered_vars
 
@@ -76,6 +76,60 @@ def elements(u):
 
 
 # --- brute-force references that the tests compare colp against ----------
+
+def lex_by_characters(text: str) -> list[Tok]:
+    """Reference for parser._lex: one character at a time, trying each
+    symbol in turn."""
+    toks: list[Tok] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "%":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            toks.append(Tok("int", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            kind = "var" if (ch == "_" or ch.isupper()) else "atom"
+            toks.append(Tok(kind, word, line, col))
+            col += j - i
+            i = j
+            continue
+        for sym in _SYMBOLS:
+            if text.startswith(sym, i):
+                toks.append(Tok("sym", sym, line, col))
+                i += len(sym)
+                col += len(sym)
+                break
+        else:
+            # reported by the parser, which knows the origin and recovers
+            toks.append(Tok("bad", ch, line, col))
+            i += 1
+            col += 1
+    toks.append(Tok("eof", "", line, col))
+    return toks
+
 
 def free_leaf_names(values):
     """Variable leaf names across values, first-appearance order."""

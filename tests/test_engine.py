@@ -6,10 +6,11 @@ from colp.engine import (BUDGET_EXHAUSTED, COMPLETE, FINITELY_FAILED, MODES,
                          Config, _answer_key, apply_mode, eval_builtin,
                          run_query)
 from colp.equations import EMPTY_SOLVED
-from colp.parser import parse_program, parse_query, print_answer
-from colp.terms import Atom, Num, Program, Var
+from colp.parser import Query, parse_program, parse_query, print_answer
+from colp.semantics import Universe, universe_instantiations
+from colp.terms import Atom, Clause, Num, Program, Var, map_leaves
 
-from conftest import answers, load_program, value
+from conftest import PROGRAMS_DIR, answers, load_program, value
 
 
 # --- plain SLD behaviour (no coclauses) ---------------------------------
@@ -267,3 +268,60 @@ def test_answer_set_ignores_strategy_preference_and_clause_order(name, text):
                                        for a in outcome.answers))
                     assert outcome.exhaustion != BUDGET_EXHAUSTED
         assert len(sets) == 1, (mode, len(sets))
+
+
+def _rename_atom(a: Atom) -> Atom:
+    """The atom with every named variable X renamed to ZX."""
+    def leaf(x):
+        if isinstance(x, Var) and not x.name.startswith("_#"):
+            return Var("Z" + x.name, x.index)
+        return x
+    return Atom(a.pred, tuple(map_leaves(t, leaf) for t in a.args))
+
+
+def _rename_clauses(clauses):
+    return tuple(Clause(_rename_atom(c.head), tuple(map(_rename_atom, c.body)))
+                 for c in clauses)
+
+
+@pytest.mark.parametrize("name, text", COMPLETING_QUERIES)
+def test_answers_ignore_variable_names(name, text):
+    prog = load_program(name)
+    renamed = Program(_rename_clauses(prog.clauses),
+                      _rename_clauses(prog.coclauses))
+    q = parse_query(text)
+    rq = Query(tuple(map(_rename_atom, q.atoms)),
+               tuple(Var("Z" + v.name) for v in q.variables))
+    for mode in MODES:
+        for strategy in ("dfs", "iddfs"):
+            for prefer in ("cohyp", "step"):
+                cfg = Config(mode=mode, strategy=strategy, budget=16,
+                             prefer=prefer)
+                keys = [_answer_key(a, q.variables)
+                        for a in run_query(prog, q, cfg).answers]
+                assert keys == [_answer_key(a, rq.variables)
+                                for a in run_query(renamed, rq, cfg).answers]
+
+
+# --- metamorphic: coclauses only add instances ---------------------------
+
+@pytest.mark.parametrize("name, text", [
+    ("lists", "member(X, L)."),
+    ("lists", "append(X, Y, Z)."),
+    ("lists", "all_pos(L)."),
+    ("maxelem", "all_pos(L)."),
+    ("maxelem", "maxElem(L, M)."),
+    ("maxelem", "member(X, L)."),
+    ("omega", "p(X)."),
+])
+def test_modes_cover_inductive_then_flexible_then_coinductive(name, text):
+    prog = load_program(f"{name}.colp")
+    u = Universe.from_text((PROGRAMS_DIR / f"{name}.univ").read_text("utf-8"))
+    q = parse_query(text)
+    covered = []
+    for mode in ("inductive", "flexible", "coinductive"):
+        outcome = run_query(prog, q, Config(mode=mode, budget=16))
+        covered.append(set().union(*(
+            universe_instantiations(a, q.variables, u)
+            for a in outcome.answers)))
+    assert covered[0] <= covered[1] <= covered[2]

@@ -1,12 +1,15 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from colp.engine import Config, run_query
-from colp.parser import (SyntaxErrors, atom_to_str, clause_to_str,
-                         parse_program, parse_query, parse_term_text,
-                         print_answer, program_to_str, term_to_str)
+from colp.parser import (_SYMBOLS, SyntaxErrors, _lex, atom_to_str,
+                         clause_to_str, parse_program, parse_query,
+                         parse_term_text, print_answer, program_to_str,
+                         term_to_str)
 from colp.terms import NIL, Atom, Compound, Num, Var, cons
 
-from conftest import PROGRAMS_DIR
+from conftest import PROGRAMS_DIR, lex_by_characters
 
 
 def test_facts_rules_and_coclauses():
@@ -68,6 +71,32 @@ def test_true_query_is_empty():
 def test_comments_are_ignored():
     prog = parse_program("% a comment\np(a). % trailing\n")
     assert len(prog.clauses) == 1
+
+
+# --- the lexer against the one-character-at-a-time reference ------------
+
+# letters, decimal digits ('٠' is an Arabic-Indic zero), digits that are not
+# decimal ('²', '½', 'Ⅻ'), blanks, comment starts and every symbol
+_LEX_PIECES = (list("aZ_x90²½Ⅻ٠éß中ǅ \t\r\n%:-~?\\=<>()[]|,.+*$'\"")
+               + [s for s in _SYMBOLS if len(s) == 2])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_LEX_PIECES), max_size=25).map("".join))
+def test_lexer_matches_reference(text):
+    assert _lex(text) == lex_by_characters(text)
+
+
+@pytest.mark.parametrize("text, last", [
+    ("p(X %c", ("eof", "", 1, 5)),   # end of input stays at the '%'
+    ("\u00b2abc", ("atom", "abc", 1, 2)),  # '²' alone is the bad token
+    ("12abc", ("atom", "abc", 1, 3)),
+    ("\u0660", ("int", "\u0660", 1, 1)),  # a decimal digit
+])
+def test_lexer_edge_cases(text, last):
+    toks = _lex(text)
+    assert toks == lex_by_characters(text)
+    assert last in [(t.kind, t.text, t.line, t.col) for t in toks]
 
 
 def test_parse_error_positions_and_recovery():
