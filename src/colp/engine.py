@@ -15,6 +15,11 @@ hypotheses.  Three moves resolve the leftmost frame:
 step and co-hyp each consume one unit of budget, shared along the whole
 derivation including the inner re-derivations.  Builtins are free and are
 never hypotheses.
+
+Clauses are compiled to Templates once per program and mode.  A clause or
+hypothesis whose principal functors clash with the atom's is skipped, and
+so is a ground hypothesis that failed a solve before, once its key shows
+that its value differs from the ground atom's.
 """
 from __future__ import annotations
 
@@ -25,8 +30,8 @@ from typing import IO, Iterator, Optional
 from .equations import (EMPTY_SOLVED, BuiltinTypeError, SolvedForm,
                         arith_value, holds, rational_values, solve)
 from .parser import Query, atom_snapshot
-from .terms import (Atom, Clause, Num, Program, Var, fresh_rename, is_builtin,
-                    signatures, vars_of)
+from .terms import (Atom, Clause, Num, Program, Template, Var, fresh_rename,
+                    identical, is_builtin, principal, signatures, vars_of)
 
 MODES = ("flexible", "inductive", "coinductive")
 STRATEGIES = ("dfs", "iddfs")
@@ -83,10 +88,64 @@ def apply_mode(prog: Program, mode: str) -> Program:
     return prog
 
 
+def _clause_tables(prog: Program, mode: str) -> tuple:
+    """(id, Template) lists by head signature, outside and inside co-hyp
+    re-derivations (where coclauses follow the clauses), and whether there
+    are coclauses; built on the first query in the mode, kept on prog."""
+    tables = prog.tables.get(mode)
+    if tables is None:
+        applied = apply_mode(prog, mode)
+        outer: dict[tuple[str, int], list] = {}
+        inner: dict[tuple[str, int], list] = {}
+        for prefix, clauses, into in (("c", applied.clauses, (outer, inner)),
+                                      ("co", applied.coclauses, (inner,))):
+            for i, cl in enumerate(clauses, 1):
+                code = Template(cl)
+                for table in into:
+                    table.setdefault((cl.head.pred, len(cl.head.args)),
+                                     []).append((f"{prefix}{i}", code))
+        tables = prog.tables[mode] = (outer, inner, bool(applied.coclauses))
+    return tables
+
+
+def _clash(xs: tuple, ys: tuple) -> bool:
+    """Do two rows of principal functors rule out unifying the atoms?"""
+    for x, y in zip(xs, ys):
+        if x is not None and y is not None and x != y:
+            return True
+    return False
+
+
+class _Hyp:
+    """A coinductive hypothesis: an atom, its arguments' principal functors
+    and the equations where it was made.  Bindings only grow below there,
+    so a principal functor that was set and a ground value stay as they
+    were."""
+
+    __slots__ = ("atom", "heads", "solved", "failed", "_key")
+
+    def __init__(self, atom: Atom, heads: tuple, solved: SolvedForm):
+        self.atom, self.heads, self.solved = atom, heads, solved
+        self.failed = False  # a later atom's solve against it failed
+        self._key = () if None in heads else None
+
+    def key(self) -> tuple:
+        """(hash,) of the canonical table of the argument values where the
+        atom was made, or () if one was not ground; built at most once.
+        Equal values have equal tables, so unequal keys mean unequal
+        values; a hash keeps a long value's key small."""
+        if self._key is None:
+            nodes, roots = rational_values(self.solved, self.atom.args)
+            ground = not any(k == "v" for k, _, _ in nodes)
+            self._key = (hash((nodes, tuple(roots))),) if ground else ()
+            self.solved = None  # the key was all it was kept for
+        return self._key
+
+
 @dataclass(frozen=True, slots=True)
 class Frame:
     atom: Atom
-    hyps: tuple[Atom, ...]  # insertion order, duplicates collapsed
+    hyps: tuple[_Hyp, ...]  # insertion order, duplicates collapsed
     inner: bool             # inside a co-hyp re-derivation
     depth: int
 
@@ -110,9 +169,10 @@ def eval_builtin(atom: Atom, solved: SolvedForm) -> Optional[SolvedForm]:
 class _Run:
     """One depth-first sweep at a fixed budget."""
 
-    def __init__(self, prog: Program, budget: int, prefer: str,
+    def __init__(self, tables: tuple, budget: int, prefer: str,
                  diagnostics: list[str], trace: Optional[IO[str]],
                  check_invariants: bool):
+        self.outer, self.inner, self.has_co = tables
         self.budget = budget
         self.prefer = prefer
         self.diagnostics = diagnostics
@@ -120,17 +180,6 @@ class _Run:
         self.check = check_invariants
         self.pruned = False
         self.fresh = itertools.count(1)
-        self.has_co = bool(prog.coclauses)
-        # (id, clause) by head signature; inside co-hyp re-derivations the
-        # coclauses follow the clauses
-        self.outer: dict[tuple[str, int], list] = {}
-        for i, cl in enumerate(prog.clauses, 1):
-            sig = (cl.head.pred, len(cl.head.args))
-            self.outer.setdefault(sig, []).append((f"c{i}", cl))
-        self.inner = {sig: list(alts) for sig, alts in self.outer.items()}
-        for i, cl in enumerate(prog.coclauses, 1):
-            sig = (cl.head.pred, len(cl.head.args))
-            self.inner.setdefault(sig, []).append((f"co{i}", cl))
 
     def _tline(self, depth: int, text: str) -> None:
         if self.trace is not None:
@@ -170,15 +219,41 @@ class _Run:
                 continue
 
             sig = (atom.pred, len(atom.args))
-            if frame.inner:
-                hyps: tuple[Atom, ...] = ()
-            else:
-                hyps = (frame.hyps if atom in frame.hyps
-                        else frame.hyps + (atom,))
+            heads = tuple(principal(solved.walk(a)) for a in atom.args)
+            hyps: tuple[_Hyp, ...] = ()
+            cohyps = []
+            # without coclauses, no co-hyp move reads the hypotheses
+            if self.has_co and not frame.inner:
+                made = _Hyp(atom, heads, solved)
+                dup = False
+                for hyp in frame.hyps:
+                    other = hyp.atom
+                    if ((other.pred, len(other.args)) != sig
+                            or _clash(hyp.heads, heads)):
+                        continue
+                    if (hyp.failed and made.key() and hyp.key()
+                            and made.key() != hyp.key()):
+                        continue  # ground and unequal
+                    after = solve(zip(atom.args, other.args), solved)
+                    if after is None:
+                        hyp.failed = True
+                        continue  # so the atoms are not identical either
+                    dup = dup or identical(other, atom)
+                    note = None
+                    if self.trace is not None:
+                        note = (frame.depth,
+                                f"COHYP {atom_snapshot(atom, after)} "
+                                f"~ {atom_snapshot(other, after)}")
+                    redo = Frame(atom, (), True, frame.depth + 1)
+                    cohyps.append(((redo,) + rest, after, used + 1, note))
+                hyps = frame.hyps if dup else frame.hyps + (made,)
             steps = []
-            for cid, clause in (self.inner if frame.inner
-                                else self.outer).get(sig, ()):
-                renamed = fresh_rename(clause, self.fresh)
+            for cid, code in (self.inner if frame.inner
+                              else self.outer).get(sig, ()):
+                if _clash(code.heads, heads):
+                    next(self.fresh)  # skipped, but the stamp is used up
+                    continue
+                renamed = fresh_rename(code, self.fresh)
                 after = solve(zip(atom.args, renamed.head.args), solved)
                 if after is None:
                     continue
@@ -191,19 +266,6 @@ class _Run:
                     note = (frame.depth,
                             f"STEP {atom_snapshot(atom, after)} via {cid}")
                 steps.append((body + rest, after, used + 1, note))
-            cohyps = []
-            for hyp in frame.hyps:  # none in inner frames
-                if not self.has_co or (hyp.pred, len(hyp.args)) != sig:
-                    continue
-                after = solve(zip(atom.args, hyp.args), solved)
-                if after is None:
-                    continue
-                note = None
-                if self.trace is not None:
-                    note = (frame.depth, f"COHYP {atom_snapshot(atom, after)} "
-                                         f"~ {atom_snapshot(hyp, after)}")
-                redo = Frame(atom, (), True, frame.depth + 1)
-                cohyps.append(((redo,) + rest, after, used + 1, note))
             alts = cohyps + steps if self.prefer == "cohyp" else steps + cohyps
 
             if used >= self.budget:
@@ -216,7 +278,7 @@ class _Run:
         known = solved.eq_vars()
         for f in frames:
             for h in f.hyps:
-                missing = vars_of(h) - known
+                missing = vars_of(h.atom) - known
                 if missing:
                     raise AssertionError("hypothesis variables escaped the "
                                          f"equation set: {missing}")
@@ -236,13 +298,7 @@ def _answer_key(solved: SolvedForm, qvars: tuple[Var, ...]) -> tuple:
 def _budget_levels(cfg: Config) -> list[int]:
     if cfg.strategy == "dfs":
         return [cfg.budget]
-    levels = []
-    b = 1
-    while b < cfg.budget:
-        levels.append(b)
-        b *= 2
-    levels.append(cfg.budget)
-    return levels
+    return [1 << i for i in range((cfg.budget - 1).bit_length())] + [cfg.budget]
 
 
 def run_query(prog: Program, query: Query, cfg: Config,
@@ -256,14 +312,14 @@ def run_query(prog: Program, query: Query, cfg: Config,
     decides exhaustion: complete or finitely-failed if some sweep ran to the
     end, budget-exhausted otherwise.
     """
-    applied = apply_mode(prog, cfg.mode)
+    tables = _clause_tables(prog, cfg.mode)
     frames = tuple(Frame(a, (), False, 0) for a in query.atoms)
 
     def generate() -> Iterator[SolvedForm]:
         seen: set = set()
         emitted = 0
         for level in _budget_levels(cfg):
-            run = _Run(applied, level, cfg.prefer, outcome.diagnostics,
+            run = _Run(tables, level, cfg.prefer, outcome.diagnostics,
                        trace, cfg.check_invariants)
             for solved in run.solve_frames(frames, EMPTY_SOLVED):
                 key = _answer_key(solved, query.variables)

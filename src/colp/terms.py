@@ -6,7 +6,8 @@ over in `equations`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Union
 
 
@@ -68,6 +69,9 @@ class Program:
 
     clauses: tuple[Clause, ...] = ()
     coclauses: tuple[Clause, ...] = ()
+    # the engine's compiled clause tables for each mode, built on first use
+    tables: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
 
 # Reserved predicates, keyed by (name, arity).  These are evaluated by the
@@ -148,21 +152,87 @@ def map_leaves(t: Term, leaf: Callable[[Term], Term]) -> Term:
     return out[0]
 
 
-def fresh_rename(clause: Clause, counter: Iterator[int]) -> Clause:
+def principal(t: Term):
+    """What every value of a term starts with: None for a variable, the
+    integer of a number, (functor, arity) for a compound."""
+    if isinstance(t, Var):
+        return None
+    return t.value if isinstance(t, Num) else (t.functor, len(t.args))
+
+
+def identical(a: Atom, b: Atom) -> bool:
+    """Syntactic equality of two atoms, compared on an explicit stack, so
+    the depth of their terms is not bounded by the recursion limit."""
+    stack = [(Compound(a.pred, a.args), Compound(b.pred, b.args))]
+    while stack:
+        x, y = stack.pop()
+        if x is not y and isinstance(x, Compound) and isinstance(y, Compound):
+            if x.functor != y.functor or len(x.args) != len(y.args):
+                return False
+            stack.extend(zip(x.args, y.args))
+        elif x is not y and x != y:  # at most one compound: == is flat
+            return False
+    return True
+
+
+class Template:
+    """A clause compiled once for renaming.  ops is a postfix program over
+    the arguments of the head and then the body atoms: an int pushes the
+    fresh variable of that slot, a (functor, arity) pair builds a compound
+    from the top entries, and any other op is a ground subterm, shared as
+    it is.  spans gives each atom's predicate and range of arguments, and
+    heads the principal functor of each head argument."""
+
+    __slots__ = ("clause", "names", "ops", "spans", "heads")
+
+    def __init__(self, clause: Clause):
+        atoms = (clause.head, *clause.body)
+        self.clause = clause
+        ends = list(accumulate((len(a.args) for a in atoms), initial=0))
+        self.spans = tuple(zip([a.pred for a in atoms], ends, ends[1:]))
+        self.heads = tuple(map(principal, clause.head.args))
+        slots: dict[str, int] = {}
+        ops: list = []
+        stack = [(t, False) for a in reversed(atoms) for t in reversed(a.args)]
+        while stack:
+            t, built = stack.pop()
+            if built:
+                n = len(t.args)
+                # only ground arguments end in a term, as one op each
+                if all(isinstance(op, (Num, Compound)) for op in ops[-n:]):
+                    ops[-n:] = [t]
+                else:
+                    ops.append((t.functor, n))
+            elif isinstance(t, Compound) and t.args:
+                stack.append((t, True))
+                stack.extend((a, False) for a in reversed(t.args))
+            else:
+                ops.append(slots.setdefault(t.name, len(slots))
+                           if isinstance(t, Var) else t)
+        self.ops = ops
+        self.names = tuple(slots)
+
+
+def fresh_rename(clause: Union[Clause, Template],
+                 counter: Iterator[int]) -> Clause:
     """Variant of a clause with every variable stamped with one fresh index.
 
     The caller owns the counter (itertools.count(1)); a stamp is consumed on
     every call, so no two renamings can collide.  Clause variables must have
     pairwise distinct names, which the parser guarantees.
     """
+    code = clause if isinstance(clause, Template) else Template(clause)
     stamp = next(counter)
-    if next(_iter_vars(clause), None) is None:
-        return clause  # ground, so shared rather than rebuilt
-
-    def leaf(t: Term) -> Term:
-        return Var(t.name, stamp) if isinstance(t, Var) else t
-
-    def atom(a: Atom) -> Atom:
-        return Atom(a.pred, tuple(map_leaves(t, leaf) for t in a.args))
-
-    return Clause(atom(clause.head), tuple(map(atom, clause.body)))
+    if not code.names:
+        return code.clause  # ground, so shared rather than rebuilt
+    fresh = [Var(name, stamp) for name in code.names]
+    out: list = []
+    for op in code.ops:
+        if op.__class__ is int:
+            out.append(fresh[op])
+        elif op.__class__ is tuple:
+            out[-op[1]:] = [Compound(op[0], tuple(out[-op[1]:]))]
+        else:
+            out.append(op)
+    head, *body = [Atom(pred, tuple(out[i:j])) for pred, i, j in code.spans]
+    return Clause(head, tuple(body))

@@ -1,14 +1,19 @@
 import itertools
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
-from colp.engine import Config, run_query
+from colp.engine import (BUDGET_EXHAUSTED, COMPLETE, FINITELY_FAILED, Config,
+                         Outcome, _answer_key, _budget_levels, apply_mode,
+                         eval_builtin, run_query)
 from colp.equations import (EMPTY_SOLVED, BuiltinTypeError, _minimise,
-                            arith_value, rational_values)
-from colp.parser import _SYMBOLS, Tok, parse_program, parse_query, print_answer
+                            arith_value, rational_values, solve)
+from colp.parser import (_SYMBOLS, Tok, atom_snapshot, parse_program,
+                         parse_query, print_answer)
 from colp.semantics import GroundAtom, GroundRule, rt_to_str
-from colp.terms import NIL, Num, Var, cons, is_builtin, ordered_vars
+from colp.terms import (NIL, Atom, Clause, Num, Var, cons, is_builtin,
+                        map_leaves, ordered_vars, vars_of)
 
 PROGRAMS_DIR = Path(__file__).resolve().parent.parent / "programs"
 
@@ -386,3 +391,154 @@ def regular_by_enumeration(rules, bound):
         if ok:
             union |= subset
     return frozenset(a for a, i in position.items() if union & (1 << i))
+
+
+# --- the unindexed engine: every clause renamed by a full walk and solved,
+# every same-signature hypothesis solved -------------------------------------
+
+def fresh_rename_by_walk(clause, counter):
+    """Reference for terms.fresh_rename: rebuild every argument of the
+    clause with each variable stamped with one fresh index."""
+    stamp = next(counter)
+    if not vars_of(clause):
+        return clause
+
+    def leaf(t):
+        return Var(t.name, stamp) if isinstance(t, Var) else t
+
+    def atom(a):
+        return Atom(a.pred, tuple(map_leaves(t, leaf) for t in a.args))
+
+    return Clause(atom(clause.head), tuple(map(atom, clause.body)))
+
+
+@dataclass(frozen=True)
+class ReferenceFrame:
+    atom: Atom
+    hyps: tuple  # atoms, insertion order, duplicates collapsed
+    inner: bool
+    depth: int
+
+
+class ReferenceRun:
+    """Reference for engine._Run: one depth-first sweep at a fixed budget,
+    with the clause tables rebuilt for the sweep."""
+
+    def __init__(self, prog, budget, prefer, diagnostics, trace):
+        self.budget = budget
+        self.prefer = prefer
+        self.diagnostics = diagnostics
+        self.trace = trace
+        self.pruned = False
+        self.fresh = itertools.count(1)
+        self.has_co = bool(prog.coclauses)
+        self.outer = {}
+        for i, cl in enumerate(prog.clauses, 1):
+            sig = (cl.head.pred, len(cl.head.args))
+            self.outer.setdefault(sig, []).append((f"c{i}", cl))
+        self.inner = {sig: list(alts) for sig, alts in self.outer.items()}
+        for i, cl in enumerate(prog.coclauses, 1):
+            sig = (cl.head.pred, len(cl.head.args))
+            self.inner.setdefault(sig, []).append((f"co{i}", cl))
+
+    def _tline(self, depth, text):
+        if self.trace is not None:
+            self.trace.write("  " * depth + text + "\n")
+
+    def solve_frames(self, frames, solved):
+        stack = [(frames, solved, 0, None)]
+        while stack:
+            frames, solved, used, note = stack.pop()
+            if note is not None:
+                self._tline(note[0], note[1])
+            if not frames:
+                self._tline(0, "EMPTY")
+                yield solved
+                continue
+            frame, rest = frames[0], frames[1:]
+            atom = frame.atom
+
+            if is_builtin(atom):
+                try:
+                    after = eval_builtin(atom, solved)
+                except BuiltinTypeError as e:
+                    snap = atom_snapshot(atom, solved)
+                    snap = snap if len(snap) <= 200 else snap[:197] + "..."
+                    message = f"type error: {e} in {snap}"
+                    if message not in self.diagnostics:
+                        self.diagnostics.append(message)
+                    continue
+                if after is not None:
+                    stack.append((rest, after, used, None))
+                continue
+
+            sig = (atom.pred, len(atom.args))
+            if frame.inner:
+                hyps = ()
+            else:
+                hyps = (frame.hyps if atom in frame.hyps
+                        else frame.hyps + (atom,))
+            steps = []
+            for cid, clause in (self.inner if frame.inner
+                                else self.outer).get(sig, ()):
+                renamed = fresh_rename_by_walk(clause, self.fresh)
+                after = solve(zip(atom.args, renamed.head.args), solved)
+                if after is None:
+                    continue
+                body = tuple(ReferenceFrame(b, hyps, frame.inner,
+                                            frame.depth + 1)
+                             for b in renamed.body)
+                note = None
+                if self.trace is not None:
+                    note = (frame.depth,
+                            f"STEP {atom_snapshot(atom, after)} via {cid}")
+                steps.append((body + rest, after, used + 1, note))
+            cohyps = []
+            for hyp in frame.hyps:
+                if not self.has_co or (hyp.pred, len(hyp.args)) != sig:
+                    continue
+                after = solve(zip(atom.args, hyp.args), solved)
+                if after is None:
+                    continue
+                note = None
+                if self.trace is not None:
+                    note = (frame.depth, f"COHYP {atom_snapshot(atom, after)} "
+                                         f"~ {atom_snapshot(hyp, after)}")
+                redo = ReferenceFrame(atom, (), True, frame.depth + 1)
+                cohyps.append(((redo,) + rest, after, used + 1, note))
+            alts = cohyps + steps if self.prefer == "cohyp" else steps + cohyps
+
+            if used >= self.budget:
+                if alts:
+                    self.pruned = True
+                continue
+            stack.extend(reversed(alts))
+
+
+def reference_run_query(prog, query, cfg, trace=None):
+    """Reference for engine.run_query over ReferenceRun sweeps."""
+    applied = apply_mode(prog, cfg.mode)
+    frames = tuple(ReferenceFrame(a, (), False, 0) for a in query.atoms)
+
+    def generate():
+        seen = set()
+        emitted = 0
+        for level in _budget_levels(cfg):
+            run = ReferenceRun(applied, level, cfg.prefer,
+                               outcome.diagnostics, trace)
+            for solved in run.solve_frames(frames, EMPTY_SOLVED):
+                key = _answer_key(solved, query.variables)
+                if key in seen:
+                    continue
+                seen.add(key)
+                yield solved
+                emitted += 1
+                if cfg.max_answers is not None and emitted >= cfg.max_answers:
+                    return
+            if not run.pruned:
+                outcome.exhaustion = COMPLETE if emitted else FINITELY_FAILED
+                return
+        outcome.exhaustion = BUDGET_EXHAUSTED
+
+    outcome = Outcome(generate(), [])
+    return outcome

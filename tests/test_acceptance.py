@@ -359,3 +359,15 @@ def test_criterion_9_answers_carry_their_equations():
     if emitted < len(cases):
         bad.append(f"only {emitted} answers across {len(cases)} runs")
     report(9, "answers extend the query's equations", bad, t0)
+
+
+def test_criterion_10_long_regress_within_the_time_limit():
+    """One dfs sweep of omega's p(z) meets a growing ground hypothesis
+    list at every step; it must exhaust budget 200 inside the limit."""
+    t0 = time.perf_counter()
+    bad = []
+    got, status = all_answers(load_program("omega.colp"), "?- p(z).",
+                              strategy="dfs", budget=200)
+    if got or status != BUDGET_EXHAUSTED:
+        bad.append(f"p(z) gave {got!r}, {status!r}")
+    report(10, "omega regress under dfs at budget 200", bad, t0)

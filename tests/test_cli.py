@@ -227,6 +227,15 @@ def test_unifying_long_equal_lists_within_the_recursion_limit():
     assert run_cli(["run", LISTS, f"{zeros} = {zeros}."]) == (0, "true\n", "")
 
 
+def test_hypotheses_on_long_equal_lists_within_the_recursion_limit(tmp_path):
+    """A body atom equal to its own hypothesis, but built apart from it, is
+    collapsed into it by a syntactic comparison."""
+    zeros = "[" + ",".join(["0"] * 3000) + "]"
+    prog = tmp_path / "long.colp"
+    prog.write_text(f"p({zeros}) :- p({zeros}).\np(X) :~.\n")
+    assert run_cli(["run", str(prog), f"p({zeros})."]) == (0, "true\n", "")
+
+
 def test_integer_results_too_long_to_print_are_type_errors(tmp_path):
     nines = "9" * 3000
     square = f"{nines} * {nines}"

@@ -85,6 +85,13 @@ COMMANDS = [
     (["check", P + "lists.colp", P + "lists.univ", "member(X, ."], ""),
     (["check", P + "missing.colp", P + "lists.univ", "member(X, ."], ""),
     (["check", P + "lists.colp", P + "missing.univ", "member(X, ."], ""),
+    # traced runs that exhaust the budget
+    (["run", P + "omega.colp", "p(z).", "--strategy", "dfs", "--budget", "10",
+      "--trace"], ""),
+    (["run", P + "ltl.colp", "W = [1|W], sat(W, until(one, zero)).",
+      "--budget", "6", "--trace"], ""),
+    (["run", P + "bigstep.colp", "E = seq(skip, E), eval(E, end, S).",
+      "--budget", "10", "--trace"], ""),
 ]
 
 
