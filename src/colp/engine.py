@@ -16,7 +16,8 @@ step and co-hyp each consume one unit of budget, shared along the whole
 derivation including the inner re-derivations.  Builtins are free and are
 never hypotheses.
 
-Clauses are compiled to Templates once per program and mode.  A clause or
+Each clause is compiled to a Template once per program, the one the oracle
+grounds, and sorted into tables once per program and mode.  A clause or
 hypothesis whose principal functors clash with the atom's is skipped, and
 so is a ground hypothesis that failed a solve before, once its key shows
 that its value differs from the ground atom's.
@@ -30,7 +31,7 @@ from typing import IO, Iterator, Optional
 from .equations import (EMPTY_SOLVED, BuiltinTypeError, SolvedForm,
                         arith_value, holds, rational_values, solve)
 from .parser import Query, atom_snapshot
-from .terms import (Atom, Clause, Num, Program, Template, Var, fresh_rename,
+from .terms import (Atom, Clause, Num, Program, Var, fresh_rename,
                     identical, is_builtin, principal, signatures, vars_of)
 
 MODES = ("flexible", "inductive", "coinductive")
@@ -94,17 +95,17 @@ def _clause_tables(prog: Program, mode: str) -> tuple:
     are coclauses; built on the first query in the mode, kept on prog."""
     tables = prog.tables.get(mode)
     if tables is None:
-        applied = apply_mode(prog, mode)
+        clauses, coclauses = apply_mode(prog, mode).templates()
         outer: dict[tuple[str, int], list] = {}
         inner: dict[tuple[str, int], list] = {}
-        for prefix, clauses, into in (("c", applied.clauses, (outer, inner)),
-                                      ("co", applied.coclauses, (inner,))):
-            for i, cl in enumerate(clauses, 1):
-                code = Template(cl)
+        for prefix, codes, into in (("c", clauses, (outer, inner)),
+                                    ("co", coclauses, (inner,))):
+            for i, code in enumerate(codes, 1):
+                head = code.clause.head
                 for table in into:
-                    table.setdefault((cl.head.pred, len(cl.head.args)),
+                    table.setdefault((head.pred, len(head.args)),
                                      []).append((f"{prefix}{i}", code))
-        tables = prog.tables[mode] = (outer, inner, bool(applied.coclauses))
+        tables = prog.tables[mode] = (outer, inner, bool(coclauses))
     return tables
 
 

@@ -11,15 +11,17 @@ so results are exact only for universe-closed programs.
 
 Grounding works on integer node ids, not on term values.  A universe
 unfolds its elements together and minimises them once into its store,
-closed under children, with one id per distinct tree.  A clause term
-evaluates bottom-up to an id by looking up (functor, child ids); a value
-outside the store gets a fresh id in an overlay local to one grounding
-pass, which stays exact because such a value sits acyclically above the
-store.  Builtins read ids as well, through the equations.holds the engine
-uses: = and \\= compare ids, is compares the node at an id with the
-computed number, and arithmetic reads the overlay's nodes.  Escape warnings
-render from the overlay, and check matches the joint table of each engine
-answer against the store, so a value is always an id in a node table.
+closed under children, with one id per distinct tree.  A clause is
+compiled to the terms.Template the engine renames from, and each argument's
+ops run on element ids, building a node by looking up (functor, child ids).
+A value outside the store is appended to it, with an id above every
+element; that stays minimal because such a value sits acyclically above
+the store, and the store outlives the grounding pass.  Builtins read ids as
+well, through the equations.holds the engine uses: = and \\= compare ids,
+is compares the node at an id with the computed number, and arithmetic
+reads the store's nodes.  Escape warnings render from the store, and check
+matches the joint table of each engine answer against the store, so a
+value is always an id in a node table.
 
 Assignments are searched by an odometer over the variables in
 first-occurrence order, head first and argument by argument.  Each argument
@@ -37,8 +39,8 @@ from typing import Optional, Sequence
 from .equations import (BuiltinTypeError, SolvedForm, holds, match,
                         rational_values, solve, truncate)
 from .parser import Query, SyntaxErrors, parse_term_text, term_to_str
-from .terms import (Atom, Clause, Compound, Num, Program, Term, Var,
-                    is_builtin, map_leaves, signatures)
+from .terms import (BUILTIN_ARITIES, Atom, Clause, Compound, Num, Program,
+                    Template, Term, Var, map_leaves, run_ops, signatures)
 
 # a ground atom is (predicate, universe element indexes)
 GroundAtom = tuple[str, tuple[int, ...]]
@@ -58,7 +60,8 @@ class Universe:
     distinct tree among them and their subterms has exactly one id: store[i]
     is the node with id i, as (kind, payload, child ids), and ids maps it
     back.  roots[e] is the id of element e, the first entry at that id, and
-    element_at maps it back to e.
+    element_at maps it back to e.  Grounding appends the values that escape
+    the elements to the store, so it may grow, but roots never change.
     """
 
     def __init__(self, names: Sequence[str], store: tuple,
@@ -68,7 +71,7 @@ class Universe:
             first.setdefault(root, name)
         self.names = list(first.values())
         self.roots = list(first)
-        self.store = store
+        self.store = list(store)
         self.ids: dict[tuple, int] = {n: i for i, n in enumerate(store)}
         self.element_at: dict[int, int] = {
             r: e for e, r in enumerate(self.roots)}
@@ -80,6 +83,18 @@ class Universe:
         """The element whose tree is the one at root of a node table."""
         return next((e for e, r in enumerate(self.roots)
                      if match(nodes, root, self.store, r) == {}), None)
+
+    def intern(self, node: tuple) -> int:
+        """The id of a node over store ids, appended to the store if new.
+
+        The store is minimal and closed under children, and a new node is
+        a finite tree above it, so two nodes get one id exactly when they
+        unfold alike."""
+        i = self.ids.get(node)
+        if i is None:
+            i = self.ids[node] = len(self.store)
+            self.store.append(node)
+        return i
 
     def display(self, i: int) -> str:
         return self.names[i]
@@ -160,99 +175,28 @@ class GroundRule:
     conclusion: GroundAtom
 
 
-class Overlay:
-    """Node ids for one grounding pass: the universe's store, plus ids for
-    the values that escape it.
-
-    Such a value is a finite tree above store nodes, and the store is
-    minimal and closed under children, so interning on (kind, payload,
-    child ids) gives two nodes one id exactly when they unfold alike.  The
-    universe itself is never written to.
-    """
-
-    def __init__(self, u: Universe):
-        self.nodes: list[tuple] = list(u.store)
-        self.ids: dict[tuple, int] = dict(u.ids)
-
-    def intern(self, node: tuple) -> int:
-        i = self.ids.get(node)
-        if i is None:
-            i = self.ids[node] = len(self.nodes)
-            self.nodes.append(node)
-        return i
-
-
-# ops of a compiled clause term, run in post-order on a stack of node ids:
-# (_CONST, id), (_VAR, slot), or (_NODE, functor, arity) over the top ids
-_CONST, _VAR, _NODE = range(3)
-
-
-def _compile(t: Term, slots: dict[Var, int], overlay: Overlay) -> list[tuple]:
-    """Ops that evaluate a clause term to a node id.  Ground subterms are
-    interned here once; a new variable gets the next slot, so slots follow
-    first occurrence."""
-    ops: list[tuple] = []
-    stack: list[tuple[Term, bool]] = [(t, False)]
-    while stack:
-        t, children_done = stack.pop()
-        if isinstance(t, Var):
-            ops.append((_VAR, slots.setdefault(t, len(slots))))
-        elif isinstance(t, Num):
-            ops.append((_CONST, overlay.intern(("n", t.value, ()))))
-        elif not children_done:
-            stack.append((t, True))
-            stack.extend((a, False) for a in reversed(t.args))
-        else:
-            n = len(t.args)
-            # a constant child compiles to exactly one _CONST op
-            kids = ops[len(ops) - n:]
-            if all(op[0] == _CONST for op in kids):
-                del ops[len(ops) - n:]
-                ops.append((_CONST, overlay.intern(
-                    ("f", t.functor, tuple(op[1] for op in kids)))))
-            else:
-                ops.append((_NODE, t.functor, n))
-    return ops
-
-
-def _evaluate(ops: list[tuple], env: list[int], overlay: Overlay) -> int:
-    stack: list[int] = []
-    for op in ops:
-        tag = op[0]
-        if tag == _VAR:
-            stack.append(env[op[1]])
-        elif tag == _CONST:
-            stack.append(op[1])
-        else:
-            n = op[2]
-            kids = tuple(stack[-n:])
-            del stack[-n:]
-            stack.append(overlay.intern(("f", op[1], kids)))
-    return stack[0]
-
-
-def ground_instances(clauses: Sequence[Clause],
+def ground_instances(codes: Sequence[Template],
                      u: Universe) -> tuple[frozenset, tuple[str, ...]]:
-    """Every instance of every clause with variables drawn from the universe.
+    """Every instance of every compiled clause with variables drawn from the
+    universe.
 
     Builtin body atoms are evaluated away: a failing builtin drops the
     instance silently, a type error drops it with a warning.  Any other atom
     whose arguments leave the universe drops the instance with a warning.
     """
-    overlay = Overlay(u)
     rules: set[GroundRule] = set()
     # a type error's message, or the (predicate, node id) of an escape
     pending: dict = {}
-    for clause in clauses:
-        _ground_clause(clause, u, overlay, rules, pending)
+    for code in codes:
+        _ground_clause(code, u, rules, pending)
     warnings = [key if isinstance(key, str) else
                 f"instance escapes the universe: {key[0]} on "
-                f"{rt_to_str(overlay.nodes, key[1])}" for key in pending]
+                f"{rt_to_str(u.store, key[1])}" for key in pending]
     return frozenset(rules), tuple(dict.fromkeys(warnings))
 
 
-def _ground_clause(clause: Clause, u: Universe, overlay: Overlay,
-                   rules: set, pending: dict) -> None:
+def _ground_clause(code: Template, u: Universe, rules: set,
+                   pending: dict) -> None:
     """Add the clause's ground instances to rules, and the first failure of
     each dropped instance to pending.
 
@@ -264,42 +208,51 @@ def _ground_clause(clause: Clause, u: Universe, overlay: Overlay,
     to its next element: every assignment of the later variables would fail
     there with the same value, and they are skipped.
     """
-    slots: dict[Var, int] = {}
-    # (pred, row position, ops) for an argument of a non-builtin atom, and
+    intern = u.intern
+
+    def node(functor: str, kids: tuple) -> int:
+        return intern(("f", functor, kids))
+
+    def leaf(t: Term) -> int:
+        return intern(("n", t.value, ()) if isinstance(t, Num)
+                      else ("f", t.functor, ()))
+
+    # the variables' element ids, then the consts' ids, interned once
+    cells = [0] * len(code.names)
+    cells += [map_leaves(t, leaf, node) for t in code.consts]
+    starts = [0] + [end for end, _ in code.ends]
+    args = [code.ops[i:j] for i, j in zip(starts, starts[1:])]
+    # (pred, argument, its ops) for an argument of a non-builtin atom, and
     # (pred, None, ops per argument) for a builtin
     checks: dict[int, list[tuple]] = {}
-    spans: list[tuple[str, int, int]] = []  # non-builtin atoms in row
-    width = 0
-    for atom in (clause.head, *clause.body):
-        if is_builtin(atom):
-            if atom.args:  # true/0 always holds
-                ops = [_compile(t, slots, overlay) for t in atom.args]
-                checks.setdefault(len(slots), []).append((atom.pred, None, ops))
-            continue
-        start = width
-        for t in atom.args:
-            ops = _compile(t, slots, overlay)
-            checks.setdefault(len(slots), []).append((atom.pred, width, ops))
-            width += 1
-        spans.append((atom.pred, start, width))
+    spans = []  # of the non-builtin atoms
+    for pred, i, j in code.spans:
+        if (pred, j - i) not in BUILTIN_ARITIES:
+            spans.append((pred, i, j))
+            for arg in range(i, j):
+                checks.setdefault(code.ends[arg][1], []).append(
+                    (pred, arg, args[arg]))
+        elif i < j:  # true/0 always holds
+            checks.setdefault(code.ends[j - 1][1], []).append(
+                (pred, None, args[i:j]))
 
-    roots, element_at = u.roots, u.element_at
-    env = [0] * len(slots)
-    row = [0] * width
+    roots, element_at, store = u.roots, u.element_at, u.store
+    nvars = len(code.names)
+    row = [0] * len(args)
 
     def passes(level: int) -> bool:
-        for pred, position, ops in checks.get(level, ()):
-            if position is not None:
-                value = _evaluate(ops, env, overlay)
+        for pred, arg, ops in checks.get(level, ()):
+            if arg is not None:
+                value = run_ops(ops, cells, node)[0]
                 e = element_at.get(value)
                 if e is None:
                     pending.setdefault((pred, value))
                     return False
-                row[position] = e
+                row[arg] = e
                 continue
             try:
-                if not holds(pred, overlay.nodes,
-                             *[_evaluate(o, env, overlay) for o in ops]):
+                if not holds(pred, store,
+                             *[run_ops(o, cells, node)[0] for o in ops]):
                     return False
             except BuiltinTypeError as e:
                 pending.setdefault(
@@ -307,10 +260,10 @@ def _ground_clause(clause: Clause, u: Universe, overlay: Overlay,
                 return False
         return True
 
-    choice = [-1] * len(env)
+    choice = [-1] * nvars
     k = 0 if passes(0) else -1
     while k >= 0:
-        if k == len(env):
+        if k == nvars:
             ground = [(pred, tuple(row[a:b])) for pred, a, b in spans]
             rules.add(GroundRule(frozenset(ground[1:]), ground[0]))
             k -= 1
@@ -321,7 +274,7 @@ def _ground_clause(clause: Clause, u: Universe, overlay: Overlay,
             k -= 1
             continue
         choice[k] = c
-        env[k] = roots[c]
+        cells[k] = roots[c]
         if passes(k + 1):
             k += 1
 
@@ -370,8 +323,9 @@ class SemanticsResult:
 
 
 def compute_semantics(prog: Program, u: Universe) -> SemanticsResult:
-    rules, warn1 = ground_instances(prog.clauses, u)
-    corules, warn2 = ground_instances(prog.coclauses, u)
+    clauses, coclauses = prog.templates()
+    rules, warn1 = ground_instances(clauses, u)
+    corules, warn2 = ground_instances(coclauses, u)
     ind = least_model(rules)
     base = herbrand_base(prog, u)
     coind = greatest_consistent_within(rules, base)
@@ -394,7 +348,7 @@ def regular_answers(query: Query, u: Universe,
     premises all lie in the interpretation.
     """
     clause = Clause(Atom("?-", query.variables), query.atoms)
-    rules, _ = ground_instances([clause], u)
+    rules, _ = ground_instances([Template(clause)], u)
     return frozenset(r.conclusion[1] for r in rules if r.premises <= reg)
 
 

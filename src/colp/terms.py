@@ -69,9 +69,19 @@ class Program:
 
     clauses: tuple[Clause, ...] = ()
     coclauses: tuple[Clause, ...] = ()
-    # the engine's compiled clause tables for each mode, built on first use
+    # the engine's clause tables for each mode, built on first use
     tables: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+    compiled: list = field(default_factory=list, init=False, repr=False,
+                           compare=False)
+
+    def templates(self) -> list[list["Template"]]:
+        """The clauses and the coclauses, each compiled once on first use:
+        the engine renames these Templates and the oracle grounds them."""
+        if not self.compiled:
+            self.compiled.extend(([Template(c) for c in self.clauses],
+                                  [Template(c) for c in self.coclauses]))
+        return self.compiled
 
 
 # Reserved predicates, keyed by (name, arity).  These are evaluated by the
@@ -133,17 +143,19 @@ def ordered_vars(x) -> list[Var]:
     return list(dict.fromkeys(_iter_vars(x)))
 
 
-def map_leaves(t: Term, leaf: Callable[[Term], Term]) -> Term:
+def map_leaves(t: Term, leaf: Callable[[Term], object],
+               node: Callable[[str, tuple], object] = Compound):
     """The term with each variable, number and constant x replaced by
     leaf(x), rebuilt on an explicit stack, so its depth is not bounded by
-    the recursion limit."""
-    out: list[Term] = []
+    the recursion limit.  node(functor, args) combines the results of a
+    compound's arguments, by default into a compound."""
+    out: list = []
     stack: list[tuple[Term, bool]] = [(t, False)]
     while stack:
         t, built = stack.pop()
         if built:
             n = len(t.args)
-            out[-n:] = [Compound(t.functor, tuple(out[-n:]))]
+            out[-n:] = [node(t.functor, tuple(out[-n:]))]
         elif isinstance(t, Compound) and t.args:
             stack.append((t, True))
             stack.extend((a, False) for a in reversed(t.args))
@@ -176,63 +188,87 @@ def identical(a: Atom, b: Atom) -> bool:
 
 
 class Template:
-    """A clause compiled once for renaming.  ops is a postfix program over
-    the arguments of the head and then the body atoms: an int pushes the
-    fresh variable of that slot, a (functor, arity) pair builds a compound
-    from the top entries, and any other op is a ground subterm, shared as
-    it is.  spans gives each atom's predicate and range of arguments, and
-    heads the principal functor of each head argument."""
+    """A clause compiled once, for renaming in the engine and for grounding
+    in the oracle.
 
-    __slots__ = ("clause", "names", "ops", "spans", "heads")
+    ops is a postfix program over the arguments of the head and then the
+    body atoms, run on an array of cells: the clause's variables in
+    first-occurrence order, named by names, followed by its maximal ground
+    subterms, consts.  An int op pushes that cell, and a (functor, arity)
+    pair builds a compound from the top entries.  ends[k] is where the ops
+    of argument k end and how many variables are bound by then.  spans
+    gives each atom's predicate and range of arguments, and heads the
+    principal functor of each head argument."""
+
+    __slots__ = ("clause", "names", "consts", "ops", "ends", "spans", "heads")
 
     def __init__(self, clause: Clause):
         atoms = (clause.head, *clause.body)
         self.clause = clause
-        ends = list(accumulate((len(a.args) for a in atoms), initial=0))
-        self.spans = tuple(zip([a.pred for a in atoms], ends, ends[1:]))
+        edges = list(accumulate((len(a.args) for a in atoms), initial=0))
+        self.spans = tuple(zip([a.pred for a in atoms], edges, edges[1:]))
         self.heads = tuple(map(principal, clause.head.args))
         slots: dict[str, int] = {}
-        ops: list = []
-        stack = [(t, False) for a in reversed(atoms) for t in reversed(a.args)]
-        while stack:
-            t, built = stack.pop()
-            if built:
-                n = len(t.args)
-                # only ground arguments end in a term, as one op each
-                if all(isinstance(op, (Num, Compound)) for op in ops[-n:]):
-                    ops[-n:] = [t]
+        ops: list = []  # a ground subterm is one op, itself, until below
+        self.ends = []
+        occurrences = 0  # of variables, so far
+        stack: list = []
+        for t in [t for a in atoms for t in a.args]:
+            before = None  # or, for a compound, the occurrences before it
+            while True:
+                if before is not None:  # its arguments are done
+                    n = len(t.args)
+                    if before == occurrences:  # no variable among them
+                        ops[-n:] = [t]
+                    else:
+                        ops.append((t.functor, n))
+                elif t.__class__ is Var:
+                    occurrences += 1
+                    ops.append(slots.setdefault(t.name, len(slots)))
+                elif t.__class__ is Num or not t.args:
+                    ops.append(t)
                 else:
-                    ops.append((t.functor, n))
-            elif isinstance(t, Compound) and t.args:
-                stack.append((t, True))
-                stack.extend((a, False) for a in reversed(t.args))
-            else:
-                ops.append(slots.setdefault(t.name, len(slots))
-                           if isinstance(t, Var) else t)
-        self.ops = ops
-        self.names = tuple(slots)
+                    stack.append((t, occurrences))
+                    stack.extend([(a, None) for a in reversed(t.args)])
+                if not stack:
+                    break
+                t, before = stack.pop()
+            self.ends.append((len(ops), len(slots)))
+        consts: list[Term] = []
+        for i, op in enumerate(ops):
+            if op.__class__ is Num or op.__class__ is Compound:
+                ops[i] = len(slots) + len(consts)
+                consts.append(op)
+        self.ops, self.consts, self.names = ops, consts, tuple(slots)
 
 
-def fresh_rename(clause: Union[Clause, Template],
-                 counter: Iterator[int]) -> Clause:
-    """Variant of a clause with every variable stamped with one fresh index.
+def run_ops(ops: Iterable, cells: list,
+            node: Callable[[str, tuple], object] = Compound) -> list:
+    """The entries a Template's ops leave on a stack over the given cells,
+    where node(functor, args) builds a compound."""
+    out: list = []
+    for op in ops:
+        if op.__class__ is int:
+            out.append(cells[op])
+        else:
+            f, n = op
+            out[-n:] = [node(f, tuple(out[-n:]))]
+    return out
+
+
+def fresh_rename(code: Template, counter: Iterator[int]) -> Clause:
+    """Variant of a compiled clause with every variable stamped with one
+    fresh index; its ground subterms are shared, not rebuilt.
 
     The caller owns the counter (itertools.count(1)); a stamp is consumed on
     every call, so no two renamings can collide.  Clause variables must have
     pairwise distinct names, which the parser guarantees.
     """
-    code = clause if isinstance(clause, Template) else Template(clause)
     stamp = next(counter)
     if not code.names:
         return code.clause  # ground, so shared rather than rebuilt
-    fresh = [Var(name, stamp) for name in code.names]
-    out: list = []
-    for op in code.ops:
-        if op.__class__ is int:
-            out.append(fresh[op])
-        elif op.__class__ is tuple:
-            out[-op[1]:] = [Compound(op[0], tuple(out[-op[1]:]))]
-        else:
-            out.append(op)
+    cells = [Var(name, stamp) for name in code.names]
+    cells += code.consts
+    out = run_ops(code.ops, cells)
     head, *body = [Atom(pred, tuple(out[i:j])) for pred, i, j in code.spans]
     return Clause(head, tuple(body))

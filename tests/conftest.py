@@ -3,6 +3,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from colp.engine import (BUDGET_EXHAUSTED, COMPLETE, FINITELY_FAILED, Config,
                          Outcome, _answer_key, _budget_levels, apply_mode,
@@ -16,6 +17,10 @@ from colp.terms import (NIL, Atom, Clause, Num, Var, cons, is_builtin,
                         map_leaves, ordered_vars, vars_of)
 
 PROGRAMS_DIR = Path(__file__).resolve().parent.parent / "programs"
+
+# `pytest --hypothesis-profile=ci` prints, with a failure, the
+# @reproduce_failure blob that replays it
+settings.register_profile("ci", print_blob=True)
 
 
 def load_program(name: str):

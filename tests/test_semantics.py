@@ -5,14 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 
 from colp.parser import parse_program, parse_query
-from colp.semantics import (GroundRule, Overlay, Universe,
+from colp.semantics import (GroundRule, Universe,
                             UniverseError, compute_semantics,
                             ground_instances, greatest_consistent_within,
                             immediate_consequences, least_model,
                             regular_answers, rt_to_str,
                             universe_instantiations)
 from colp.equations import EMPTY_SOLVED, match, solve
-from colp.terms import NIL, Atom, Clause, Compound, Num, Var, cons
+from colp.terms import NIL, Atom, Clause, Compound, Num, Template, Var, cons
 
 from conftest import (PROGRAMS_DIR, LoopProver, elements, free_leaf_names,
                       ground_instances_by_enumeration,
@@ -93,14 +93,34 @@ def test_store_shares_the_node_common_to_lw_and_lt():
 def test_escaping_value_gets_an_id_no_element_has():
     u = load_universe("omega.univ")
     ids = element_ids(u)
-    overlay = Overlay(u)
-    assert overlay.intern(("f", "s", (ids["z"],))) == ids["s(z)"]
-    assert overlay.intern(("f", "s", (ids["omega"],))) == ids["omega"]
-    ssz = overlay.intern(("f", "s", (ids["s(z)"],)))
-    assert ssz not in u.element_at and ssz not in u.ids
-    assert overlay.intern(("f", "s", (ids["s(z)"],))) == ssz
-    assert rt_to_str(overlay.nodes, ssz) == "s(s(z))"
-    assert len(u.store) == len(u.ids) == 3  # the universe is not written to
+    roots = list(u.roots)
+    assert u.intern(("f", "s", (ids["z"],))) == ids["s(z)"]
+    assert u.intern(("f", "s", (ids["omega"],))) == ids["omega"]
+    ssz = u.intern(("f", "s", (ids["s(z)"],)))
+    assert ssz not in u.element_at and ssz > max(roots)
+    assert u.intern(("f", "s", (ids["s(z)"],))) == ssz
+    assert rt_to_str(u.store, ssz) == "s(s(z))"
+    assert len(u.store) == len(u.ids) == 4  # appended to the store once
+    assert len(set(u.store)) == len(u.store)  # which stays minimal
+    assert u.roots == roots and len(u) == 3
+
+
+@pytest.mark.parametrize("name", ["omega", "maxelem", "lists"])
+def test_semantics_twice_on_one_universe(name):
+    """The store outlives a grounding pass: a second pass over the grown
+    store gives the same models and warnings, and the elements stay."""
+    prog = load_program(f"{name}.colp")
+    u = load_universe(f"{name}.univ")
+    roots, tables, size = list(u.roots), elements(u), len(u.store)
+    first = compute_semantics(prog, u)
+    grown = len(u.store)
+    assert compute_semantics(prog, u) == first
+    assert len(u.store) == grown  # every escape was interned the first time
+    assert len(set(u.store)) == len(u.store)
+    assert len(u) == len(roots) and u.roots == roots
+    assert [u.index_of(t) for t in tables] == list(range(len(u)))
+    if name == "omega":  # p(s(s(z))) escapes
+        assert first.warnings and grown > size
 
 
 def fn(*args):
@@ -151,7 +171,7 @@ def test_rt_to_str_truncates_cycles():
 def test_ground_instances_filter_builtins():
     u = Universe.from_text("0\n1\n")
     prog = parse_program("pos(N) :- N > 0.\n")
-    rules, warnings = ground_instances(prog.clauses, u)
+    rules, warnings = ground_instances(prog.templates()[0], u)
     assert rules == frozenset({rule(("pos", (1,)))})
     assert warnings == ()
 
@@ -159,7 +179,7 @@ def test_ground_instances_filter_builtins():
 def test_ground_instances_warn_on_type_errors():
     u = Universe.from_text("0\na\n")
     prog = parse_program("pos(N) :- N > 0.\n")
-    rules, warnings = ground_instances(prog.clauses, u)
+    rules, warnings = ground_instances(prog.templates()[0], u)
     assert rules == frozenset()
     assert warnings == ("dropped instance of >/2: not arithmetic: a/0",)
 
@@ -167,7 +187,7 @@ def test_ground_instances_warn_on_type_errors():
 def test_ground_instances_warn_on_escapes():
     u = Universe.from_text("z\n")
     prog = parse_program("p(X) :- p(s(X)).\n")
-    rules, warnings = ground_instances(prog.clauses, u)
+    rules, warnings = ground_instances(prog.templates()[0], u)
     assert rules == frozenset()
     assert warnings == ("instance escapes the universe: p on s(z)",)
 
@@ -175,13 +195,14 @@ def test_ground_instances_warn_on_escapes():
 def test_wide_and_deep_clauses_ground_within_the_recursion_limit():
     u = load_universe("omega.univ")
     wide = parse_program("p(" + ", ".join(["X"] * 1500) + ") :- q(X).\n")
-    rules, warnings = ground_instances(wide.clauses, u)
+    rules, warnings = ground_instances(wide.templates()[0], u)
     assert {r.conclusion[1] for r in rules} == {(e,) * 1500 for e in range(3)}
     assert warnings == ()
     deep = Var("X", 0)
     for _ in range(1500):
         deep = succ(deep)
-    rules, warnings = ground_instances([Clause(Atom("p", (deep,)))], u)
+    rules, warnings = ground_instances([Template(Clause(Atom("p", (deep,))))],
+                                        u)
     assert rules == frozenset({rule(("p", (2,)))})  # only omega stays
     assert warnings == (
         "instance escapes the universe: p on s(s(s(s(s(s(s(s(...))))))))",)
@@ -192,7 +213,7 @@ def test_ground_instances_evaluate_builtins():
     for body, holds in [("1 < 2", True), ("1 = 2", False), ("1 \\= 2", True),
                         ("2 is 1 + 1", True)]:
         prog = parse_program(f"p :- {body}.\n")
-        rules, warnings = ground_instances(prog.clauses, u)
+        rules, warnings = ground_instances(prog.templates()[0], u)
         assert rules == ({rule(("p", ()))} if holds else frozenset()), body
         assert warnings == ()
 
@@ -483,8 +504,8 @@ clauses = st.builds(lambda head, body: Clause(head, tuple(body)), user_atoms,
 @given(st.sampled_from(sorted(UNIVERSES)), st.lists(clauses, min_size=1,
                                                    max_size=2))
 def test_ground_instances_agree_with_enumeration(name, clause_list):
-    u = UNIVERSES[name]
-    rules, warnings = ground_instances(clause_list, u)
-    want_rules, want_warnings = ground_instances_by_enumeration(clause_list, u)
-    assert rules == want_rules
-    assert warnings == want_warnings
+    u = UNIVERSES[name]  # shared, so its store may have grown before
+    want = ground_instances_by_enumeration(clause_list, u)
+    codes = [Template(c) for c in clause_list]
+    assert ground_instances(codes, u) == want
+    assert ground_instances(codes, u) == want  # over the grown store

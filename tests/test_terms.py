@@ -1,7 +1,7 @@
 import itertools
 
-from colp.terms import (NIL, Atom, Clause, Compound, Num, Var, cons,
-                        fresh_rename, is_builtin, ordered_vars, vars_of)
+from colp.terms import (NIL, Atom, Clause, Compound, Num, Template, Var,
+                        cons, fresh_rename, is_builtin, ordered_vars, vars_of)
 
 from conftest import make_list
 
@@ -31,15 +31,15 @@ def test_ordered_vars_first_appearance():
 
 def test_fresh_rename_keeps_structure_changes_vars():
     x = Var("X", 0)
-    clause = Clause(Atom("p", (x,)), (Atom("q", (x, Var("Y", 0))),))
+    code = Template(Clause(Atom("p", (x,)), (Atom("q", (x, Var("Y", 0))),)))
     counter = itertools.count(7)
-    renamed = fresh_rename(clause, counter)
+    renamed = fresh_rename(code, counter)
     rx = renamed.head.args[0]
     assert rx.name == "X" and rx.index == 7
     assert renamed.body[0].args[0] == rx
     assert renamed.body[0].args[1] != Var("Y", 0)
     # a second rename must not collide with the first
-    again = fresh_rename(clause, counter)
+    again = fresh_rename(code, counter)
     assert again.head.args[0] != rx
 
 
