@@ -201,6 +201,8 @@ def cmd_check(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
     if unsound or missing:
         if outcome.exhaustion == BUDGET_EXHAUSTED:
             out.write("note: enumeration was budget exhausted\n")
+        elif outcome.exhaustion is None:  # cut off by max_answers
+            out.write(f"note: enumeration stopped at the answer cap of {cap}\n")
         out.write("FAIL\n")
         return EXIT_FAILED
     out.write("PASS\n")

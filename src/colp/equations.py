@@ -13,8 +13,8 @@ term graph of (kind, payload, child ids) nodes, no two of which unfold to
 the same tree.  rational_values builds every value and ends in _minimise.
 A table numbered in preorder from root 0, such as
 rational_values(solved, [t])[0], is the canonical form of a value, so
-tuple equality is value equality.  The readers match, arith_value, holds
-and truncate take any minimal node table and a root in it: the joint table
+tuple equality is value equality.  The readers match, arith_value and
+holds take any minimal node table and a root in it: the joint table
 rational_values builds for several terms, or the store of node ids the
 oracle keeps for a finite universe.
 """
@@ -324,21 +324,3 @@ def holds(pred: str, nodes: Sequence[tuple], a: int, b: int) -> bool:
         return nodes[a] == ("n", arith_value(nodes, b), ())
     return COMPARE[pred](arith_value(nodes, a), arith_value(nodes, b))
 
-
-CUT = Compound("...", ())
-
-
-def truncate(nodes: Sequence[tuple], depth: int, root: int = 0) -> Term:
-    """Unfold the tree at root of a node table to a finite tree, replacing
-    every node at the given depth with a cut marker."""
-    def go(i: int, remaining: int) -> Term:
-        if remaining <= 0:
-            return CUT
-        k, p, c = nodes[i]
-        if k == "v":
-            return Var(p, 0)
-        if k == "n":
-            return Num(p)
-        return Compound(p, tuple(go(ch, remaining - 1) for ch in c))
-
-    return go(root, depth)

@@ -19,26 +19,26 @@ element; that stays minimal because such a value sits acyclically above
 the store, and the store outlives the grounding pass.  Builtins read ids as
 well, through the equations.holds the engine uses: = and \\= compare ids,
 is compares the node at an id with the computed number, and arithmetic
-reads the store's nodes.  Escape warnings render from the store, and check
-matches the joint table of each engine answer against the store, so a
-value is always an id in a node table.
+reads the store's nodes.  Escape warnings render with rt_to_str straight
+from the store, and check matches the joint table of each engine answer
+against the store, so a value is always an id in a node table.
 
 Assignments are searched by an odometer over the variables in
 first-occurrence order, head first and argument by argument.  Each argument
-is checked as soon as its variables are bound, so the first escape or
-failing builtin of a partial assignment skips all its extensions.  That
-visits full assignments in the order of enumerating them all, and so keeps
-the rules and the order of the warnings.
+but a bare variable, which cannot escape, is checked once its variables are
+bound, so the first escape or failing builtin of a partial assignment skips
+all its extensions.  That visits full assignments in the order of
+enumerating them all, and so keeps the rules and the order of the warnings.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional, Sequence
 
 from .equations import (BuiltinTypeError, SolvedForm, holds, match,
-                        rational_values, solve, truncate)
-from .parser import Query, SyntaxErrors, parse_term_text, term_to_str
+                        rational_values, solve)
+from .parser import _PREC, Query, SyntaxErrors, parse_term_text
 from .terms import (BUILTIN_ARITIES, Atom, Clause, Compound, Num, Program,
                     Template, Term, Var, map_leaves, run_ops, signatures)
 
@@ -165,8 +165,36 @@ class Universe:
 
 
 def rt_to_str(nodes: Sequence[tuple], root: int = 0, depth: int = 8) -> str:
-    """Finite rendering of the tree at root of a node table, for messages."""
-    return term_to_str(truncate(nodes, depth, root))
+    """Finite rendering of the tree at root of a node table, for messages.
+    Every node at the given depth prints as ..., and the rest as
+    parser.term_to_str prints a term, with list sugar and operators."""
+    return _render(nodes, root, depth, 1000, False)
+
+
+def _render(nodes: Sequence[tuple], i: int, depth: int, maxprec: int,
+            right: bool) -> str:
+    if depth <= 0:
+        return "..."
+    kind, p, kids = nodes[i]
+    if kind != "f":
+        return "_" if kind == "v" and p.startswith("_#") else str(p)
+    if p == "." and len(kids) == 2:
+        items = []  # a cons spends one level on its head and its tail
+        while depth > 0 and nodes[i][1] == "." and len(nodes[i][2]) == 2:
+            items.append(_render(nodes, nodes[i][2][0], depth - 1, 999, False))
+            i, depth = nodes[i][2][1], depth - 1
+        tail = "" if depth > 0 and nodes[i] == ("f", "[]", ()) else (
+            "|" + _render(nodes, i, depth, 999, False))
+        return f"[{','.join(items)}{tail}]"
+    if p in _PREC and len(kids) == 2:
+        prec = _PREC[p]
+        s = (_render(nodes, kids[0], depth - 1, prec, False) + p
+             + _render(nodes, kids[1], depth - 1, prec, True))
+        return f"({s})" if (prec, right) > (maxprec, False) else s
+    if p == "-" and len(kids) == 1:
+        return "-" + _render(nodes, kids[0], depth - 1, 0, False)
+    args = ", ".join(_render(nodes, c, depth - 1, 999, False) for c in kids)
+    return f"{p}({args})" if kids else p
 
 
 @dataclass(frozen=True)
@@ -187,27 +215,57 @@ def ground_instances(codes: Sequence[Template],
     rules: set[GroundRule] = set()
     # a type error's message, or the (predicate, node id) of an escape
     pending: dict = {}
+    atoms: dict = {}  # one tuple per ground atom, so few young objects
     for code in codes:
-        _ground_clause(code, u, rules, pending)
+        _ground_clause(code, u, rules, pending, atoms)
+    # each escaping value renders once, whatever its predicates
+    shown = {key[1]: "" for key in pending if not isinstance(key, str)}
+    shown = {i: rt_to_str(u.store, i) for i in shown}
     warnings = [key if isinstance(key, str) else
-                f"instance escapes the universe: {key[0]} on "
-                f"{rt_to_str(u.store, key[1])}" for key in pending]
+                f"instance escapes the universe: {key[0]} on {shown[key[1]]}"
+                for key in pending]
     return frozenset(rules), tuple(dict.fromkeys(warnings))
 
 
+def _plan(code: Template) -> tuple:
+    """What grounding a clause needs of it beyond the universe, kept on its
+    Template: checks[k], the checks after the first k variables are bound,
+    as (pred, argument, ops) or for a builtin (pred, None, ops per
+    argument); the non-builtin atoms' spans; and (argument, variable) for
+    each bare-variable argument, never checked as it is that element."""
+    if code.plan is None:
+        nvars = len(code.names)
+        starts = [0] + [end for end, _ in code.ends]
+        args = [code.ops[i:j] for i, j in zip(starts, starts[1:])]
+        checks: list[list[tuple]] = [[] for _ in range(nvars + 1)]
+        spans, bare = [], []
+        for pred, i, j in code.spans:
+            if (pred, j - i) not in BUILTIN_ARITIES:
+                spans.append((pred, i, j))
+                for arg in range(i, j):
+                    if len(args[arg]) == 1 and args[arg][0] < nvars:
+                        bare.append((arg, args[arg][0]))
+                    else:
+                        checks[code.ends[arg][1]].append(
+                            (pred, arg, args[arg]))
+            elif i < j:  # true/0 always holds
+                checks[code.ends[j - 1][1]].append((pred, None, args[i:j]))
+        code.plan = (checks, spans, bare)
+    return code.plan
+
+
 def _ground_clause(code: Template, u: Universe, rules: set,
-                   pending: dict) -> None:
+                   pending: dict, atoms: dict) -> None:
     """Add the clause's ground instances to rules, and the first failure of
     each dropped instance to pending.
 
     An odometer over the variables in first-occurrence order, head first
     and argument by argument, so full assignments come in the order of
-    itertools.product over the elements.  checks[k] holds the argument and
-    builtin checks that come after the first k variables are bound and
-    before the next one.  A failing check moves the last bound variable on
-    to its next element: every assignment of the later variables would fail
-    there with the same value, and they are skipped.
+    itertools.product over the elements.  A failing check moves the last
+    bound variable on to its next element: every assignment of the later
+    variables would fail there with the same value, and they are skipped.
     """
+    checks, spans, bare = _plan(code)
     intern = u.intern
 
     def node(functor: str, kids: tuple) -> int:
@@ -218,30 +276,13 @@ def _ground_clause(code: Template, u: Universe, rules: set,
                       else ("f", t.functor, ()))
 
     # the variables' element ids, then the consts' ids, interned once
-    cells = [0] * len(code.names)
-    cells += [map_leaves(t, leaf, node) for t in code.consts]
-    starts = [0] + [end for end, _ in code.ends]
-    args = [code.ops[i:j] for i, j in zip(starts, starts[1:])]
-    # (pred, argument, its ops) for an argument of a non-builtin atom, and
-    # (pred, None, ops per argument) for a builtin
-    checks: dict[int, list[tuple]] = {}
-    spans = []  # of the non-builtin atoms
-    for pred, i, j in code.spans:
-        if (pred, j - i) not in BUILTIN_ARITIES:
-            spans.append((pred, i, j))
-            for arg in range(i, j):
-                checks.setdefault(code.ends[arg][1], []).append(
-                    (pred, arg, args[arg]))
-        elif i < j:  # true/0 always holds
-            checks.setdefault(code.ends[j - 1][1], []).append(
-                (pred, None, args[i:j]))
-
-    roots, element_at, store = u.roots, u.element_at, u.store
     nvars = len(code.names)
-    row = [0] * len(args)
+    cells = [0] * nvars + [map_leaves(t, leaf, node) for t in code.consts]
+    roots, element_at, store = u.roots, u.element_at, u.store
+    row = [0] * len(code.ends)
 
     def passes(level: int) -> bool:
-        for pred, arg, ops in checks.get(level, ()):
+        for pred, arg, ops in checks[level]:
             if arg is not None:
                 value = run_ops(ops, cells, node)[0]
                 e = element_at.get(value)
@@ -264,7 +305,10 @@ def _ground_clause(code: Template, u: Universe, rules: set,
     k = 0 if passes(0) else -1
     while k >= 0:
         if k == nvars:
+            for arg, var in bare:
+                row[arg] = choice[var]
             ground = [(pred, tuple(row[a:b])) for pred, a, b in spans]
+            ground = [atoms.setdefault(atom, atom) for atom in ground]
             rules.add(GroundRule(frozenset(ground[1:]), ground[0]))
             k -= 1
             continue
@@ -304,11 +348,9 @@ def greatest_consistent_within(rules: frozenset, bound: frozenset) -> frozenset:
 
 
 def herbrand_base(prog: Program, u: Universe) -> frozenset:
-    base: set[GroundAtom] = set()
-    for pred, arity in signatures(prog.clauses + prog.coclauses):
-        for combo in itertools.product(range(len(u)), repeat=arity):
-            base.add((pred, combo))
-    return frozenset(base)
+    sigs = signatures(prog.clauses + prog.coclauses)
+    return frozenset((pred, combo) for pred, arity in sigs
+                     for combo in product(range(len(u)), repeat=arity))
 
 
 @dataclass(frozen=True)

@@ -198,13 +198,16 @@ class Template:
     pair builds a compound from the top entries.  ends[k] is where the ops
     of argument k end and how many variables are bound by then.  spans
     gives each atom's predicate and range of arguments, and heads the
-    principal functor of each head argument."""
+    principal functor of each head argument.  plan is the oracle's
+    grounding schedule, built by semantics on first use."""
 
-    __slots__ = ("clause", "names", "consts", "ops", "ends", "spans", "heads")
+    __slots__ = ("clause", "names", "consts", "ops", "ends", "spans", "heads",
+                 "plan")
 
     def __init__(self, clause: Clause):
         atoms = (clause.head, *clause.body)
         self.clause = clause
+        self.plan = None
         edges = list(accumulate((len(a.args) for a in atoms), initial=0))
         self.spans = tuple(zip([a.pred for a in atoms], edges, edges[1:]))
         self.heads = tuple(map(principal, clause.head.args))

@@ -11,10 +11,10 @@ from colp.engine import (BUDGET_EXHAUSTED, COMPLETE, FINITELY_FAILED, Config,
 from colp.equations import (EMPTY_SOLVED, BuiltinTypeError, _minimise,
                             arith_value, rational_values, solve)
 from colp.parser import (_SYMBOLS, Tok, atom_snapshot, parse_program,
-                         parse_query, print_answer)
-from colp.semantics import GroundAtom, GroundRule, rt_to_str
-from colp.terms import (NIL, Atom, Clause, Num, Var, cons, is_builtin,
-                        map_leaves, ordered_vars, vars_of)
+                         parse_query, print_answer, term_to_str)
+from colp.semantics import GroundAtom, GroundRule
+from colp.terms import (NIL, Atom, Clause, Compound, Num, Var, cons,
+                        is_builtin, map_leaves, ordered_vars, vars_of)
 
 PROGRAMS_DIR = Path(__file__).resolve().parent.parent / "programs"
 
@@ -83,6 +83,30 @@ def renumbered(nodes, root):
 def elements(u):
     """The value of each universe element, read off its store."""
     return [renumbered(u.store, r) for r in u.roots]
+
+
+def is_ground(nodes):
+    return all(k != "v" for k, _, _ in nodes)
+
+
+CUT = Compound("...", ())
+
+
+def truncate(nodes, depth, root=0):
+    """Unfold the tree at root of a node table to a finite tree, replacing
+    every node at the given depth with a cut marker; term_to_str of it is
+    the reference for semantics.rt_to_str."""
+    def go(i, remaining):
+        if remaining <= 0:
+            return CUT
+        k, p, c = nodes[i]
+        if k == "v":
+            return Var(p, 0)
+        if k == "n":
+            return Num(p)
+        return Compound(p, tuple(go(ch, remaining - 1) for ch in c))
+
+    return go(root, depth)
 
 
 # --- brute-force references that the tests compare colp against ----------
@@ -297,7 +321,7 @@ def ground_instances_by_enumeration(clauses, u):
                 rules.add(GroundRule(frozenset(ground[1:]), ground[0]))
     warnings = [key if isinstance(key, str) else
                 f"instance escapes the universe: {key[0]} on "
-                f"{rt_to_str(key[1])}" for key in pending]
+                f"{term_to_str(truncate(key[1], 8))}" for key in pending]
     return frozenset(rules), tuple(dict.fromkeys(warnings))
 
 

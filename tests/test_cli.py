@@ -324,6 +324,16 @@ def test_check_notes_budget_exhaustion_on_fail(monkeypatch):
                    "note: enumeration was budget exhausted\nFAIL\n")
 
 
+def test_check_notes_the_answer_cap_on_fail():
+    args = ["check", LISTS, LISTS_U, "member(X, [0,1])."]
+    code, out, _ = run_cli(args + ["--answers", "1"])
+    assert code == 1
+    assert out == ("missing: X = 1\n"
+                   "note: enumeration stopped at the answer cap of 1\n"
+                   "FAIL\n")
+    assert run_cli(args + ["--answers", "2"])[:2] == (0, "PASS\n")
+
+
 # --- repl -----------------------------------------------------------------------
 
 def test_repl_enumerates_with_semicolons():

@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from colp.parser import parse_program, parse_query
+from colp.parser import parse_program, parse_query, term_to_str
 from colp.semantics import (GroundRule, Universe,
                             UniverseError, compute_semantics,
                             ground_instances, greatest_consistent_within,
@@ -14,11 +14,12 @@ from colp.semantics import (GroundRule, Universe,
 from colp.equations import EMPTY_SOLVED, match, solve
 from colp.terms import NIL, Atom, Clause, Compound, Num, Template, Var, cons
 
-from conftest import (PROGRAMS_DIR, LoopProver, elements, free_leaf_names,
-                      ground_instances_by_enumeration,
-                      instantiations_by_enumeration, load_program,
-                      loop_matches_regular, rational_value_by_recursion,
-                      regular_by_enumeration, value)
+from conftest import (CUT, PROGRAMS_DIR, LoopProver, elements,
+                      free_leaf_names, ground_instances_by_enumeration,
+                      instantiations_by_enumeration, is_ground, load_program,
+                      loop_matches_regular, make_list,
+                      rational_value_by_recursion, regular_by_enumeration,
+                      substitute, truncate, value)
 
 
 def load_universe(name):
@@ -127,7 +128,7 @@ def fn(*args):
     return Compound("f", args)
 
 
-W = Var("W", 0)
+W, X, Y = (Var(n, 0) for n in "WXY")
 ONE, TWO, Z_, D_ = Num(1), Num(2), Compound("z"), Compound("d")
 
 
@@ -164,6 +165,85 @@ def test_store_agrees_with_elements(text):
 def test_rt_to_str_truncates_cycles():
     u = load_universe("omega.univ")
     assert rt_to_str(u.store, u.roots[2], depth=3) == "s(s(s(...)))"
+
+
+# --- rendering: rt_to_str against term_to_str(truncate(...)) ----------------
+
+def test_solve_without_occurs_check():
+    solved = solve([(X, succ(X))])
+    assert solved is not None
+    r = value(solved, X)
+    assert is_ground(r)
+    assert truncate(r, 3) == succ(succ(succ(CUT)))
+
+
+def test_truncate_cyclic_list():
+    solved = solve([(X, make_list([Num(1), Num(2)], X))])
+    r = value(solved, X)
+    # depth counts constructor levels; a cons spends one per element
+    assert truncate(r, 3) == cons(Num(1), cons(Num(2), cons(CUT, CUT)))
+
+
+def test_substitute_splices_values():
+    w = solve([(X, succ(X))])
+    omega = value(w, X)
+    r = substitute(value(EMPTY_SOLVED, fn(Y, Num(1))), {"Y": omega})
+    assert truncate(r, 3) == fn(succ(succ(CUT)), Num(1))
+    # the result is canonical: s(omega) is omega again
+    assert substitute(value(EMPTY_SOLVED, succ(Y)), {"Y": omega}) == omega
+
+
+def test_free_leaf_names_order_and_substitute():
+    r = value(EMPTY_SOLVED, fn(Y, X, Y))
+    assert free_leaf_names([r]) == ["Y", "X"]
+    one = value(EMPTY_SOLVED, Num(1))
+    two = value(EMPTY_SOLVED, Num(2))
+    filled = substitute(r, {"Y": one, "X": two})
+    assert is_ground(filled)
+    assert truncate(filled, 2) == fn(Num(1), Num(2), Num(1))
+
+
+# nodes of any shape, so a table may be cyclic, unminimised, hold cons cells
+# whose tail is not [] and operators nested on either side
+FUNCTORS = [(".", 2), (".", 2), ("[]", 0), ("+", 2), ("-", 2), ("*", 2),
+            ("-", 1), ("+", 1), ("s", 1), ("f", 3), ("a", 0), ("...", 0)]
+
+
+@st.composite
+def node_tables(draw):
+    size = draw(st.integers(1, 8))
+    kid = st.integers(0, size - 1)
+    leaf = st.one_of(
+        st.tuples(st.just("v"),
+                  st.sampled_from(["X", "_Y", "L#2", "_#1", "_#17"]),
+                  st.just(())),
+        st.tuples(st.just("n"), st.integers(-12, 12), st.just(())))
+    compound = st.sampled_from(FUNCTORS).flatmap(lambda fa: st.tuples(
+        st.just("f"), st.just(fa[0]),
+        st.lists(kid, min_size=fa[1], max_size=fa[1]).map(tuple)))
+    nodes = draw(st.lists(st.one_of(leaf, compound, compound),
+                          min_size=size, max_size=size))
+    return tuple(nodes), draw(kid)
+
+
+LZ = (("f", ".", (1, 0)), ("n", 0, ()))  # lz = [0|lz]
+SUMS = (("f", "-", (1, 2)), ("f", "+", (3, 3)), ("f", "*", (4, 1)),
+        ("n", -1, ()), ("f", "-", (3,)))  # -1+-1---1*(-1+-1) at depth 9
+
+
+@settings(max_examples=500, deadline=None)
+@example((LZ, 0), 5)
+@example((LZ, 0), 0)
+@example(((("f", ".", (1, 2)), ("v", "_#3", ()), ("f", "s", (0,))), 0), 4)
+@example(((("f", ".", (1, 2)), ("n", -2, ()), ("f", "[]", ())), 0), 2)
+@example(((("f", ".", (1, 2)), ("n", -2, ()), ("f", "[]", ())), 0), 1)
+@example((SUMS, 0), 9)
+@example((SUMS, 2), 3)
+@given(node_tables(), st.integers(0, 9))
+def test_rt_to_str_is_term_to_str_of_truncate(table, depth):
+    nodes, root = table
+    assert rt_to_str(nodes, root, depth) == term_to_str(
+        truncate(nodes, depth, root))
 
 
 # --- ground rule instances ----------------------------------------------
@@ -421,7 +501,6 @@ def test_universe_instantiations_skip_escaping_values():
 
 # answer values over the function symbols of the shipped universes; A, B and
 # C stay free, X and Y are the query variables and may be bound cyclically
-X, Y = Var("X", 0), Var("Y", 0)
 A, B, C = (Var(n, 0) for n in "ABC")
 UNIVERSES = {name: load_universe(name)
              for name in ("lists.univ", "maxelem.univ", "omega.univ")}
@@ -509,3 +588,31 @@ def test_ground_instances_agree_with_enumeration(name, clause_list):
     codes = [Template(c) for c in clause_list]
     assert ground_instances(codes, u) == want
     assert ground_instances(codes, u) == want  # over the grown store
+
+
+# bare-variable arguments take the odometer's choice unchecked; each case
+# mixes them with checked arguments, builtins and escapes
+BARE_VARIABLE_CASES = [
+    ("0\n1\ns(0)\n", "p(X, X) :- q(X).\nq(s(X)) :- p(X, X).\n"),
+    ("0\n1\ns(0)\n", "p(X, Y) :- q(X).\np(Y, s(X)) :- q(X).\n"),
+    ("0\n1\n2\n", "p(X) :- q(X), Y is X + 1.\np(X) :- Y > X, q(X).\n"),
+    ("a\nb\nf(a)\n", "p(X, Y, Z) :- q(Z, X), r(Y), p(Y, X, X).\n"),
+    ("z\ns(z)\nomega := s(omega)\n",
+     "p(X, s(Y)) :- q(Y, s(s(X))), r(X, Y).\nq(Y, X) :- p(s(X), Y).\n"),
+    ("0\n1\n[]\n[0]\n[1]\n[0,1]\ncat(0,1)\n",
+     (PROGRAMS_DIR / "regex.colp").read_text("utf-8")),
+]
+
+
+@pytest.mark.parametrize("universe, text", BARE_VARIABLE_CASES, ids=[
+    "repeated", "head-only", "builtin-only", "all-bare", "escapes", "regex"])
+def test_bare_variable_arguments_agree_with_enumeration(universe, text):
+    u = Universe.from_text(universe)
+    prog = parse_program(text)
+    for clause_list, codes in zip((prog.clauses, prog.coclauses),
+                                  prog.templates()):
+        rules, warnings = ground_instances(codes, u)
+        want = ground_instances_by_enumeration(clause_list, u)
+        assert rules == want[0]
+        assert warnings == want[1]  # the same warnings in the same order
+    assert ground_instances(prog.templates()[0], u)[0]

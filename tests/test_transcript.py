@@ -92,6 +92,8 @@ COMMANDS = [
       "--budget", "6", "--trace"], ""),
     (["run", P + "bigstep.colp", "E = seq(skip, E), eval(E, end, S).",
       "--budget", "10", "--trace"], ""),
+    # semantics with some 200 escape warnings, in their order
+    (["semantics", P + "regex.colp", P + "regex.univ"], ""),
 ]
 
 
