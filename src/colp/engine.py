@@ -21,6 +21,18 @@ grounds, and sorted into tables once per program and mode.  A clause or
 hypothesis whose principal functors clash with the atom's is skipped, and
 so is a ground hypothesis that failed a solve before, once its key shows
 that its value differs from the ground atom's.
+
+Each sweep keeps a table of failed re-derivations of ground atoms.  Such a
+re-derivation has no hypotheses and runs on the inner clause tables, so
+its outcome depends only on the atom's value and on the budget r left when
+it starts.  The table keeps, per value, the most budget left with which one
+hit the budget wall without success, and the least with which one failed
+finitely.  A later re-derivation of the same value is skipped when
+  r <= the first: it would hit the wall again, so the sweep is pruned;
+  r >= the second: it would fail finitely again, with the same subtree.
+The trace shows each skip as a TABLED line.  A re-derivation whose subtree
+raised a type error is not tabled, since its diagnostics name fresh
+variables.
 """
 from __future__ import annotations
 
@@ -136,19 +148,54 @@ class _Hyp:
         Equal values have equal tables, so unequal keys mean unequal
         values; a hash keeps a long value's key small."""
         if self._key is None:
-            nodes, roots = rational_values(self.solved, self.atom.args)
-            ground = not any(k == "v" for k, _, _ in nodes)
-            self._key = (hash((nodes, tuple(roots))),) if ground else ()
+            table = _ground_table(self.solved, self.atom.args)
+            self._key = (hash(table),) if table else ()
             self.solved = None  # the key was all it was kept for
         return self._key
+
+
+def _ground_table(solved: SolvedForm, args: tuple) -> Optional[tuple]:
+    """(nodes, roots) of the canonical table of the arguments' values, or
+    None if one is not ground."""
+    nodes, roots = rational_values(solved, args)
+    if any(k == "v" for k, _, _ in nodes):
+        return None
+    return nodes, tuple(roots)
 
 
 @dataclass(frozen=True, slots=True)
 class Frame:
     atom: Atom
-    hyps: tuple[_Hyp, ...]  # insertion order, duplicates collapsed
+    # insertion order, duplicates collapsed; None on the frame that starts
+    # a co-hyp move's re-derivation
+    hyps: Optional[tuple[_Hyp, ...]]
     inner: bool             # inside a co-hyp re-derivation
     depth: int
+
+
+class _Redo:
+    """A co-hyp move's re-derivation of an atom under the move's equations,
+    with r, the budget left, and the sweep's wall and type error counts
+    when it started.  It goes on the stack twice: as a frame after the
+    re-derived atom's body, reached once the atom is re-derived, and as an
+    entry beneath the whole subtree, popped once that is done."""
+
+    __slots__ = ("atom", "solved", "left", "walls", "errors", "done", "_key")
+
+    def __init__(self, atom: Atom, solved: SolvedForm, left: int,
+                 walls: int, errors: int):
+        self.atom, self.solved, self.left = atom, solved, left
+        self.walls, self.errors = walls, errors
+        self.done = False  # the atom was re-derived
+        self._key: Optional[tuple] = None
+
+    def key(self) -> tuple:
+        """(pred, nodes, roots) of the canonical table of the atom's
+        argument values, or () if one is not ground; built at most once."""
+        if self._key is None:
+            table = _ground_table(self.solved, self.atom.args)
+            self._key = (self.atom.pred,) + table if table else ()
+        return self._key
 
 
 def eval_builtin(atom: Atom, solved: SolvedForm) -> Optional[SolvedForm]:
@@ -181,6 +228,11 @@ class _Run:
         self.check = check_invariants
         self.pruned = False
         self.fresh = itertools.count(1)
+        self.walls = 0   # states cut at the budget wall
+        self.errors = 0  # type errors raised
+        # a ground re-derivation's key -> [most budget left with which it
+        # hit the wall, least budget left with which it failed finitely]
+        self.failed: dict[tuple, list[int]] = {}
 
     def _tline(self, depth: int, text: str) -> None:
         if self.trace is not None:
@@ -198,6 +250,9 @@ class _Run:
         stack: list[tuple] = [(frames, solved, 0, None)]
         while stack:
             frames, solved, used, note = stack.pop()
+            if frames is None:  # solved is a _Redo whose subtree is done
+                self._record(solved)
+                continue
             if note is not None:
                 self._tline(note[0], note[1])
             if not frames:
@@ -205,12 +260,17 @@ class _Run:
                 yield solved
                 continue
             frame, rest = frames[0], frames[1:]
+            if frame.__class__ is _Redo:  # its atom was re-derived
+                frame.done = True
+                stack.append((rest, solved, used, None))
+                continue
             atom = frame.atom
 
             if is_builtin(atom):
                 try:
                     after = eval_builtin(atom, solved)
                 except BuiltinTypeError as e:
+                    self.errors += 1
                     snap = atom_snapshot(atom, solved)  # one line, however big
                     snap = snap if len(snap) <= 200 else snap[:197] + "..."
                     self._diag(f"type error: {e} in {snap}")
@@ -219,6 +279,13 @@ class _Run:
                     stack.append((rest, after, used, None))
                 continue
 
+            if frame.hyps is None:  # a co-hyp move's re-derivation starts
+                redo = _Redo(atom, solved, self.budget - used, self.walls,
+                             self.errors)
+                if self.failed and self._tabled(redo, frame.depth):
+                    continue
+                stack.append((None, redo, 0, None))
+                rest = (redo,) + rest
             sig = (atom.pred, len(atom.args))
             heads = tuple(principal(solved.walk(a)) for a in atom.args)
             hyps: tuple[_Hyp, ...] = ()
@@ -245,7 +312,7 @@ class _Run:
                         note = (frame.depth,
                                 f"COHYP {atom_snapshot(atom, after)} "
                                 f"~ {atom_snapshot(other, after)}")
-                    redo = Frame(atom, (), True, frame.depth + 1)
+                    redo = Frame(atom, None, True, frame.depth + 1)
                     cohyps.append(((redo,) + rest, after, used + 1, note))
                 hyps = frame.hyps if dup else frame.hyps + (made,)
             steps = []
@@ -272,8 +339,37 @@ class _Run:
             if used >= self.budget:
                 if alts:
                     self.pruned = True
+                    self.walls += 1
                 continue
             stack.extend(reversed(alts))
+
+    def _tabled(self, redo: _Redo, depth: int) -> bool:
+        """Is the re-derivation's outcome known from the failure table?  A
+        skipped one that would hit the wall prunes the sweep."""
+        bounds = redo.key() and self.failed.get(redo.key())
+        if not bounds:
+            return False
+        walled = redo.left <= bounds[0]
+        if not walled and redo.left < bounds[1]:
+            return False
+        if walled:  # implied already: the sweep hit the wall to table it
+            self.pruned = True
+        if self.trace is not None:
+            outcome = "exhausted" if walled else "failed"
+            snap = atom_snapshot(redo.atom, redo.solved)
+            self._tline(depth, f"TABLED {snap} {outcome} within {redo.left}")
+        return True
+
+    def _record(self, redo: _Redo) -> None:
+        """Table a re-derivation that failed, unless a type error was
+        raised below it or its atom is not ground."""
+        if redo.done or redo.errors != self.errors or not redo.key():
+            return
+        bounds = self.failed.setdefault(redo.key(), [-1, self.budget + 1])
+        if redo.walls != self.walls:
+            bounds[0] = max(bounds[0], redo.left)
+        else:
+            bounds[1] = min(bounds[1], redo.left)
 
     def _assert_hyps(self, frames: tuple[Frame, ...], solved: SolvedForm) -> None:
         known = solved.eq_vars()

@@ -449,17 +449,36 @@ class ReferenceFrame:
     depth: int
 
 
+@dataclass(frozen=True)
+class CoHypMove:
+    """A co-hyp move still to be made: re-derive the atom at depth, then
+    go on with the rest of the frames."""
+    atom: Atom
+    depth: int
+    rest: tuple
+
+
 class ReferenceRun:
     """Reference for engine._Run: one depth-first sweep at a fixed budget,
-    with the clause tables rebuilt for the sweep."""
+    with the clause tables rebuilt for the sweep.  Each co-hyp move runs
+    its re-derivation as a nested search.  With tabled, a list of every
+    failed ground re-derivation stands in for the engine's failure table:
+    a move is skipped if one of them failed on an equal value, by hitting
+    the wall with at least as much budget left or finitely with at most as
+    much.  Nested searches make budgets over a few hundred too deep."""
 
-    def __init__(self, prog, budget, prefer, diagnostics, trace):
+    def __init__(self, prog, budget, prefer, diagnostics, trace,
+                 tabled=True):
         self.budget = budget
         self.prefer = prefer
         self.diagnostics = diagnostics
         self.trace = trace
         self.pruned = False
         self.fresh = itertools.count(1)
+        self.tabled = tabled
+        self.walls = 0
+        self.errors = 0
+        self.failures = []  # (predicate, argument values, budget left, walled)
         self.has_co = bool(prog.coclauses)
         self.outer = {}
         for i, cl in enumerate(prog.clauses, 1):
@@ -475,14 +494,24 @@ class ReferenceRun:
             self.trace.write("  " * depth + text + "\n")
 
     def solve_frames(self, frames, solved):
-        stack = [(frames, solved, 0, None)]
+        for solved, _ in self._search(frames, solved, 0, False):
+            yield solved
+
+    def _search(self, frames, solved, used, inner):
+        """Yield (equations, budget used) of each success; an inner search
+        re-derives one atom, so its successes are not the sweep's."""
+        stack = [(frames, solved, used, None)]
         while stack:
             frames, solved, used, note = stack.pop()
             if note is not None:
                 self._tline(note[0], note[1])
+            if isinstance(frames, CoHypMove):
+                yield from self._cohyp(frames, solved, used)
+                continue
             if not frames:
-                self._tline(0, "EMPTY")
-                yield solved
+                if not inner:
+                    self._tline(0, "EMPTY")
+                yield solved, used
                 continue
             frame, rest = frames[0], frames[1:]
             atom = frame.atom
@@ -491,6 +520,7 @@ class ReferenceRun:
                 try:
                     after = eval_builtin(atom, solved)
                 except BuiltinTypeError as e:
+                    self.errors += 1
                     snap = atom_snapshot(atom, solved)
                     snap = snap if len(snap) <= 200 else snap[:197] + "..."
                     message = f"type error: {e} in {snap}"
@@ -533,19 +563,49 @@ class ReferenceRun:
                 if self.trace is not None:
                     note = (frame.depth, f"COHYP {atom_snapshot(atom, after)} "
                                          f"~ {atom_snapshot(hyp, after)}")
-                redo = ReferenceFrame(atom, (), True, frame.depth + 1)
-                cohyps.append(((redo,) + rest, after, used + 1, note))
+                move = CoHypMove(atom, frame.depth + 1, rest)
+                cohyps.append((move, after, used + 1, note))
             alts = cohyps + steps if self.prefer == "cohyp" else steps + cohyps
 
             if used >= self.budget:
                 if alts:
                     self.pruned = True
+                    self.walls += 1
                 continue
             stack.extend(reversed(alts))
 
+    def _cohyp(self, move, solved, used):
+        """Yield what _search does for a co-hyp move's state: re-derive the
+        atom, then go on from each success."""
+        left = self.budget - used
+        ground = False
+        if self.tabled:
+            values = [value(solved, t) for t in move.atom.args]
+            ground = all(map(is_ground, values))
+        if ground:
+            for pred, known, r, walled in self.failures:
+                if (pred == move.atom.pred and known == values
+                        and (left <= r if walled else left >= r)):
+                    self.pruned |= walled
+                    self._tline(move.depth,
+                                f"TABLED {atom_snapshot(move.atom, solved)} "
+                                f"{'exhausted' if walled else 'failed'} "
+                                f"within {left}")
+                    return
+        walls, errors = self.walls, self.errors
+        redo = (ReferenceFrame(move.atom, (), True, move.depth),)
+        rederived = False
+        for after, spent in self._search(redo, solved, used, True):
+            rederived = True
+            yield from self._search(move.rest, after, spent, False)
+        if ground and not rederived and errors == self.errors:
+            self.failures.append((move.atom.pred, values, left,
+                                  walls != self.walls))
 
-def reference_run_query(prog, query, cfg, trace=None):
-    """Reference for engine.run_query over ReferenceRun sweeps."""
+
+def reference_run_query(prog, query, cfg, trace=None, tabled=True):
+    """Reference for engine.run_query over ReferenceRun sweeps; untabled
+    with tabled=False."""
     applied = apply_mode(prog, cfg.mode)
     frames = tuple(ReferenceFrame(a, (), False, 0) for a in query.atoms)
 
@@ -554,7 +614,7 @@ def reference_run_query(prog, query, cfg, trace=None):
         emitted = 0
         for level in _budget_levels(cfg):
             run = ReferenceRun(applied, level, cfg.prefer,
-                               outcome.diagnostics, trace)
+                               outcome.diagnostics, trace, tabled)
             for solved in run.solve_frames(frames, EMPTY_SOLVED):
                 key = _answer_key(solved, query.variables)
                 if key in seen:
