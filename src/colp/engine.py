@@ -42,7 +42,7 @@ from typing import IO, Iterator, Optional
 
 from .equations import (EMPTY_SOLVED, BuiltinTypeError, SolvedForm,
                         arith_value, holds, rational_values, solve)
-from .parser import Query, atom_snapshot
+from .parser import Query, atom_to_str
 from .terms import (Atom, Clause, Num, Program, Var, fresh_rename,
                     identical, is_builtin, principal, signatures, vars_of)
 
@@ -271,7 +271,7 @@ class _Run:
                     after = eval_builtin(atom, solved)
                 except BuiltinTypeError as e:
                     self.errors += 1
-                    snap = atom_snapshot(atom, solved)  # one line, however big
+                    snap = atom_to_str(atom, solved)  # one line, however big
                     snap = snap if len(snap) <= 200 else snap[:197] + "..."
                     self._diag(f"type error: {e} in {snap}")
                     continue
@@ -310,8 +310,8 @@ class _Run:
                     note = None
                     if self.trace is not None:
                         note = (frame.depth,
-                                f"COHYP {atom_snapshot(atom, after)} "
-                                f"~ {atom_snapshot(other, after)}")
+                                f"COHYP {atom_to_str(atom, after)} "
+                                f"~ {atom_to_str(other, after)}")
                     redo = Frame(atom, None, True, frame.depth + 1)
                     cohyps.append(((redo,) + rest, after, used + 1, note))
                 hyps = frame.hyps if dup else frame.hyps + (made,)
@@ -332,7 +332,7 @@ class _Run:
                 note = None
                 if self.trace is not None:
                     note = (frame.depth,
-                            f"STEP {atom_snapshot(atom, after)} via {cid}")
+                            f"STEP {atom_to_str(atom, after)} via {cid}")
                 steps.append((body + rest, after, used + 1, note))
             alts = cohyps + steps if self.prefer == "cohyp" else steps + cohyps
 
@@ -356,7 +356,7 @@ class _Run:
             self.pruned = True
         if self.trace is not None:
             outcome = "exhausted" if walled else "failed"
-            snap = atom_snapshot(redo.atom, redo.solved)
+            snap = atom_to_str(redo.atom, redo.solved)
             self._tline(depth, f"TABLED {snap} {outcome} within {redo.left}")
         return True
 

@@ -9,6 +9,10 @@ Variables start with an uppercase letter or underscore; a bare `_` is
 anonymous and fresh at each occurrence.  Lists are sugar over '.'/2 and [].
 `%` comments to end of line.  The infix builtins  =  \\=  <  >  =<  >=  is
 are goal-level only; + - * build terms anywhere and are evaluated by is.
+
+One renderer, render, prints every value from a node table on a stack:
+answers, trace lines, terms and the oracle's escape warnings.  _unfold
+builds the table of terms under a solved form, in the shape written.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from typing import Sequence
 
 from .terms import (Atom, BUILTIN_ARITIES, BUILTIN_NAMES, Clause, Compound,
                     NIL, Num, Program, Term, Var, cons, ordered_vars)
-from .equations import SolvedForm
+from .equations import EMPTY_SOLVED, SolvedForm
 
 _SYMBOLS = [":-", ":~", "?-", "\\=", "=<", ">=",
             "=", "<", ">", "(", ")", "[", "]", "|", ",", ".", "+", "-", "*"]
@@ -338,51 +342,114 @@ def parse_term_text(text: str, origin: str = "<term>") -> Term:
 _PREC = {"+": 500, "-": 500, "*": 400}
 
 
+def render(nodes: Sequence[tuple], root: int = 0,
+           depth: float = float("inf")) -> str:
+    """The tree at root of a node table as text, with list sugar, operators,
+    _ for an anonymous variable and ... for a node at the depth, where a
+    cons spends one level on its head and its tail.  Built on a stack."""
+    out: list[str] = []
+    # text, or (node, depth, precedence, right operand, text before it)
+    stack: list = [(root, depth, 1000, False, "")]
+    while stack:
+        task = stack.pop()
+        if task.__class__ is str:
+            out.append(task)
+            continue
+        i, depth, maxprec, right, before = task
+        kind, p, kids = nodes[i]
+        if depth <= 0 or not kids:
+            out.append(before + ("..." if depth <= 0 else "_" if kind == "v"
+                                 and p.startswith("_#") else str(p)))
+        elif p == "." and len(kids) == 2:
+            items = [(kids[0], depth - 1, 999, False, before + "[")]
+            i, depth = kids[1], depth - 1
+            while depth > 0 and nodes[i][1] == "." and len(nodes[i][2]) == 2:
+                items.append((nodes[i][2][0], depth - 1, 999, False, ","))
+                i, depth = nodes[i][2][1], depth - 1
+            if depth <= 0 or nodes[i] != ("f", "[]", ()):
+                items.append((i, depth, 999, False, "|"))
+            stack += ["]", *reversed(items)]
+        elif p in _PREC and len(kids) == 2:
+            prec = _PREC[p]
+            if (prec, right) > (maxprec, False):
+                before += "("
+                stack.append(")")
+            stack += [(kids[1], depth - 1, prec, True, p),
+                      (kids[0], depth - 1, prec, False, before)]
+        elif p == "-" and len(kids) == 1:
+            stack.append((kids[0], depth - 1, 0, False, before + "-"))
+        else:
+            stack.append(")")
+            stack += [(c, depth - 1, 999, False, ", ") for c in kids[:0:-1]]
+            stack.append((kids[0], depth - 1, 999, False, before + p + "("))
+    return "".join(out)
+
+
+def _unfold(terms: Sequence[Term],
+            solved: SolvedForm) -> tuple[list[tuple], list[int]]:
+    """The values of terms under a solved form as one node table, in the
+    shape written, and each term's root.  A compound equal as syntax to one
+    entered through a variable higher on its path is a leaf named after the
+    variable; syntax ids are hash-consed, and memoised per term object."""
+    nodes: list = []
+    roots: list[int] = []
+    consed: dict = {}
+    sids: dict[int, int] = {}  # id of a term object -> its syntax id
+
+    def sid(t: Term) -> int:
+        todo = [t]
+        while id(t) not in sids:
+            x = todo[-1]
+            subs = [a for a in x.args
+                    if a.__class__ is Compound and id(a) not in sids]
+            if subs:
+                todo += subs
+                continue
+            todo.pop()
+            key = (x.functor, *[sids[id(a)] if a.__class__ is Compound
+                                else a for a in x.args])
+            sids[id(x)] = consed.setdefault(key, len(consed))
+        return sids[id(t)]
+
+    for term in terms:
+        active: dict[int, str] = {}  # syntax ids entered on the path
+        # (a term, the list its id goes to), or (a syntax id to leave, None)
+        stack: list = [(term, roots)]
+        while stack:
+            t, parent = stack.pop()
+            if parent is None:
+                del active[t]
+                continue
+            parent.append(len(nodes))
+            w = solved.walk(t) if t.__class__ is Var else t
+            if w.__class__ is Num:
+                nodes.append(("n", w.value, ()))
+            elif w.__class__ is Var:
+                nodes.append(("v", w.display(), ()))
+            elif (key := sid(w)) in active:
+                nodes.append(("v", active[key], ()))
+            else:
+                kids: list[int] = []
+                nodes.append(("f", w.functor, kids))
+                if t is not w:  # entered through the variable t
+                    active[key] = t.display()
+                    stack.append((key, None))
+                stack += [(a, kids) for a in reversed(w.args)]
+    return [(k, p, tuple(c)) for k, p, c in nodes], roots
+
+
 def term_to_str(t: Term) -> str:
-    return _term_str(t, 1000, False)
+    nodes, roots = _unfold([t], EMPTY_SOLVED)
+    return render(nodes, roots[0])
 
 
-def _term_str(t: Term, maxprec: int, right: bool) -> str:
-    if isinstance(t, Var):
-        return "_" if t.name.startswith("_#") else t.display()
-    if isinstance(t, Num):
-        return str(t.value)
-    if t == NIL:
-        return "[]"
-    if t.functor == "." and len(t.args) == 2:
-        return _list_str(t)
-    if t.functor in _PREC and len(t.args) == 2:
-        prec = _PREC[t.functor]
-        s = (f"{_term_str(t.args[0], prec, False)}{t.functor}"
-             f"{_term_str(t.args[1], prec, True)}")
-        if prec > maxprec or (prec == maxprec and right):
-            return f"({s})"
-        return s
-    if t.functor == "-" and len(t.args) == 1:
-        inner = _term_str(t.args[0], 0, False)
-        return f"-{inner}"
-    if not t.args:
-        return t.functor
-    return f"{t.functor}({', '.join(_term_str(a, 999, False) for a in t.args)})"
-
-
-def _list_str(t: Compound) -> str:
-    items = []
-    cur: Term = t
-    while isinstance(cur, Compound) and cur.functor == "." and len(cur.args) == 2:
-        items.append(_term_str(cur.args[0], 999, False))
-        cur = cur.args[1]
-    if cur == NIL:
-        return f"[{','.join(items)}]"
-    return f"[{','.join(items)}|{_term_str(cur, 999, False)}]"
-
-
-def atom_to_str(a: Atom) -> str:
-    if a.pred in _INFIX_GOALS and len(a.args) == 2:
-        return f"{term_to_str(a.args[0])} {a.pred} {term_to_str(a.args[1])}"
-    if not a.args:
-        return a.pred
-    return f"{a.pred}({', '.join(term_to_str(x) for x in a.args)})"
+def atom_to_str(a: Atom, solved: SolvedForm = EMPTY_SOLVED) -> str:
+    """An atom with its arguments' values under a solved form, as answers."""
+    nodes, roots = _unfold(a.args, solved)
+    args = [render(nodes, r) for r in roots]
+    if a.pred in _INFIX_GOALS and len(args) == 2:
+        return f"{args[0]} {a.pred} {args[1]}"
+    return f"{a.pred}({', '.join(args)})" if args else a.pred
 
 
 def clause_to_str(c: Clause, coclause: bool = False) -> str:
@@ -406,36 +473,11 @@ def print_answer(solved: SolvedForm, qvars: Sequence[Var]) -> str:
     """
     if not qvars:
         return "true"
+    nodes, roots = _unfold(qvars, solved)
     lines = []
-    for v in qvars:
+    for v, root in zip(qvars, roots):
         w = solved.walk(v)
-        if isinstance(w, Var):
-            rhs = "_" if w == v else w.display()
-        else:
-            rhs = term_to_str(_unfold(v, solved, {}))
+        rhs = render(nodes, root) if w.__class__ is not Var else (
+            "_" if w == v else w.display())
         lines.append(f"{v.display()} = {rhs}")
     return "\n".join(lines)
-
-
-def atom_snapshot(a: Atom, solved: SolvedForm) -> str:
-    return atom_to_str(Atom(a.pred, tuple(_unfold(x, solved, {}) for x in a.args)))
-
-
-def _unfold(t: Term, solved: SolvedForm, active: dict[Term, str]) -> Term:
-    """Finite syntactic image of a possibly-cyclic value: a back edge becomes
-    a variable leaf named after the variable whose binding it re-enters."""
-    w = solved.walk(t)
-    if isinstance(w, Var):
-        return Var(w.display(), 0)
-    if isinstance(w, Num):
-        return w
-    known = active.get(w)
-    if known is not None:
-        return Var(known, 0)
-    entered = isinstance(t, Var)
-    if entered:
-        active[w] = t.display()
-    out = Compound(w.functor, tuple(_unfold(a, solved, active) for a in w.args))
-    if entered:
-        del active[w]
-    return out

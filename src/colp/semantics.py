@@ -19,9 +19,10 @@ element; that stays minimal because such a value sits acyclically above
 the store, and the store outlives the grounding pass.  Builtins read ids as
 well, through the equations.holds the engine uses: = and \\= compare ids,
 is compares the node at an id with the computed number, and arithmetic
-reads the store's nodes.  Escape warnings render with rt_to_str straight
-from the store, and check matches the joint table of each engine answer
-against the store, so a value is always an id in a node table.
+reads the store's nodes.  Escape warnings render straight from the store
+through parser.render, and check matches the joint table of each engine
+answer against the store, so a value is always an id in a node table.
+CoInd is sought inside the rules' conclusions: any X in T(X) lies there.
 
 Assignments are searched by an odometer over the variables in
 first-occurrence order, head first and argument by argument.  Each argument
@@ -33,14 +34,13 @@ enumerating them all, and so keeps the rules and the order of the warnings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional, Sequence
 
 from .equations import (BuiltinTypeError, SolvedForm, holds, match,
                         rational_values, solve)
-from .parser import _PREC, Query, SyntaxErrors, parse_term_text
+from .parser import Query, SyntaxErrors, parse_term_text, render
 from .terms import (BUILTIN_ARITIES, Atom, Clause, Compound, Num, Program,
-                    Template, Term, Var, map_leaves, run_ops, signatures)
+                    Template, Term, Var, map_leaves, run_ops)
 
 # a ground atom is (predicate, universe element indexes)
 GroundAtom = tuple[str, tuple[int, ...]]
@@ -165,36 +165,8 @@ class Universe:
 
 
 def rt_to_str(nodes: Sequence[tuple], root: int = 0, depth: int = 8) -> str:
-    """Finite rendering of the tree at root of a node table, for messages.
-    Every node at the given depth prints as ..., and the rest as
-    parser.term_to_str prints a term, with list sugar and operators."""
-    return _render(nodes, root, depth, 1000, False)
-
-
-def _render(nodes: Sequence[tuple], i: int, depth: int, maxprec: int,
-            right: bool) -> str:
-    if depth <= 0:
-        return "..."
-    kind, p, kids = nodes[i]
-    if kind != "f":
-        return "_" if kind == "v" and p.startswith("_#") else str(p)
-    if p == "." and len(kids) == 2:
-        items = []  # a cons spends one level on its head and its tail
-        while depth > 0 and nodes[i][1] == "." and len(nodes[i][2]) == 2:
-            items.append(_render(nodes, nodes[i][2][0], depth - 1, 999, False))
-            i, depth = nodes[i][2][1], depth - 1
-        tail = "" if depth > 0 and nodes[i] == ("f", "[]", ()) else (
-            "|" + _render(nodes, i, depth, 999, False))
-        return f"[{','.join(items)}{tail}]"
-    if p in _PREC and len(kids) == 2:
-        prec = _PREC[p]
-        s = (_render(nodes, kids[0], depth - 1, prec, False) + p
-             + _render(nodes, kids[1], depth - 1, prec, True))
-        return f"({s})" if (prec, right) > (maxprec, False) else s
-    if p == "-" and len(kids) == 1:
-        return "-" + _render(nodes, kids[0], depth - 1, 0, False)
-    args = ", ".join(_render(nodes, c, depth - 1, 999, False) for c in kids)
-    return f"{p}({args})" if kids else p
+    """The tree at root of a node table, cut at the depth, for messages."""
+    return render(nodes, root, depth)
 
 
 @dataclass(frozen=True)
@@ -347,12 +319,6 @@ def greatest_consistent_within(rules: frozenset, bound: frozenset) -> frozenset:
         interp = nxt
 
 
-def herbrand_base(prog: Program, u: Universe) -> frozenset:
-    sigs = signatures(prog.clauses + prog.coclauses)
-    return frozenset((pred, combo) for pred, arity in sigs
-                     for combo in product(range(len(u)), repeat=arity))
-
-
 @dataclass(frozen=True)
 class SemanticsResult:
     ind: frozenset
@@ -360,7 +326,7 @@ class SemanticsResult:
     reg: frozenset
     ind_all: frozenset       # least model of clauses plus coclauses
     rules: frozenset         # ground instances of the clauses
-    base: frozenset
+    base: frozenset          # the atoms some clause instance concludes
     warnings: tuple[str, ...]
 
 
@@ -369,7 +335,7 @@ def compute_semantics(prog: Program, u: Universe) -> SemanticsResult:
     rules, warn1 = ground_instances(clauses, u)
     corules, warn2 = ground_instances(coclauses, u)
     ind = least_model(rules)
-    base = herbrand_base(prog, u)
+    base = frozenset(r.conclusion for r in rules)
     coind = greatest_consistent_within(rules, base)
     ind_all = least_model(rules | corules)
     reg = greatest_consistent_within(rules, ind_all)

@@ -8,13 +8,14 @@ from hypothesis import settings
 from colp.engine import (BUDGET_EXHAUSTED, COMPLETE, FINITELY_FAILED, Config,
                          Outcome, _answer_key, _budget_levels, apply_mode,
                          eval_builtin, run_query)
-from colp.equations import (EMPTY_SOLVED, BuiltinTypeError, _minimise,
-                            arith_value, rational_values, solve)
-from colp.parser import (_SYMBOLS, Tok, atom_snapshot, parse_program,
-                         parse_query, print_answer, term_to_str)
+from colp.equations import (EMPTY_SOLVED, BuiltinTypeError, SolvedForm,
+                            _minimise, arith_value, rational_values, solve)
+from colp.parser import (_INFIX_GOALS, _PREC, _SYMBOLS, Tok, atom_to_str,
+                         parse_program, parse_query, print_answer)
 from colp.semantics import GroundAtom, GroundRule
-from colp.terms import (NIL, Atom, Clause, Compound, Num, Var, cons,
-                        is_builtin, map_leaves, ordered_vars, vars_of)
+from colp.terms import (NIL, Atom, Clause, Compound, Num, Term, Var, cons,
+                        is_builtin, map_leaves, ordered_vars, signatures,
+                        vars_of)
 
 PROGRAMS_DIR = Path(__file__).resolve().parent.parent / "programs"
 
@@ -94,8 +95,8 @@ CUT = Compound("...", ())
 
 def truncate(nodes, depth, root=0):
     """Unfold the tree at root of a node table to a finite tree, replacing
-    every node at the given depth with a cut marker; term_to_str of it is
-    the reference for semantics.rt_to_str."""
+    every node at the given depth with a cut marker; term_str_by_recursion
+    of it is the reference for semantics.rt_to_str."""
     def go(i, remaining):
         if remaining <= 0:
             return CUT
@@ -110,6 +111,95 @@ def truncate(nodes, depth, root=0):
 
 
 # --- brute-force references that the tests compare colp against ----------
+
+# The printers colp had before parser.render: a term tree printed by
+# recursion, after a recursive _unfold of each value into a term tree.
+
+def term_str_by_recursion(t):
+    """Reference for parser.term_to_str and, on truncate's trees, for
+    semantics.rt_to_str."""
+    return _term_str(t, 1000, False)
+
+
+def _term_str(t: Term, maxprec: int, right: bool) -> str:
+    if isinstance(t, Var):
+        return "_" if t.name.startswith("_#") else t.display()
+    if isinstance(t, Num):
+        return str(t.value)
+    if t == NIL:
+        return "[]"
+    if t.functor == "." and len(t.args) == 2:
+        return _list_str(t)
+    if t.functor in _PREC and len(t.args) == 2:
+        prec = _PREC[t.functor]
+        s = (f"{_term_str(t.args[0], prec, False)}{t.functor}"
+             f"{_term_str(t.args[1], prec, True)}")
+        if prec > maxprec or (prec == maxprec and right):
+            return f"({s})"
+        return s
+    if t.functor == "-" and len(t.args) == 1:
+        inner = _term_str(t.args[0], 0, False)
+        return f"-{inner}"
+    if not t.args:
+        return t.functor
+    return f"{t.functor}({', '.join(_term_str(a, 999, False) for a in t.args)})"
+
+
+def _list_str(t: Compound) -> str:
+    items = []
+    cur: Term = t
+    while isinstance(cur, Compound) and cur.functor == "." and len(cur.args) == 2:
+        items.append(_term_str(cur.args[0], 999, False))
+        cur = cur.args[1]
+    if cur == NIL:
+        return f"[{','.join(items)}]"
+    return f"[{','.join(items)}|{_term_str(cur, 999, False)}]"
+
+
+def _unfold(t: Term, solved: SolvedForm, active: dict[Term, str]) -> Term:
+    """Finite syntactic image of a possibly-cyclic value: a back edge becomes
+    a variable leaf named after the variable whose binding it re-enters."""
+    w = solved.walk(t)
+    if isinstance(w, Var):
+        return Var(w.display(), 0)
+    if isinstance(w, Num):
+        return w
+    known = active.get(w)
+    if known is not None:
+        return Var(known, 0)
+    entered = isinstance(t, Var)
+    if entered:
+        active[w] = t.display()
+    out = Compound(w.functor, tuple(_unfold(a, solved, active) for a in w.args))
+    if entered:
+        del active[w]
+    return out
+
+
+def atom_str_by_recursion(a, solved=EMPTY_SOLVED):
+    """Reference for parser.atom_to_str."""
+    args = [term_str_by_recursion(_unfold(x, solved, {})) for x in a.args]
+    if a.pred in _INFIX_GOALS and len(args) == 2:
+        return f"{args[0]} {a.pred} {args[1]}"
+    if not args:
+        return a.pred
+    return f"{a.pred}({', '.join(args)})"
+
+
+def answer_by_recursion(solved, qvars):
+    """Reference for parser.print_answer."""
+    if not qvars:
+        return "true"
+    lines = []
+    for v in qvars:
+        w = solved.walk(v)
+        if isinstance(w, Var):
+            rhs = "_" if w == v else w.display()
+        else:
+            rhs = term_str_by_recursion(_unfold(v, solved, {}))
+        lines.append(f"{v.display()} = {rhs}")
+    return "\n".join(lines)
+
 
 def lex_by_characters(text: str) -> list[Tok]:
     """Reference for parser._lex: one character at a time, trying each
@@ -321,7 +411,8 @@ def ground_instances_by_enumeration(clauses, u):
                 rules.add(GroundRule(frozenset(ground[1:]), ground[0]))
     warnings = [key if isinstance(key, str) else
                 f"instance escapes the universe: {key[0]} on "
-                f"{term_to_str(truncate(key[1], 8))}" for key in pending]
+                f"{term_str_by_recursion(truncate(key[1], 8))}"
+                for key in pending]
     return frozenset(rules), tuple(dict.fromkeys(warnings))
 
 
@@ -381,12 +472,20 @@ class LoopProver:
         return result
 
 
-def loop_matches_regular(sem):
-    """The hypothetical-judgment reading agrees with the fixed-point one."""
+def herbrand_base(prog, u):
+    """Every atom of the program's predicates over the universe."""
+    return frozenset(
+        (pred, combo)
+        for pred, arity in signatures(prog.clauses + prog.coclauses)
+        for combo in itertools.product(range(len(u)), repeat=arity))
+
+
+def loop_matches_regular(sem, base):
+    """The hypothetical-judgment reading agrees with the fixed-point one on
+    every atom of the base."""
     prover = LoopProver(sem.rules, sem.ind_all)
     empty = frozenset()
-    return all(prover.derivable(empty, a) == (a in sem.reg)
-               for a in sem.base)
+    return all(prover.derivable(empty, a) == (a in sem.reg) for a in base)
 
 
 def regular_by_enumeration(rules, bound):
@@ -521,7 +620,7 @@ class ReferenceRun:
                     after = eval_builtin(atom, solved)
                 except BuiltinTypeError as e:
                     self.errors += 1
-                    snap = atom_snapshot(atom, solved)
+                    snap = atom_to_str(atom, solved)
                     snap = snap if len(snap) <= 200 else snap[:197] + "..."
                     message = f"type error: {e} in {snap}"
                     if message not in self.diagnostics:
@@ -550,7 +649,7 @@ class ReferenceRun:
                 note = None
                 if self.trace is not None:
                     note = (frame.depth,
-                            f"STEP {atom_snapshot(atom, after)} via {cid}")
+                            f"STEP {atom_to_str(atom, after)} via {cid}")
                 steps.append((body + rest, after, used + 1, note))
             cohyps = []
             for hyp in frame.hyps:
@@ -561,8 +660,8 @@ class ReferenceRun:
                     continue
                 note = None
                 if self.trace is not None:
-                    note = (frame.depth, f"COHYP {atom_snapshot(atom, after)} "
-                                         f"~ {atom_snapshot(hyp, after)}")
+                    note = (frame.depth, f"COHYP {atom_to_str(atom, after)} "
+                                         f"~ {atom_to_str(hyp, after)}")
                 move = CoHypMove(atom, frame.depth + 1, rest)
                 cohyps.append((move, after, used + 1, note))
             alts = cohyps + steps if self.prefer == "cohyp" else steps + cohyps
@@ -588,7 +687,7 @@ class ReferenceRun:
                         and (left <= r if walled else left >= r)):
                     self.pruned |= walled
                     self._tline(move.depth,
-                                f"TABLED {atom_snapshot(move.atom, solved)} "
+                                f"TABLED {atom_to_str(move.atom, solved)} "
                                 f"{'exhausted' if walled else 'failed'} "
                                 f"within {left}")
                     return

@@ -1,15 +1,20 @@
+import sys
+
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from colp.engine import Config, run_query
+from colp.equations import solve
 from colp.parser import (_SYMBOLS, SyntaxErrors, _lex, atom_to_str,
                          clause_to_str, parse_program, parse_query,
                          parse_term_text, print_answer, program_to_str,
                          term_to_str)
-from colp.terms import NIL, Atom, Compound, Num, Var, cons
+from colp.terms import NIL, Atom, Compound, Num, Var, cons, ordered_vars
 
-from conftest import PROGRAMS_DIR, lex_by_characters
+from conftest import (PROGRAMS_DIR, answer_by_recursion,
+                      atom_str_by_recursion, lex_by_characters, make_list,
+                      term_str_by_recursion)
 
 
 def test_facts_rules_and_coclauses():
@@ -172,3 +177,65 @@ def test_print_answer_cyclic_binding():
     q = parse_query("?- p(L).")
     out = run_query(prog, q, Config())
     assert print_answer(next(iter(out.answers)), q.variables) == "L = [1,2|L]"
+
+
+# --- the one renderer against the recursive printers it replaced ---------
+
+_VARS = st.builds(Var, st.sampled_from(["X", "Y", "L", "_#1", "_#2"]),
+                  st.integers(0, 2))
+_LEAVES = st.one_of(_VARS, st.builds(Num, st.integers(-3, 3)), st.just(NIL))
+
+
+def _compounds(kids):
+    def build(functor, arity):
+        return st.tuples(*[kids] * arity).map(
+            lambda args: Compound(functor, args))
+    return st.one_of(build(".", 2), build(".", 2), build("+", 2),
+                     build("-", 2), build("*", 2), build("-", 1),
+                     build("f", 1), build("g", 2))
+
+
+_TERMS = st.recursive(_LEAVES, _compounds, max_leaves=10)
+
+
+def _equations(text):
+    return [tuple(a.args) for a in parse_query(text).atoms]
+
+
+@settings(max_examples=300, deadline=None)
+@example(_equations("X = [1|Y], Y = [1|Y]."))
+@example(_equations("X = f(Y), Y = g(f(Y))."))
+@example(_equations("L = [3,3,3|L]."))
+@given(st.lists(st.tuples(st.one_of(_VARS, _TERMS), _TERMS),
+                min_size=1, max_size=4))
+def test_printers_match_the_recursive_reference(eqs):
+    solved = solve(eqs)
+    if solved is None:
+        return
+    qvars = ordered_vars(eqs)
+    assert print_answer(solved, qvars) == answer_by_recursion(solved, qvars)
+    for atom in (Atom("=", eqs[0]), Atom("p", tuple(qvars))):
+        assert atom_to_str(atom, solved) == atom_str_by_recursion(atom, solved)
+    for lhs, rhs in eqs:
+        assert term_to_str(rhs) == term_str_by_recursion(rhs)
+        assert atom_to_str(Atom("p", (lhs, rhs))) == atom_str_by_recursion(
+            Atom("p", (lhs, rhs)))
+
+
+def test_long_values_print_under_a_small_recursion_limit():
+    n = 10 ** 5
+    chain = Num(0)
+    for _ in range(n):
+        chain = Compound("+", (chain, Num(1)))
+    x, y = Var("X"), Var("Y")
+    solved = solve([(x, make_list([Num(0)] * n)), (y, chain)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        answer = print_answer(solved, [x, y])
+        atom = atom_to_str(Atom("p", (x, y)), solved)
+    finally:
+        sys.setrecursionlimit(limit)
+    zeros, sums = ",".join(["0"] * n), "0" + "+1" * n
+    assert answer == f"X = [{zeros}]\nY = {sums}"
+    assert atom == f"p([{zeros}], {sums})"

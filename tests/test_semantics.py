@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from colp.parser import parse_program, parse_query, term_to_str
+from colp.parser import parse_program, parse_query
 from colp.semantics import (GroundRule, Universe,
                             UniverseError, compute_semantics,
                             ground_instances, greatest_consistent_within,
@@ -16,10 +16,11 @@ from colp.terms import NIL, Atom, Clause, Compound, Num, Template, Var, cons
 
 from conftest import (CUT, PROGRAMS_DIR, LoopProver, elements,
                       free_leaf_names, ground_instances_by_enumeration,
-                      instantiations_by_enumeration, is_ground, load_program,
-                      loop_matches_regular, make_list,
-                      rational_value_by_recursion, regular_by_enumeration,
-                      substitute, truncate, value)
+                      herbrand_base, instantiations_by_enumeration,
+                      is_ground, load_program, loop_matches_regular,
+                      make_list, rational_value_by_recursion,
+                      regular_by_enumeration, substitute,
+                      term_str_by_recursion, truncate, value)
 
 
 def load_universe(name):
@@ -167,7 +168,7 @@ def test_rt_to_str_truncates_cycles():
     assert rt_to_str(u.store, u.roots[2], depth=3) == "s(s(s(...)))"
 
 
-# --- rendering: rt_to_str against term_to_str(truncate(...)) ----------------
+# --- rendering: rt_to_str against the recursive printer of truncate(...) ----
 
 def test_solve_without_occurs_check():
     solved = solve([(X, succ(X))])
@@ -242,7 +243,7 @@ SUMS = (("f", "-", (1, 2)), ("f", "+", (3, 3)), ("f", "*", (4, 1)),
 @given(node_tables(), st.integers(0, 9))
 def test_rt_to_str_is_term_to_str_of_truncate(table, depth):
     nodes, root = table
-    assert rt_to_str(nodes, root, depth) == term_to_str(
+    assert rt_to_str(nodes, root, depth) == term_str_by_recursion(
         truncate(nodes, depth, root))
 
 
@@ -332,7 +333,8 @@ def test_semantics_of_successor_loop():
     assert sem.ind == frozenset()
     assert sem.coind == {("p", (omega_i,))}
     assert sem.reg == {("p", (omega_i,))}
-    assert sem.ind_all == sem.base  # the cofact admits everything
+    # the cofact admits everything
+    assert sem.ind_all == {("p", (i,)) for i in range(3)}
     assert sem.warnings == ("instance escapes the universe: p on s(s(z))",)
 
 
@@ -363,23 +365,22 @@ def test_maxelem_keeps_true_maximum_only():
 # --- the cycle prover vs the fixpoint definition ----------------------------
 
 def corpus_semantics():
-    return [
-        compute_semantics(load_program("omega.colp"),
-                          load_universe("omega.univ")),
-        compute_semantics(load_program("maxelem.colp"),
-                          load_universe("maxelem.univ")),
-        compute_semantics(load_program("lists.colp"),
-                          load_universe("lists.univ")),
-    ]
+    """Each shipped pair's semantics and full Herbrand base."""
+    out = []
+    for name in ("omega", "maxelem", "lists"):
+        prog = load_program(f"{name}.colp")
+        u = load_universe(f"{name}.univ")
+        out.append((compute_semantics(prog, u), herbrand_base(prog, u)))
+    return out
 
 
 def test_loop_prover_agrees_on_corpus():
-    for sem in corpus_semantics():
-        assert loop_matches_regular(sem)
+    for sem, base in corpus_semantics():
+        assert loop_matches_regular(sem, base)
 
 
 def test_brute_force_enumeration_agrees_on_corpus():
-    for sem in corpus_semantics():
+    for sem, _ in corpus_semantics():
         assert regular_by_enumeration(sem.rules, sem.ind_all) == sem.reg
 
 
