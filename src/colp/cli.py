@@ -27,7 +27,7 @@ EXIT_ERROR = 3
 
 def _report_syntax(err: IO[str], exc: SyntaxErrors) -> None:
     for issue in exc.issues:
-        err.write(f"{exc.origin}:{issue.line}:{issue.col}: {issue.message}\n")
+        err.write(f"{exc.origin}:{issue}\n")
 
 
 def _load(err: IO[str], *files, query: Optional[str] = None) -> Optional[list]:

@@ -44,7 +44,7 @@ from .equations import (EMPTY_SOLVED, BuiltinTypeError, SolvedForm,
                         arith_value, holds, rational_values, solve)
 from .parser import Query, atom_to_str
 from .terms import (Atom, Clause, Num, Program, Var, fresh_rename,
-                    identical, is_builtin, principal, signatures, vars_of)
+                    identical, is_builtin, principal, signatures)
 
 MODES = ("flexible", "inductive", "coinductive")
 STRATEGIES = ("dfs", "iddfs")
@@ -62,7 +62,6 @@ class Config:
     budget: int = 1000
     max_answers: Optional[int] = None
     prefer: str = "cohyp"
-    check_invariants: bool = False
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -218,14 +217,12 @@ class _Run:
     """One depth-first sweep at a fixed budget."""
 
     def __init__(self, tables: tuple, budget: int, prefer: str,
-                 diagnostics: list[str], trace: Optional[IO[str]],
-                 check_invariants: bool):
+                 diagnostics: list[str], trace: Optional[IO[str]]):
         self.outer, self.inner, self.has_co = tables
         self.budget = budget
         self.prefer = prefer
         self.diagnostics = diagnostics
         self.trace = trace
-        self.check = check_invariants
         self.pruned = False
         self.fresh = itertools.count(1)
         self.walls = 0   # states cut at the budget wall
@@ -327,8 +324,6 @@ class _Run:
                     continue
                 body = tuple(Frame(b, hyps, frame.inner, frame.depth + 1)
                              for b in renamed.body)
-                if self.check:
-                    self._assert_hyps(body, after)
                 note = None
                 if self.trace is not None:
                     note = (frame.depth,
@@ -371,15 +366,6 @@ class _Run:
         else:
             bounds[1] = min(bounds[1], redo.left)
 
-    def _assert_hyps(self, frames: tuple[Frame, ...], solved: SolvedForm) -> None:
-        known = solved.eq_vars()
-        for f in frames:
-            for h in f.hyps:
-                missing = vars_of(h.atom) - known
-                if missing:
-                    raise AssertionError("hypothesis variables escaped the "
-                                         f"equation set: {missing}")
-
 
 def _answer_key(solved: SolvedForm, qvars: tuple[Var, ...]) -> tuple:
     """Equality-up-to-renaming key for one answer: the query variables'
@@ -416,8 +402,7 @@ def run_query(prog: Program, query: Query, cfg: Config,
         seen: set = set()
         emitted = 0
         for level in _budget_levels(cfg):
-            run = _Run(tables, level, cfg.prefer, outcome.diagnostics,
-                       trace, cfg.check_invariants)
+            run = _Run(tables, level, cfg.prefer, outcome.diagnostics, trace)
             for solved in run.solve_frames(frames, EMPTY_SOLVED):
                 key = _answer_key(solved, query.variables)
                 if key in seen:

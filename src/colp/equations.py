@@ -24,7 +24,7 @@ import operator
 import sys
 from typing import Iterable, Optional, Sequence
 
-from .terms import Compound, Num, Term, Var, vars_of
+from .terms import Compound, Num, Term, Var
 
 EqPair = tuple[Term, Term]
 
@@ -43,10 +43,10 @@ def _walk(bound: dict[Var, Term], t: Term) -> Term:
 class SolvedForm:
     """Result of solving an equation set: a triangular substitution.
 
-    One map from variables to terms, as in a Prolog store.  A variable may
-    be bound to another variable, always one with a lower (name, index), so
-    no chain of variables alone is circular; cycles run through compounds.
-    walk() follows the map to an unbound variable, an integer or a compound.
+    One map from variables to terms, as in a Prolog store.  A younger
+    variable is bound to an older one (see solve), so a chain of variables
+    ends at its oldest named one; cycles run through compounds.  walk()
+    follows the map to an unbound variable, an integer or a compound.
     Instances are immutable; solve() copies the map when extending a base.
     """
 
@@ -57,10 +57,6 @@ class SolvedForm:
 
     def walk(self, t: Term) -> Term:
         return _walk(self._bound, t)
-
-    def eq_vars(self) -> set[Var]:
-        """Every variable the equations mention."""
-        return set(self._bound) | vars_of(list(self._bound.values()))
 
     def __repr__(self) -> str:
         items = ", ".join(f"{v.display()}={t!r}" for v, t in self._bound.items())
@@ -74,10 +70,12 @@ def solve(eqs: Iterable[EqPair],
           base: SolvedForm = EMPTY_SOLVED) -> Optional[SolvedForm]:
     """Solve an equation set, optionally on top of an existing solved form.
 
-    Returns None when unsolvable.  Decomposition memoizes compound pairs so
-    that cyclic bindings terminate: a pair being decomposed is assumed equal
-    while its arguments are compared.  The memo keys pairs by identity, as
-    only finitely many term objects are reachable.
+    Returns None when unsolvable.  Of two unbound variables the younger, of
+    higher (index, name), is bound to the older as in the WAM, but an
+    anonymous one (_#n, printed _) always to a named one.  Decomposition
+    memoizes compound pairs so that cyclic bindings terminate: a pair being
+    decomposed is assumed equal while its arguments are compared.  The memo
+    keys pairs by identity, as only finitely many term objects are reachable.
     """
     # copy the base map only once a write happens; clashes stay cheap
     bound = base._bound
@@ -93,10 +91,10 @@ def solve(eqs: Iterable[EqPair],
         if s is t or (not isinstance(s, Compound) and s == t):
             continue
         if isinstance(s, Var) or isinstance(t, Var):
-            # bind the variable, or the higher (name, index) of two, so the
-            # variable a chain ends in is independent of processing order
-            if not isinstance(s, Var) or (
-                    isinstance(t, Var) and (t.name, t.index) > (s.name, s.index)):
+            # bind the variable, or the younger of two, in any pair order
+            if not isinstance(s, Var) or isinstance(t, Var) and (
+                    t.name[:2] == "_#", t.index, t.name) > (
+                    s.name[:2] == "_#", s.index, s.name):
                 s, t = t, s
             if not owned:
                 bound = dict(bound)

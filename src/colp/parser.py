@@ -468,16 +468,14 @@ def program_to_str(p: Program) -> str:
 def print_answer(solved: SolvedForm, qvars: Sequence[Var]) -> str:
     """Render an answer restricted to the query variables, one line each.
 
-    Cyclic values print equationally by reusing the variable that closes the
-    cycle, e.g.  L = [1,2|L].  With no query variables the answer is `true`.
+    A cyclic value names the variable that closes the cycle, L = [1,2|L];
+    an unbound variable prints as _, and no query variables as `true`.
     """
     if not qvars:
         return "true"
     nodes, roots = _unfold(qvars, solved)
     lines = []
     for v, root in zip(qvars, roots):
-        w = solved.walk(v)
-        rhs = render(nodes, root) if w.__class__ is not Var else (
-            "_" if w == v else w.display())
+        rhs = "_" if solved.walk(v) == v else render(nodes, root)
         lines.append(f"{v.display()} = {rhs}")
     return "\n".join(lines)

@@ -67,6 +67,11 @@ def value(solved, t):
     return rational_values(solved, [t])[0]
 
 
+def eq_vars(solved):
+    """Every variable the equations of a solved form mention."""
+    return set(solved._bound) | vars_of(list(solved._bound.values()))
+
+
 def renumbered(nodes, root):
     """The nodes reachable from root, numbered in preorder from it as colp
     numbers a value; no two nodes are merged."""
@@ -194,7 +199,7 @@ def answer_by_recursion(solved, qvars):
     for v in qvars:
         w = solved.walk(v)
         if isinstance(w, Var):
-            rhs = "_" if w == v else w.display()
+            rhs = "_" if w == v else term_str_by_recursion(w)
         else:
             rhs = term_str_by_recursion(_unfold(v, solved, {}))
         lines.append(f"{v.display()} = {rhs}")

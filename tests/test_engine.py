@@ -1,6 +1,9 @@
 import io
+import re
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from colp.engine import (BUDGET_EXHAUSTED, COMPLETE, FINITELY_FAILED, MODES,
                          Config, _answer_key, apply_mode, eval_builtin,
@@ -10,7 +13,7 @@ from colp.parser import Query, parse_program, parse_query, print_answer
 from colp.semantics import Universe, universe_instantiations
 from colp.terms import Atom, Clause, Num, Program, Var, map_leaves
 
-from conftest import PROGRAMS_DIR, answers, load_program, value
+from conftest import PROGRAMS_DIR, answers, eq_vars, load_program, value
 
 
 # --- plain SLD behaviour (no coclauses) ---------------------------------
@@ -219,13 +222,13 @@ def test_eval_builtin_directly():
 
 def test_answers_extend_query_equations(maxelem):
     q = parse_query("?- L = [1,2|L], maxElem(L, M).")
-    out = run_query(maxelem, q, Config(max_answers=1, check_invariants=True))
+    out = run_query(maxelem, q, Config(max_answers=1))
     ans = next(iter(out.answers))
     # the query's own equation still holds in the answer
     lhs, rhs = q.atoms[0].args
     assert value(ans, lhs) == value(ans, rhs)
     # every query variable is covered by the answer equations
-    assert set(q.variables) <= ans.eq_vars()
+    assert set(q.variables) <= eq_vars(ans)
 
 
 def test_config_validation():
@@ -301,6 +304,66 @@ def test_answers_ignore_variable_names(name, text):
                         for a in run_query(prog, q, cfg).answers]
                 assert keys == [_answer_key(a, rq.variables)
                                 for a in run_query(renamed, rq, cfg).answers]
+
+
+# --- answers name the query's variables, never a clause's ----------------
+
+SMALL = "p(X, X). q(Y) :- p(Y, _). r(X, X, X)."
+# every corpus query with variables, the open ones capped at a few answers
+NAMED_QUERIES = [(name, text) for name, text in COMPLETING_QUERIES
+                 if parse_query(text).variables] + [
+    ("lists.colp", "append(X, Y, Z)."),
+    ("lists.colp", "member(X, L)."),
+    ("maxelem.colp", "maxElem(L, M)."),
+    ("omega.colp", "p(X)."),
+    (SMALL, "p(A, B)."),
+    (SMALL, "q(A)."),
+    (SMALL, "r(A, B, _)."),
+]
+# with names that sort above the corpus's clause variables (Y, Z) and above
+# anonymous ones (_Foo, _Y)
+NEW_NAMES = ["A", "L", "X", "Y", "Z", "_Foo", "_Y"]
+_NAME = re.compile(r"(?<![\w#])[A-Z_]\w*(?![\w#])")  # not X#2's X
+
+
+def _substituted(text, rename):
+    return _NAME.sub(lambda m: rename.get(m.group(), m.group()), text)
+
+
+def _printed(source, text):
+    prog = (load_program(source) if source.endswith(".colp")
+            else parse_program(source))
+    q = parse_query(text)
+    return [[print_answer(a, q.variables)
+             for a in run_query(prog, q, Config(strategy=strategy, budget=12,
+                                                max_answers=4)).answers]
+            for strategy in ("dfs", "iddfs")]
+
+
+@settings(max_examples=100, deadline=None)
+@example((SMALL, "p(A, B)."), ["Y", "Z"])
+@example((SMALL, "q(A)."), ["Z"])
+@example((SMALL, "p(A, _)."), ["_Foo"])
+@example((SMALL, "r(A, B, _)."), ["_Foo", "_Y"])
+@given(st.sampled_from(NAMED_QUERIES), st.permutations(NEW_NAMES))
+def test_answers_do_not_depend_on_query_variable_names(case, names):
+    """A one-to-one renaming of the query variables renames the printed
+    answers alike.  It keeps the order of the names, since of two equal
+    query variables the one whose name sorts first is left unbound."""
+    source, text = case
+    old = sorted(v.name for v in parse_query(text).variables)
+    rename = dict(zip(old, sorted(names[:len(old)])))
+    assert _printed(source, _substituted(text, rename)) == [
+        [_substituted(answer, rename) for answer in run]
+        for run in _printed(source, text)]
+
+
+def test_answers_name_the_oldest_query_variable():
+    assert _printed(SMALL, "p(Y, Z).") == [["Y = _\nZ = Y"]] * 2
+    assert _printed(SMALL, "q(Z).") == [["Z = _"]] * 2
+    assert _printed(SMALL, "p(_Foo, _).") == [["_Foo = _"]] * 2
+    # an anonymous variable, printed _, never stands for another one
+    assert _printed(SMALL, "r(_A, _B, _).") == [["_A = _\n_B = _A"]] * 2
 
 
 # --- metamorphic: coclauses only add instances ---------------------------

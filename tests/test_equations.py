@@ -155,11 +155,6 @@ def test_is_ground_under():
     assert is_ground(value(cyc, X))
 
 
-def test_eq_vars_covers_both_sides():
-    solved = solve([(X, f(Y)), (Z, X)])
-    assert solved.eq_vars() == {X, Y, Z}
-
-
 # --- instantiating ----------------------------------------------------
 
 def test_match_returns_the_sub_value_at_each_leaf():

@@ -206,6 +206,7 @@ def _equations(text):
 @example(_equations("X = [1|Y], Y = [1|Y]."))
 @example(_equations("X = f(Y), Y = g(f(Y))."))
 @example(_equations("L = [3,3,3|L]."))
+@example([(Var("_#1", 1), Var("_#1", 0))])  # a chain ends at an anonymous one
 @given(st.lists(st.tuples(st.one_of(_VARS, _TERMS), _TERMS),
                 min_size=1, max_size=4))
 def test_printers_match_the_recursive_reference(eqs):

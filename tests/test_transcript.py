@@ -94,6 +94,9 @@ COMMANDS = [
       "--budget", "10", "--trace"], ""),
     # semantics with some 200 escape warnings, in their order
     (["semantics", P + "regex.colp", P + "regex.univ"], ""),
+    # equal query variables: the first answer is X = [], Y = _, Z = Y
+    (["run", P + "lists.colp", "append(X, Y, Z).", "--answers", "3",
+      "--budget", "12"], ""),
 ]
 
 
