@@ -4,6 +4,7 @@ over finite universes, and engine-vs-oracle cross checks."""
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import IO, Optional
 
@@ -209,6 +210,7 @@ def cmd_check(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process; parse_args leaves it as it is
 def build_arg_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--mode", choices=sorted(MODES), default="flexible")

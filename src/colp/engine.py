@@ -20,7 +20,9 @@ Each clause is compiled to a Template once per program, the one the oracle
 grounds, and sorted into tables once per program and mode.  A clause or
 hypothesis whose principal functors clash with the atom's is skipped, and
 so is a ground hypothesis that failed a solve before, once its key shows
-that its value differs from the ground atom's.
+that its value differs from the ground atom's.  Keys are exact: a query
+keeps one store for all its sweeps, and a ground atom's or answer's key is
+its values' ids there (equations.value_key).
 
 Each sweep keeps a table of failed re-derivations of ground atoms.  Such a
 re-derivation has no hypotheses and runs on the inner clause tables, so
@@ -41,7 +43,8 @@ from dataclasses import dataclass
 from typing import IO, Iterator, Optional
 
 from .equations import (EMPTY_SOLVED, BuiltinTypeError, SolvedForm,
-                        arith_value, holds, rational_values, solve)
+                        _minimise, _unfold, arith_value, holds,
+                        rational_values, solve, value_key)
 from .parser import Query, atom_to_str
 from .terms import (Atom, Clause, Num, Program, Var, fresh_rename,
                     identical, is_builtin, principal, signatures)
@@ -141,25 +144,23 @@ class _Hyp:
         self.failed = False  # a later atom's solve against it failed
         self._key = () if None in heads else None
 
-    def key(self) -> tuple:
-        """(hash,) of the canonical table of the argument values where the
-        atom was made, or () if one was not ground; built at most once.
-        Equal values have equal tables, so unequal keys mean unequal
-        values; a hash keeps a long value's key small."""
+    def key(self, store: dict) -> tuple:
+        """The exact key of the argument values where the atom was made,
+        or () if one was not ground; built at most once."""
         if self._key is None:
-            table = _ground_table(self.solved, self.atom.args)
-            self._key = (hash(table),) if table else ()
+            self._key = _ground_table(self.solved, self.atom.args, store) or ()
             self.solved = None  # the key was all it was kept for
         return self._key
 
 
-def _ground_table(solved: SolvedForm, args: tuple) -> Optional[tuple]:
-    """(nodes, roots) of the canonical table of the arguments' values, or
-    None if one is not ground."""
-    nodes, roots = rational_values(solved, args)
+def _ground_table(solved: SolvedForm, args: tuple,
+                  store: dict) -> Optional[tuple]:
+    """The exact key of the arguments' values in the store (see
+    equations.value_key), or None if one is not ground."""
+    nodes, roots = _unfold(solved, args)
     if any(k == "v" for k, _, _ in nodes):
         return None
-    return nodes, tuple(roots)
+    return value_key(nodes, roots, store)
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,12 +189,12 @@ class _Redo:
         self.done = False  # the atom was re-derived
         self._key: Optional[tuple] = None
 
-    def key(self) -> tuple:
-        """(pred, nodes, roots) of the canonical table of the atom's
-        argument values, or () if one is not ground; built at most once."""
+    def key(self, store: dict) -> tuple:
+        """The predicate and the exact key of the atom's argument values,
+        or () if one is not ground; built at most once."""
         if self._key is None:
-            table = _ground_table(self.solved, self.atom.args)
-            self._key = (self.atom.pred,) + table if table else ()
+            table = _ground_table(self.solved, self.atom.args, store)
+            self._key = () if table is None else (self.atom.pred,) + table
         return self._key
 
 
@@ -205,7 +206,9 @@ def eval_builtin(atom: Atom, solved: SolvedForm) -> Optional[SolvedForm]:
     a, b = atom.args
     if pred == "=":
         return solve([(a, b)], solved)
-    nodes, (ra, rb) = rational_values(solved, atom.args)
+    # arithmetic reads any node table; \= compares ids, so needs a minimal one
+    unfold = rational_values if pred == "\\=" else _unfold
+    nodes, (ra, rb) = unfold(solved, atom.args)
     if pred == "is":
         return solve([(a, Num(arith_value(nodes, rb)))], solved)
     if pred == "\\=" and any(k == "v" for k, _, _ in nodes):
@@ -216,9 +219,10 @@ def eval_builtin(atom: Atom, solved: SolvedForm) -> Optional[SolvedForm]:
 class _Run:
     """One depth-first sweep at a fixed budget."""
 
-    def __init__(self, tables: tuple, budget: int, prefer: str,
+    def __init__(self, tables: tuple, store: dict, budget: int, prefer: str,
                  diagnostics: list[str], trace: Optional[IO[str]]):
         self.outer, self.inner, self.has_co = tables
+        self.store = store  # the query's values, for keys
         self.budget = budget
         self.prefer = prefer
         self.diagnostics = diagnostics
@@ -289,15 +293,15 @@ class _Run:
             cohyps = []
             # without coclauses, no co-hyp move reads the hypotheses
             if self.has_co and not frame.inner:
-                made = _Hyp(atom, heads, solved)
+                made, store = _Hyp(atom, heads, solved), self.store
                 dup = False
                 for hyp in frame.hyps:
                     other = hyp.atom
                     if ((other.pred, len(other.args)) != sig
                             or _clash(hyp.heads, heads)):
                         continue
-                    if (hyp.failed and made.key() and hyp.key()
-                            and made.key() != hyp.key()):
+                    if (hyp.failed and made.key(store) and hyp.key(store)
+                            and made.key(store) != hyp.key(store)):
                         continue  # ground and unequal
                     after = solve(zip(atom.args, other.args), solved)
                     if after is None:
@@ -341,7 +345,7 @@ class _Run:
     def _tabled(self, redo: _Redo, depth: int) -> bool:
         """Is the re-derivation's outcome known from the failure table?  A
         skipped one that would hit the wall prunes the sweep."""
-        bounds = redo.key() and self.failed.get(redo.key())
+        bounds = self.failed.get(redo.key(self.store))
         if not bounds:
             return False
         walled = redo.left <= bounds[0]
@@ -358,20 +362,25 @@ class _Run:
     def _record(self, redo: _Redo) -> None:
         """Table a re-derivation that failed, unless a type error was
         raised below it or its atom is not ground."""
-        if redo.done or redo.errors != self.errors or not redo.key():
+        if redo.done or redo.errors != self.errors or not redo.key(self.store):
             return
-        bounds = self.failed.setdefault(redo.key(), [-1, self.budget + 1])
+        bounds = self.failed.setdefault(redo.key(self.store),
+                                        [-1, self.budget + 1])
         if redo.walls != self.walls:
             bounds[0] = max(bounds[0], redo.left)
         else:
             bounds[1] = min(bounds[1], redo.left)
 
 
-def _answer_key(solved: SolvedForm, qvars: tuple[Var, ...]) -> tuple:
+def _answer_key(solved: SolvedForm, qvars: tuple[Var, ...],
+                store: dict) -> tuple:
     """Equality-up-to-renaming key for one answer: the query variables'
-    values in one canonical table, with free leaves renamed in node order,
-    which is their order of first appearance."""
-    nodes, roots = rational_values(solved, qvars)
+    values' exact key in the store when all are ground, else their table
+    with free leaves renamed in node order, their order of appearance."""
+    nodes, roots = _unfold(solved, qvars)
+    if all(k != "v" for k, _, _ in nodes):
+        return value_key(nodes, roots, store)
+    nodes, roots = _minimise(nodes, roots)
     names: dict[str, str] = {}
     return tuple(roots), tuple(
         (k, names.setdefault(p, f"?{len(names)}"), kids) if k == "v"
@@ -399,12 +408,14 @@ def run_query(prog: Program, query: Query, cfg: Config,
     frames = tuple(Frame(a, (), False, 0) for a in query.atoms)
 
     def generate() -> Iterator[SolvedForm]:
+        store: dict = {}
         seen: set = set()
         emitted = 0
         for level in _budget_levels(cfg):
-            run = _Run(tables, level, cfg.prefer, outcome.diagnostics, trace)
+            run = _Run(tables, store, level, cfg.prefer, outcome.diagnostics,
+                       trace)
             for solved in run.solve_frames(frames, EMPTY_SOLVED):
-                key = _answer_key(solved, query.variables)
+                key = _answer_key(solved, query.variables, store)
                 if key in seen:
                     continue
                 seen.add(key)

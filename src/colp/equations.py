@@ -10,13 +10,13 @@ finitely representable.
 
 A value is a regular tree, held as an id in a minimal node table: a finite
 term graph of (kind, payload, child ids) nodes, no two of which unfold to
-the same tree.  rational_values builds every value and ends in _minimise.
-A table numbered in preorder from root 0, such as
+the same tree.  rational_values builds one: _unfold makes a raw table and
+_minimise merges it.  A table numbered in preorder from root 0, such as
 rational_values(solved, [t])[0], is the canonical form of a value, so
-tuple equality is value equality.  The readers match, arith_value and
-holds take any minimal node table and a root in it: the joint table
-rational_values builds for several terms, or the store of node ids the
-oracle keeps for a finite universe.
+tuple equality is value equality.  A store, a caller's dict from nodes to
+ids, hash-conses finite values across calls (value_key).  match and holds
+take a minimal table and a root in it: the joint table of several terms,
+or the oracle's store for a finite universe; arith_value reads any table.
 """
 from __future__ import annotations
 
@@ -124,10 +124,15 @@ def solve(eqs: Iterable[EqPair],
 
 def rational_values(solved: SolvedForm,
                     terms: Sequence[Term]) -> tuple[tuple, list[int]]:
-    """Unfold terms through a solved form into one minimal node table, and
-    the id of each term's value in it.  Each reached term object is one
-    node, keyed by identity: that closes cycles, as they run through the
-    one binding object of a variable, and _minimise merges the rest."""
+    """The minimal node table of the terms' values, and the id of each."""
+    return _minimise(*_unfold(solved, terms))
+
+
+def _unfold(solved: SolvedForm,
+            terms: Sequence[Term]) -> tuple[list, list[int]]:
+    """Unfold terms through a solved form into one node table, one node per
+    term object reached, which closes cycles, as they run through the one
+    binding object of a variable; and the id of each term's value in it."""
     nodes: list = []
     memo: dict[int, int] = {}
 
@@ -147,26 +152,43 @@ def rational_values(solved: SolvedForm,
             nodes[i] = ("n", t.value, ())
         else:
             nodes[i] = ("f", t.functor, tuple(map(node, t.args)))
-    return _minimise(nodes, roots)
+    return nodes, roots
 
 
 def _minimise(nodes: list, roots=(0,)) -> tuple[tuple, list[int]]:
-    """The minimal graph reachable from the roots, numbered as _number
-    does, and the id of each root."""
-    return _number(nodes, _classes(nodes, roots), roots)
+    """The minimal table of the graph at the roots, numbered by _number."""
+    block = _classes(nodes, roots, {})
+    return _number(nodes, _refine(nodes) if block is None else block, roots)
 
 
-def _classes(nodes: list, roots: Iterable[int] = (0,)) -> list[int]:
-    """Classes of the nodes reachable from the roots by the tree they
-    unfold to.
+def value_key(nodes: list, roots: Sequence[int], store: dict) -> tuple:
+    """The values at the roots of a node table, exactly: their ids in the
+    store when all are finite, else their canonical (roots, nodes)."""
+    block = _classes(nodes, roots, store)
+    if block is not None:
+        return tuple(block[r] for r in roots)
+    table, ids = _number(nodes, _refine(nodes), roots)
+    return tuple(ids), table
 
-    A post-order pass hash-conses nodes on (kind, payload, child classes);
-    on an acyclic graph that merges exactly the nodes that unfold alike.
-    The first back edge sends the whole graph to partition refinement.
-    """
-    block = [-1] * len(nodes)
+
+def _classes(nodes: list, roots: Iterable[int],
+             store: dict) -> Optional[list[int]]:
+    """The id in the store of each node reachable from the roots, or None
+    at the first back edge.  The store maps (kind, payload, child ids) to
+    ids in insertion order, so on an acyclic graph two nodes get one id
+    exactly when they unfold alike.  Leaves go in first; a pass from the
+    last node back settles nodes while their children are settled; a
+    post-order walk settles the rest."""
+    block = [store.setdefault(n, len(store)) if not n[2] else -1
+             for n in nodes]
+    for i in range(len(nodes) - 1, -1, -1):
+        kind, payload, kids = nodes[i]
+        if kids:
+            key = tuple([block[c] for c in kids])
+            if -1 in key:
+                break
+            block[i] = store.setdefault((kind, payload, key), len(store))
     entered = [False] * len(nodes)
-    classes: dict[tuple, int] = {}
     stack = list(roots)[::-1]
     while stack:
         i = stack[-1]
@@ -178,11 +200,11 @@ def _classes(nodes: list, roots: Iterable[int] = (0,)) -> list[int]:
             entered[i] = True
             for c in kids:
                 if entered[c] and block[c] < 0:  # c is on the current path
-                    return _refine(nodes)
+                    return None
             stack.extend(reversed(kids))
             continue
         key = (kind, payload, tuple(block[c] for c in kids))
-        block[i] = classes.setdefault(key, len(classes))
+        block[i] = store.setdefault(key, len(store))
         stack.pop()
     return block
 
@@ -312,8 +334,9 @@ def arith_value(nodes: Sequence[tuple], root: int = 0) -> int:
 
 
 def holds(pred: str, nodes: Sequence[tuple], a: int, b: int) -> bool:
-    """Truth of a builtin on the ids of two ground values in a minimal node
-    table; raises BuiltinTypeError outside the builtin's contract."""
+    """Truth of a builtin on the ids of two ground values in a node table,
+    which must be minimal for = and \\= (they compare ids); raises
+    BuiltinTypeError outside the builtin's contract."""
     if pred == "=":
         return a == b
     if pred == "\\=":
@@ -321,4 +344,3 @@ def holds(pred: str, nodes: Sequence[tuple], a: int, b: int) -> bool:
     if pred == "is":
         return nodes[a] == ("n", arith_value(nodes, b), ())
     return COMPARE[pred](arith_value(nodes, a), arith_value(nodes, b))
-

@@ -131,15 +131,10 @@ def _iter_vars(x) -> Iterator[Var]:
             raise TypeError(f"cannot collect variables from {x!r}")
 
 
-def vars_of(x) -> set[Var]:
-    """All variables occurring in a term, atom, clause, equation pair, or any
-    nesting of those in tuples/lists/sets."""
-    return set(_iter_vars(x))
-
-
 def ordered_vars(x) -> list[Var]:
-    """Like vars_of but in first-occurrence order (only meaningful for
-    ordered containers)."""
+    """All variables occurring in a term, atom, clause, equation pair, or any
+    nesting of those in tuples/lists/sets, in first-occurrence order (only
+    meaningful for ordered containers)."""
     return list(dict.fromkeys(_iter_vars(x)))
 
 

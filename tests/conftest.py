@@ -6,16 +6,15 @@ import pytest
 from hypothesis import settings
 
 from colp.engine import (BUDGET_EXHAUSTED, COMPLETE, FINITELY_FAILED, Config,
-                         Outcome, _answer_key, _budget_levels, apply_mode,
-                         eval_builtin, run_query)
+                         Outcome, _budget_levels, apply_mode, eval_builtin,
+                         run_query)
 from colp.equations import (EMPTY_SOLVED, BuiltinTypeError, SolvedForm,
                             _minimise, arith_value, rational_values, solve)
 from colp.parser import (_INFIX_GOALS, _PREC, _SYMBOLS, Tok, atom_to_str,
                          parse_program, parse_query, print_answer)
 from colp.semantics import GroundAtom, GroundRule
 from colp.terms import (NIL, Atom, Clause, Compound, Num, Term, Var, cons,
-                        is_builtin, map_leaves, ordered_vars, signatures,
-                        vars_of)
+                        is_builtin, map_leaves, ordered_vars, signatures)
 
 PROGRAMS_DIR = Path(__file__).resolve().parent.parent / "programs"
 
@@ -65,6 +64,23 @@ def make_list(items, tail=NIL):
 def value(solved, t):
     """The canonical table of a term's value under a solved form."""
     return rational_values(solved, [t])[0]
+
+
+def vars_of(x):
+    """All variables occurring in a term, atom, clause, or any nesting of
+    those in tuples, lists and sets."""
+    return set(ordered_vars(x))
+
+
+def answer_key_by_table(solved, qvars):
+    """Reference for engine._answer_key, comparable across runs: the query
+    variables' values in one canonical table, with free leaves renamed in
+    node order, which is their order of first appearance."""
+    nodes, roots = rational_values(solved, qvars)
+    names: dict[str, str] = {}
+    return tuple(roots), tuple(
+        (k, names.setdefault(p, f"?{len(names)}"), kids) if k == "v"
+        else (k, p, kids) for k, p, kids in nodes)
 
 
 def eq_vars(solved):
@@ -720,7 +736,7 @@ def reference_run_query(prog, query, cfg, trace=None, tabled=True):
             run = ReferenceRun(applied, level, cfg.prefer,
                                outcome.diagnostics, trace, tabled)
             for solved in run.solve_frames(frames, EMPTY_SOLVED):
-                key = _answer_key(solved, query.variables)
+                key = answer_key_by_table(solved, query.variables)
                 if key in seen:
                     continue
                 seen.add(key)

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 
 from colp.engine import (BUDGET_EXHAUSTED, COMPLETE, FINITELY_FAILED, MODES,
-                         Config, _answer_key, apply_mode, eval_builtin,
-                         run_query)
+                         Config, apply_mode, eval_builtin, run_query)
 from colp.equations import EMPTY_SOLVED
 from colp.parser import Query, parse_program, parse_query, print_answer
 from colp.semantics import Universe, universe_instantiations
 from colp.terms import Atom, Clause, Num, Program, Var, map_leaves
 
-from conftest import PROGRAMS_DIR, answers, eq_vars, load_program, value
+from conftest import (PROGRAMS_DIR, answer_key_by_table, answers, eq_vars,
+                      load_program, value)
 
 
 # --- plain SLD behaviour (no coclauses) ---------------------------------
@@ -267,7 +267,7 @@ def test_answer_set_ignores_strategy_preference_and_clause_order(name, text):
                     cfg = Config(mode=mode, strategy=strategy, budget=16,
                                  prefer=prefer)
                     outcome = run_query(p, q, cfg)
-                    sets.add(frozenset(_answer_key(a, q.variables)
+                    sets.add(frozenset(answer_key_by_table(a, q.variables)
                                        for a in outcome.answers))
                     assert outcome.exhaustion != BUDGET_EXHAUSTED
         assert len(sets) == 1, (mode, len(sets))
@@ -300,9 +300,9 @@ def test_answers_ignore_variable_names(name, text):
             for prefer in ("cohyp", "step"):
                 cfg = Config(mode=mode, strategy=strategy, budget=16,
                              prefer=prefer)
-                keys = [_answer_key(a, q.variables)
+                keys = [answer_key_by_table(a, q.variables)
                         for a in run_query(prog, q, cfg).answers]
-                assert keys == [_answer_key(a, rq.variables)
+                assert keys == [answer_key_by_table(a, rq.variables)
                                 for a in run_query(renamed, rq, cfg).answers]
 
 

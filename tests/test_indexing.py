@@ -16,10 +16,10 @@ from colp.equations import EMPTY_SOLVED, rational_values, solve
 from colp.parser import parse_program, parse_query
 from colp.semantics import Universe, compute_semantics
 from colp.terms import (Atom, Compound, Num, Template, fresh_rename,
-                        principal, vars_of)
+                        principal)
 
-from conftest import (PROGRAMS_DIR, fresh_rename_by_walk, load_program,
-                      reference_run_query)
+from conftest import (PROGRAMS_DIR, answer_key_by_table, fresh_rename_by_walk,
+                      is_ground, load_program, reference_run_query, vars_of)
 from test_acceptance import random_ground_program
 from test_equations import (X, Y, Z, _compounds, atoms_, numbers,
                             terms_strategy)
@@ -31,7 +31,7 @@ def transcript(run, prog, query_text, cfg):
     query = parse_query(query_text)
     trace = io.StringIO()
     outcome = run(prog, query, cfg, trace)
-    keys = [_answer_key(s, query.variables) for s in outcome.answers]
+    keys = [answer_key_by_table(s, query.variables) for s in outcome.answers]
     return trace.getvalue(), keys, outcome.exhaustion, outcome.diagnostics
 
 
@@ -148,74 +148,130 @@ def test_failed_ground_hypotheses_are_told_apart_by_key(monkeypatch):
     assert len(calls) <= 2 * 61
 
 
-def test_a_failed_hypothesis_with_a_colliding_key_still_solves(monkeypatch):
+def _spy_on_pairs(monkeypatch, pairs):
+    """Record, for each solve the engine makes, which of the given pairs
+    of ground values (name -> pair of terms) its equations hold."""
+    want = {name: [rational_values(EMPTY_SOLVED, [t]) for t in pair]
+            for name, pair in pairs.items()}
+    met = []
+
+    def spy(eqs, base):
+        eqs = list(eqs)
+        for pair in eqs:
+            values = [rational_values(base, [t]) for t in pair]
+            met.extend(name for name, w in want.items() if values == w)
+        return solve(eqs, base)
+
+    monkeypatch.setattr(engine, "solve", spy)
+    return met
+
+
+def g(n):
+    return Compound("g", (Num(n), Num(0)))
+
+
+def test_a_failed_hypothesis_with_an_unequal_key_skips_solve(monkeypatch):
     """p(g(-2, 0)) fails against the hypothesis p(g(-1, 0)), which marks it
-    failed.  The second s(g(-2, 0)) meets it again; hash(-1) == hash(-2),
-    so the keys are equal and the pair goes to solve, which fails again."""
+    failed.  The second s(g(-2, 0)) meets it again; the keys are exact, so
+    they differ although hash(-1) == hash(-2), and the pair skips solve."""
     prog = parse_program("p(g(A, B)) :- C is A - 1, s(g(C, B)), s(g(C, B)).\n"
                          "s(X) :- p(X).\ns(X).\np(X) :~.\n")
     text = "A is 0 - 1, p(g(A, 0))."
     for strategy in ("dfs", "iddfs"):
         assert_same_run(prog, text, Config(strategy=strategy, budget=8))
-    g = [(Compound("g", (Num(n), Num(0))),) for n in (-2, -1)]
-    assert key(EMPTY_SOLVED, g[0]) == key(EMPTY_SOLVED, g[1])
-    want = [rational_values(EMPTY_SOLVED, t) for t in g]
-    met = []
-
-    def spy(eqs, base):
-        eqs = list(eqs)
-        met.extend([rational_values(base, [t]) for t in pair] == want
-                   for pair in eqs)
-        return solve(eqs, base)
-
-    monkeypatch.setattr(engine, "solve", spy)
+    store = {}
+    assert key(EMPTY_SOLVED, (g(-2),), store) != key(EMPTY_SOLVED, (g(-1),),
+                                                     store)
+    met = _spy_on_pairs(monkeypatch, {"unequal": (g(-2), g(-1))})
     outcome = run_query(prog, parse_query(text),
                         Config(strategy="dfs", budget=8))
     assert len(list(outcome.answers)) == 1
-    # the first solve of the pair marks the hypothesis failed; the rest
-    # are the equal keys falling through
-    assert sum(met) >= 2
+    # only the solve that marks the hypothesis failed
+    assert met == ["unequal"]
+
+
+def test_a_failed_hypothesis_still_solves_against_an_equal_value(
+        monkeypatch):
+    """Once p(g(-2, 0)) has failed against the hypothesis p(g(-1, 0)), the
+    last s(g(-1, 0)) meets it with an equal key, so the pair goes to solve
+    and the loop closes."""
+    prog = parse_program("p(g(A, B)) :- C is A - 1, s(g(C, B)), s(g(A, B)).\n"
+                         "s(X) :- p(X).\ns(X).\np(X) :~.\n")
+    text = "A is 0 - 1, p(g(A, 0))."
+    for strategy in ("dfs", "iddfs"):
+        assert_same_run(prog, text, Config(strategy=strategy, budget=8))
+    met = _spy_on_pairs(monkeypatch, {"unequal": (g(-2), g(-1)),
+                                      "equal": (g(-1), g(-1))})
+    outcome = run_query(prog, parse_query(text),
+                        Config(strategy="dfs", budget=8))
+    assert list(outcome.answers)
+    assert "equal" in met[met.index("unequal"):]
 
 
 # --- keys ------------------------------------------------------------------
 
-def key(solved, args):
+def key(solved, args, store):
     heads = tuple(principal(solved.walk(a)) for a in args)
-    return _Hyp(Atom("p", args), heads, solved).key()
+    return _Hyp(Atom("p", args), heads, solved).key(store)
 
 
 # a value for each of X, Y and Z, so every term over them is ground; the
 # values may refer back to the variables, so they are often cyclic
 bound_terms = st.one_of(numbers, atoms_, _compounds(terms_strategy))
+term_pairs = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(*[st.tuples(terms_strategy, terms_strategy)] * n))
 
 
 @settings(max_examples=150, deadline=None)
-@example((Num(0), Num(0), Num(0)),  # hash(-1) == hash(-2): one key, no unifier
-         ((Compound("g", (Num(-1), X)), Compound("g", (Num(-2), X))),))
-@given(st.tuples(bound_terms, bound_terms, bound_terms),
-       st.integers(1, 3).flatmap(
-           lambda n: st.tuples(*[st.tuples(terms_strategy, terms_strategy)]
-                               * n)))
+@given(st.tuples(bound_terms, bound_terms, bound_terms), term_pairs)
 def test_ground_keys_are_equal_when_solve_unifies(values, pairs):
-    """Equal values have equal keys.  A key is a hash, so unequal values
-    may share one too; the engine then falls through to solve."""
+    """Equal values have equal keys, in one store."""
     solved = solve(zip((X, Y, Z), values))
     a = tuple(x for x, _ in pairs)
     b = tuple(y for _, y in pairs)
     # the same values reached through one more binding
     unfolded = tuple(solved.walk(x) for x in a)
-    ka = key(solved, a)
+    store = {}
+    ka = key(solved, a, store)
     assert ka
-    assert key(solved, unfolded) == ka
+    assert key(solved, unfolded, store) == ka
     if solve(zip(a, b), solved) is not None:
-        assert key(solved, b) == ka
+        assert key(solved, b, store) == ka
+
+
+@settings(max_examples=200, deadline=None)
+@example((Num(0), Num(0), Num(0)),  # hash(-1) == hash(-2), unequal values
+         ((Compound("g", (Num(-1), X)), Compound("g", (Num(-2), X))),))
+@given(st.tuples(*[st.one_of(st.none(), bound_terms)] * 3), term_pairs)
+def test_keys_in_one_store_are_equal_exactly_when_values_are(values, pairs):
+    """Within one store, two tuples of terms get equal hypothesis keys
+    exactly when their values' tables are equal, and equal answer keys
+    exactly when the tables are equal up to renaming of free leaves.  The
+    variables left unbound (None) make open values; a key made again is
+    the same.  Ids from two stores are never compared."""
+    solved = solve((v, t) for v, t in zip((X, Y, Z), values) if t is not None)
+    a = tuple(x for x, _ in pairs)
+    b = tuple(y for _, y in pairs)
+    store = {}
+    ka, kb = key(solved, a, store), key(solved, b, store)
+    assert key(solved, a, store) == ka
+    ta, tb = rational_values(solved, a), rational_values(solved, b)
+    if is_ground(ta[0]) and is_ground(tb[0]):
+        assert ka and kb and (ka == kb) == (ta == tb)
+    else:
+        assert not (ka and kb)
+    answers = [_answer_key(solved, t, store) for t in (a, b, a)]
+    assert answers[0] == answers[2]
+    assert (answers[0] == answers[1]) == (
+        answer_key_by_table(solved, a) == answer_key_by_table(solved, b))
 
 
 def test_keys_are_empty_for_non_ground_arguments():
     solved = solve([(X, Compound("f", (Y,)))])
-    assert key(solved, (X,)) == ()
-    assert key(solved, (Y,)) == ()
-    assert key(EMPTY_SOLVED, (Num(1), Compound("g", (Z,)))) == ()
+    store = {}
+    assert key(solved, (X,), store) == ()
+    assert key(solved, (Y,), store) == ()
+    assert key(EMPTY_SOLVED, (Num(1), Compound("g", (Z,))), store) == ()
 
 
 # --- compiled renaming ------------------------------------------------------

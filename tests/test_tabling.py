@@ -10,10 +10,10 @@ from hypothesis import given, settings
 
 from colp import engine
 from colp.engine import (BUDGET_EXHAUSTED, MODES, PREFERENCES, STRATEGIES,
-                         Config, _answer_key, run_query)
+                         Config, run_query)
 from colp.parser import parse_program, parse_query
 
-from conftest import load_program, reference_run_query
+from conftest import answer_key_by_table, load_program, reference_run_query
 from test_acceptance import random_ground_program
 from test_indexing import QUERIES, assert_same_run, transcript
 
@@ -26,7 +26,7 @@ def outcome(run, prog, query_text, cfg):
     """Answer keys, exhaustion and diagnostics of an untraced run."""
     query = parse_query(query_text)
     got = run(prog, query, cfg, None)
-    keys = [_answer_key(s, query.variables) for s in got.answers]
+    keys = [answer_key_by_table(s, query.variables) for s in got.answers]
     return keys, got.exhaustion, got.diagnostics
 
 

@@ -1,9 +1,9 @@
 import itertools
 
 from colp.terms import (NIL, Atom, Clause, Compound, Num, Template, Var,
-                        cons, fresh_rename, is_builtin, ordered_vars, vars_of)
+                        cons, fresh_rename, is_builtin, ordered_vars)
 
-from conftest import make_list
+from conftest import make_list, vars_of
 
 
 def test_make_list_builds_cons_chain():

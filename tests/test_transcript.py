@@ -97,6 +97,11 @@ COMMANDS = [
     # equal query variables: the first answer is X = [], Y = _, Z = Y
     (["run", P + "lists.colp", "append(X, Y, Z).", "--answers", "3",
       "--budget", "12"], ""),
+    # repeated answers are keyed by value ids and printed once
+    (["run", P + "lists.colp", "member(X, [0,1,0,2,1]).", "--answers", "8"],
+     ""),
+    # a type error from arithmetic over an unminimised cyclic table
+    (["run", P + "lists.colp", "X = 1 + (1 + X), Y is X."], ""),
 ]
 
 
