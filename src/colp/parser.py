@@ -10,6 +10,13 @@ anonymous and fresh at each occurrence.  Lists are sugar over '.'/2 and [].
 `%` comments to end of line.  The infix builtins  =  \\=  <  >  =<  >=  is
 are goal-level only; + - * build terms anywhere and are evaluated by is.
 
+A term is an integer, a variable, a name with or without an argument list
+f(t1, ..., tn), a list [t1, ..., tn | t], a term in parentheses, -t for t
+one of these, or terms joined by the operators of _PREC, where a lower
+number binds tighter and every operator associates to the left.  Terms
+are parsed in one loop on a stack of the constructs still open, so their
+depth is bounded by memory, not by the recursion limit.
+
 One renderer, render, prints every value from a node table on a stack:
 answers, trace lines, terms and the oracle's escape warnings.  _unfold
 builds the table of terms under a solved form, in the shape written.
@@ -17,7 +24,9 @@ builds the table of terms under a solved form, in the shape written.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
+from itertools import count
 from typing import Sequence
 
 from .terms import (Atom, BUILTIN_ARITIES, BUILTIN_NAMES, Clause, Compound,
@@ -28,6 +37,8 @@ _SYMBOLS = [":-", ":~", "?-", "\\=", "=<", ">=",
             "=", "<", ">", "(", ")", "[", "]", "|", ",", ".", "+", "-", "*"]
 
 _INFIX_GOALS = {name for name, arity in BUILTIN_ARITIES if arity == 2}
+# the binary operators, for parsing and printing: a lower number binds tighter
+_PREC = {"+": 500, "-": 500, "*": 400}
 
 # One alternative per token kind, tried in this order at each position.  A
 # trailing comment is part of end of input, which keeps the column of its %.
@@ -137,84 +148,71 @@ class _Parser:
 
     # -- terms ------------------------------------------------------------
 
-    def term(self) -> Term:
-        left = self.mul_term()
-        while self.peek().kind == "sym" and self.peek().text in ("+", "-"):
-            op = self.next().text
-            right = self.mul_term()
-            left = Compound(op, (left, right))
-        return left
-
-    def mul_term(self) -> Term:
-        left = self.primary()
-        while self.at_sym("*"):
-            self.next()
-            right = self.primary()
-            left = Compound("*", (left, right))
-        return left
-
-    def primary(self) -> Term:
-        t = self.peek()
-        if t.kind == "int":
-            try:
-                value = int(t.text)
-            except ValueError:  # beyond int()'s limit on decimal digits
-                self.fail(f"integer literal of {len(t.text)} digits is too long")
-            self.next()
-            return Num(value)
-        if t.kind == "sym" and t.text == "-":
-            self.next()
-            inner = self.primary()
-            if isinstance(inner, Num):
-                return Num(-inner.value)
-            return Compound("-", (inner,))
-        if t.kind == "var":
-            self.next()
-            if t.text == "_":
-                self.anon += 1
-                return Var(f"_#{self.anon}", 0)
-            return Var(t.text, 0)
-        if t.kind == "atom":
-            self.next()
-            if self.at_sym("("):
-                return Compound(t.text, self.arg_list())
-            return Compound(t.text, ())
-        if t.kind == "sym" and t.text == "[":
-            return self.list_term()
-        if t.kind == "sym" and t.text == "(":
-            self.next()
-            inner = self.term()
-            self.expect_sym(")")
-            return inner
-        self.fail(f"expected a term, found {t.text or 'end of input'!r}")
-
-    def arg_list(self) -> tuple[Term, ...]:
-        self.expect_sym("(")
-        args = [self.term()]
-        while self.at_sym(","):
-            self.next()
-            args.append(self.term())
-        self.expect_sym(")")
-        return tuple(args)
-
-    def list_term(self) -> Term:
-        self.expect_sym("[")
-        if self.at_sym("]"):
-            self.next()
-            return NIL
-        items = [self.term()]
-        while self.at_sym(","):
-            self.next()
-            items.append(self.term())
-        tail: Term = NIL
-        if self.at_sym("|"):
-            self.next()
-            tail = self.term()
-        self.expect_sym("]")
-        out = tail
-        for item in reversed(items):
-            out = cons(item, out)
-        return out
+    def term(self, maxprec: int = 999) -> Term:
+        """A term with no operator looser than maxprec outside brackets.
+        The stack holds each construct still open: None for a unary minus,
+        an operator waiting for its right operand, or a bracket as (closing
+        symbol, functor, index in out of its first item), where the functor
+        is "" for parentheses, "." for a list and "|" for a list's tail."""
+        out: list[Term] = []
+        stack: list = [("", "", 0)]  # the term itself, closed by any token
+        while True:
+            t = self.peek()  # unary minus signs and brackets, then an operand
+            if t.text == "]" and stack[-1] == ("]", ".", len(out)):
+                pass  # an empty list, closed below
+            elif t.kind == "int":
+                try:
+                    out.append(Num(int(t.text)))
+                except ValueError:  # beyond int()'s limit on decimal digits
+                    self.fail(f"integer literal of {len(t.text)} digits is too long")
+                self.next()
+            elif t.kind not in ("var", "atom") and t.text not in ("-", "(", "["):
+                self.fail(f"expected a term, found {t.text or 'end of input'!r}")
+            elif self.next().text == "-":  # t is consumed from here on
+                stack.append(None)
+                continue
+            elif t.kind == "var":
+                self.anon += t.text == "_"
+                out.append(Var(f"_#{self.anon}" if t.text == "_" else t.text, 0))
+            elif t.kind == "atom" and not self.at_sym("("):
+                out.append(Compound(t.text, ()))
+            else:
+                if t.kind == "atom":
+                    self.next()
+                stack.append(("]", ".", len(out)) if t.text == "[" else
+                             (")", "" if t.text == "(" else t.text, len(out)))
+                continue
+            while True:  # an operand is complete, or an empty list
+                while stack[-1] is None:
+                    x = out[-1]
+                    out[-1] = Num(-x.value) if x.__class__ is Num else Compound("-", (x,))
+                    stack.pop()
+                t = self.peek()
+                prec = _PREC.get(t.text, 1000)  # not an operator: above any ceiling
+                while stack[-1] in _PREC and _PREC[stack[-1]] <= prec:
+                    right = out.pop()
+                    out[-1] = Compound(stack.pop(), (out[-1], right))
+                if prec <= (maxprec if len(stack) == 1 else 999):
+                    stack.append(self.next().text)
+                    break
+                close, functor, start = stack[-1]
+                if not close:
+                    return out[0]
+                if (t.text == "," and functor not in ("", "|")
+                        or t.text == "|" and functor == "."):
+                    if self.next().text == "|":
+                        stack[-1] = ("]", "|", start)
+                    break
+                self.expect_sym(close)
+                stack.pop()
+                items, out[start:] = out[start:], []
+                if functor in (".", "|"):
+                    tail = items.pop() if functor == "|" else NIL
+                    for item in reversed(items):
+                        tail = cons(item, tail)
+                    out.append(tail)
+                else:
+                    out.append(Compound(functor, tuple(items)) if functor else items[0])
 
     # -- goals and clauses --------------------------------------------------
 
@@ -242,10 +240,8 @@ class _Parser:
         t = self.peek()
         if t.kind != "atom":
             self.fail(f"expected a clause head, found {t.text or 'end of input'!r}")
-        self.next()
-        if self.at_sym("("):
-            return Atom(t.text, self.arg_list())
-        return Atom(t.text, ())
+        h = self.term(0)
+        return Atom(h.functor, h.args)
 
     def clause(self) -> tuple[Clause, bool]:
         """One clause; the flag says whether it is a coclause."""
@@ -338,9 +334,6 @@ def parse_term_text(text: str, origin: str = "<term>") -> Term:
 # ---------------------------------------------------------------------------
 # Printing
 # ---------------------------------------------------------------------------
-
-_PREC = {"+": 500, "-": 500, "*": 400}
-
 
 def render(nodes: Sequence[tuple], root: int = 0,
            depth: float = float("inf")) -> str:
@@ -469,11 +462,19 @@ def print_answer(solved: SolvedForm, qvars: Sequence[Var]) -> str:
     """Render an answer restricted to the query variables, one line each.
 
     A cyclic value names the variable that closes the cycle, L = [1,2|L];
-    an unbound variable prints as _, and no query variables as `true`.
+    an unbound variable prints as _, and no query variables as `true`.  An
+    anonymous variable that occurs more than once is named _1, _2, ... in
+    order of first appearance, skipping the query's own names.
     """
     if not qvars:
         return "true"
     nodes, roots = _unfold(qvars, solved)
+    anon = Counter(p for k, p, _ in nodes if k == "v" and p.startswith("_#"))
+    anon.subtract(v.display() for v in qvars if solved.walk(v) == v)  # as _
+    taken = {v.display() for v in qvars}
+    names = (name for i in count(1) if (name := f"_{i}") not in taken)
+    shared = {p: next(names) for p, n in anon.items() if n > 1}
+    nodes = [(k, shared.get(p, p), c) for k, p, c in nodes] if shared else nodes
     lines = []
     for v, root in zip(qvars, roots):
         rhs = "_" if solved.walk(v) == v else render(nodes, root)

@@ -1,4 +1,5 @@
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -10,8 +11,9 @@ from colp.engine import (BUDGET_EXHAUSTED, COMPLETE, FINITELY_FAILED, Config,
                          run_query)
 from colp.equations import (EMPTY_SOLVED, BuiltinTypeError, SolvedForm,
                             _minimise, arith_value, rational_values, solve)
-from colp.parser import (_INFIX_GOALS, _PREC, _SYMBOLS, Tok, atom_to_str,
-                         parse_program, parse_query, print_answer)
+from colp import parser
+from colp.parser import (_INFIX_GOALS, _PREC, _SYMBOLS, Tok, _Parser,
+                         atom_to_str, parse_program, parse_query, print_answer)
 from colp.semantics import GroundAtom, GroundRule
 from colp.terms import (NIL, Atom, Clause, Compound, Num, Term, Var, cons,
                         is_builtin, map_leaves, ordered_vars, signatures)
@@ -208,16 +210,28 @@ def atom_str_by_recursion(a, solved=EMPTY_SOLVED):
 
 
 def answer_by_recursion(solved, qvars):
-    """Reference for parser.print_answer."""
+    """Reference for parser.print_answer: each bound query variable's value
+    as a term tree, with an anonymous variable that occurs in more than one
+    place renamed _1, _2, ..., skipping the query's names."""
     if not qvars:
         return "true"
+    values = [None if solved.walk(v) == v else _unfold(v, solved, {})
+              for v in qvars]
+    leaves: list[Term] = []
+    for t in values:
+        if t is not None:
+            map_leaves(t, leaves.append)
+    anon = [x for x in leaves if isinstance(x, Var) and x.name.startswith("_#")]
+    taken = {v.display() for v in qvars}
+    names = (n for n in (f"_{i}" for i in itertools.count(1)) if n not in taken)
+    shared: dict[Term, Term] = {}
+    for x in anon:
+        if anon.count(x) > 1 and x not in shared:
+            shared[x] = Var(next(names), 0)
     lines = []
-    for v in qvars:
-        w = solved.walk(v)
-        if isinstance(w, Var):
-            rhs = "_" if w == v else term_str_by_recursion(w)
-        else:
-            rhs = term_str_by_recursion(_unfold(v, solved, {}))
+    for v, t in zip(qvars, values):
+        rhs = "_" if t is None else term_str_by_recursion(
+            map_leaves(t, lambda x: shared.get(x, x)))
         lines.append(f"{v.display()} = {rhs}")
     return "\n".join(lines)
 
@@ -274,6 +288,114 @@ def lex_by_characters(text: str) -> list[Tok]:
             col += 1
     toks.append(Tok("eof", "", line, col))
     return toks
+
+
+# The term parser colp had before the one precedence loop: five mutually
+# recursive methods, which recurse once per nested bracket or sign.
+
+class RecursiveParser(_Parser):
+    """Reference for parser._Parser.term and head, through
+    recursive_parser()."""
+
+    def term(self) -> Term:
+        left = self.mul_term()
+        while self.peek().kind == "sym" and self.peek().text in ("+", "-"):
+            op = self.next().text
+            right = self.mul_term()
+            left = Compound(op, (left, right))
+        return left
+
+    def mul_term(self) -> Term:
+        left = self.primary()
+        while self.at_sym("*"):
+            self.next()
+            right = self.primary()
+            left = Compound("*", (left, right))
+        return left
+
+    def primary(self) -> Term:
+        t = self.peek()
+        if t.kind == "int":
+            try:
+                value = int(t.text)
+            except ValueError:  # beyond int()'s limit on decimal digits
+                self.fail(f"integer literal of {len(t.text)} digits is too long")
+            self.next()
+            return Num(value)
+        if t.kind == "sym" and t.text == "-":
+            self.next()
+            inner = self.primary()
+            if isinstance(inner, Num):
+                return Num(-inner.value)
+            return Compound("-", (inner,))
+        if t.kind == "var":
+            self.next()
+            if t.text == "_":
+                self.anon += 1
+                return Var(f"_#{self.anon}", 0)
+            return Var(t.text, 0)
+        if t.kind == "atom":
+            self.next()
+            if self.at_sym("("):
+                return Compound(t.text, self.arg_list())
+            return Compound(t.text, ())
+        if t.kind == "sym" and t.text == "[":
+            return self.list_term()
+        if t.kind == "sym" and t.text == "(":
+            self.next()
+            inner = self.term()
+            self.expect_sym(")")
+            return inner
+        self.fail(f"expected a term, found {t.text or 'end of input'!r}")
+
+    def arg_list(self) -> tuple[Term, ...]:
+        self.expect_sym("(")
+        args = [self.term()]
+        while self.at_sym(","):
+            self.next()
+            args.append(self.term())
+        self.expect_sym(")")
+        return tuple(args)
+
+    def list_term(self) -> Term:
+        self.expect_sym("[")
+        if self.at_sym("]"):
+            self.next()
+            return NIL
+        items = [self.term()]
+        while self.at_sym(","):
+            self.next()
+            items.append(self.term())
+        tail: Term = NIL
+        if self.at_sym("|"):
+            self.next()
+            tail = self.term()
+        self.expect_sym("]")
+        out = tail
+        for item in reversed(items):
+            out = cons(item, out)
+        return out
+
+    def head(self) -> Atom:
+        t = self.peek()
+        if t.kind != "atom":
+            self.fail(f"expected a clause head, found {t.text or 'end of input'!r}")
+        self.next()
+        if self.at_sym("("):
+            return Atom(t.text, self.arg_list())
+        return Atom(t.text, ())
+
+
+@contextmanager
+def recursive_parser():
+    """parse_program, parse_query and parse_term_text on RecursiveParser
+    while the block runs."""
+    saved = parser._Parser
+    parser._Parser = RecursiveParser
+    try:
+        yield
+    finally:
+        parser._Parser = saved
 
 
 def free_leaf_names(values):

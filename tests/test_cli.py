@@ -1,10 +1,12 @@
 import io
+import sys
 from types import SimpleNamespace
 
 from colp import cli
 from colp.engine import BUDGET_EXHAUSTED, COMPLETE
 from colp.equations import solve
-from colp.terms import Compound
+from colp.parser import parse_term_text
+from colp.terms import NIL, Compound, Num
 
 from conftest import PROGRAMS_DIR
 
@@ -227,6 +229,43 @@ def test_semantics_over_long_elements_within_the_recursion_limit(tmp_path):
         "warning: instance escapes the universe: zeros on "
         "[0,0,0,0,0,0,0,...|...]\n"
         "warning: instance escapes the universe: zeros on [0|z]\n")
+
+
+def test_deep_terms_parse_and_run_under_a_recursion_limit_of_150(tmp_path):
+    """Terms are parsed on a stack, so nesting depth is bounded by memory,
+    not by the recursion limit."""
+    n = 10 ** 4
+    fs = "f(" * n + "0" + ")" * n
+    prog = tmp_path / "deep.colp"
+    prog.write_text(f"neg(X) :- X is {'-' * n}1.\n"
+                    "nat(z).\nnat(s(X)) :- nat(X).\nloop(X) :- loop(X).\n")
+    univ = tmp_path / "deep.univ"
+    univ.write_text("z\nd := " + "s(" * n + "z" + ")" * n + "\n")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        query = run_cli(["run", LISTS, f"X = {fs}."])
+        minus = run_cli(["run", str(prog), "neg(X)."])
+        tables = run_cli(["semantics", str(prog), str(univ)])
+        check = run_cli(["check", str(prog), str(univ), "nat(X).",
+                         "--budget", "4"])
+        lists = parse_term_text("[" * 10 ** 5 + "]" * 10 ** 5)
+        parens = parse_term_text("(" * 10 ** 5 + "0" + ")" * 10 ** 5)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert query == (0, f"X = {fs}\n", "")
+    assert minus == (0, "X = 1\n", "")
+    assert tables == (
+        0, "Ind: nat(z)\nCoInd: loop(d), loop(z), nat(z)\nReg: nat(z)\n",
+        "warning: instance escapes the universe: nat on s(z)\n"
+        "warning: instance escapes the universe: nat on "
+        "s(s(s(s(s(s(s(s(...))))))))\n")
+    assert check == (0, "PASS\n", "")
+    assert parens == Num(0)
+    for _ in range(10 ** 5 - 1):
+        assert lists.functor == "." and lists.args[1] == NIL
+        lists = lists.args[0]
+    assert lists == NIL
 
 
 def test_unifying_long_equal_lists_within_the_recursion_limit():

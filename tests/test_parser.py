@@ -10,11 +10,12 @@ from colp.parser import (_SYMBOLS, SyntaxErrors, _lex, atom_to_str,
                          clause_to_str, parse_program, parse_query,
                          parse_term_text, print_answer, program_to_str,
                          term_to_str)
-from colp.terms import NIL, Atom, Compound, Num, Var, cons, ordered_vars
+from colp.terms import (NIL, Atom, Clause, Compound, Num, Var, cons,
+                        map_leaves, ordered_vars)
 
 from conftest import (PROGRAMS_DIR, answer_by_recursion,
                       atom_str_by_recursion, lex_by_characters, make_list,
-                      term_str_by_recursion)
+                      recursive_parser, term_str_by_recursion)
 
 
 def test_facts_rules_and_coclauses():
@@ -44,12 +45,19 @@ def test_arithmetic_precedence():
     t = parse_term_text("1 + 2 * 3 - 4")
     plus = Compound("+", (Num(1), Compound("*", (Num(2), Num(3)))))
     assert t == Compound("-", (plus, Num(4)))
+    assert parse_term_text("1-2-3") == Compound(
+        "-", (Compound("-", (Num(1), Num(2))), Num(3)))
 
 
 def test_unary_minus_folds_numbers():
-    assert parse_term_text("-3") == Num(-3)
+    for text in ["-3", "- 3", "-(3)"]:
+        assert parse_term_text(text) == Num(-3)
+    assert parse_term_text("--3") == Num(3)
     t = parse_term_text("1 - -3")
     assert t == Compound("-", (Num(1), Num(-3)))
+    fa = Compound("f", (Compound("a", ()),))
+    assert parse_term_text("-f(a)*2") == Compound(
+        "*", (Compound("-", (fa,)), Num(2)))
 
 
 def test_infix_goals_become_atoms():
@@ -133,11 +141,113 @@ def test_missing_final_dot():
         parse_program("p(a)")
 
 
-def test_term_printer_round_trips():
-    for text in ["f(X, [a], 1+2)", "[1,2|L]", "[]", "[[1],[]]",
-                 "(1+2)*3", "1+2*3", "-(1)", "s(s(z))", "max(1, 2)"]:
-        t = parse_term_text(text)
-        assert parse_term_text(term_to_str(t)) == t
+# --- the precedence loop against the recursive parser it replaced ---------
+
+def _term_texts(kids):
+    args = st.lists(kids, min_size=1, max_size=3)
+    return st.one_of(
+        st.tuples(kids, st.sampled_from(["+", "-", "*", " - "]), kids).map(
+            "".join),
+        kids.map(lambda t: "-" + t),
+        kids.map(lambda t: f"({t})"),
+        st.tuples(st.sampled_from(["f", "is", "s"]), args).map(
+            lambda fa: f"{fa[0]}({', '.join(fa[1])})"),
+        st.tuples(args, st.one_of(st.just(""), kids.map("|".__add__))).map(
+            lambda it: f"[{','.join(it[0])}{it[1]}]"))
+
+
+_TERM_TEXT = st.recursive(
+    st.sampled_from(["a", "nil", "X", "_", "_A", "0", "12", "[]"]),
+    _term_texts, max_leaves=12)
+# tokens a mutation may put in: every symbol, words, numbers, a bad character
+# and an integer too long for int()
+_MUTANTS = _SYMBOLS + ["a", "f", "X", "_", "7", "$", "9" * 5000]
+
+
+@st.composite
+def _mutated_term_texts(draw):
+    """Term text with at most one token deleted, inserted or replaced."""
+    toks = [t.text for t in _lex(draw(_TERM_TEXT))[:-1]]
+    i = draw(st.integers(0, len(toks)))
+    edit = draw(st.sampled_from(["keep", "delete", "insert", "replace"]))
+    if edit == "insert" or (edit == "replace" and i < len(toks)):
+        toks[i:i + (edit == "replace")] = [draw(st.sampled_from(_MUTANTS))]
+    elif edit == "delete":
+        del toks[i:i + 1]
+    return draw(st.sampled_from([" ", ""])).join(toks)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except SyntaxErrors as e:
+        return [(i.message, i.line, i.col) for i in e.issues]
+
+
+@settings(max_examples=400, deadline=None)
+@example("(a, b)")  # a parenthesis holds one term
+@example("[a|b, c]")  # a list's tail is its last item
+@example("p(X+1)")  # brackets in a head take the argument ceiling, not 0
+@example("- 3")
+@example("-(3)")
+@example("--3")
+@example("-f(a)*2")
+@example("1-2-3")
+@example("[[]|[]]")
+@example("f(")
+@example("[a,]")
+@given(_mutated_term_texts())
+def test_the_precedence_loop_matches_the_recursive_parser(text):
+    for parse, source in [
+            (parse_term_text, text),
+            (parse_query, f"?- X = {text}, p({text})."),
+            (parse_program, f"{text} :- q({text}).\nr({text}) :~ {text}.\n"),
+            (parse_program, f"{text}.\n{text} :~.\nr :- s({text}.\n")]:
+        new = _parsed(parse, source)
+        with recursive_parser():
+            assert new == _parsed(parse, source)
+
+
+def test_brackets_and_heads_keep_their_errors():
+    assert _parsed(parse_term_text, "(a, b)") == [
+        ("expected ')', found ','", 1, 3)]
+    assert _parsed(parse_term_text, "[a|b, c]") == [
+        ("expected ']', found ','", 1, 5)]
+    head = parse_program("p(X+1).").clauses[0].head
+    assert head == Atom("p", (Compound("+", (Var("X", 0), Num(1))),))
+    assert _parsed(parse_program, "p+1.") == [
+        ("expected '.', ':-' or ':~' after the clause head", 1, 2)]
+
+
+@settings(max_examples=300, deadline=None)
+@example("f(X, [a], 1+2)")
+@example("[1,2|L]")
+@example("[]")
+@example("[[1],[]]")
+@example("(1+2)*3")
+@example("1+2*3")
+@example("-(1)")
+@example("s(s(z))")
+@example("max(1, 2)")
+@given(_TERM_TEXT)
+def test_term_printer_round_trips(text):
+    t = parse_term_text(text)
+    assert parse_term_text(term_to_str(t)) == t
+
+
+def _numbered_by_appearance(clauses):
+    """The clauses with their anonymous variables numbered afresh, in order
+    of appearance."""
+    names: dict = {}
+
+    def leaf(x):
+        if isinstance(x, Var) and x.name.startswith("_#"):
+            return Var(names.setdefault(x, f"_#{len(names) + 1}"), 0)
+        return x
+
+    def atom(a):
+        return Atom(a.pred, tuple(map_leaves(t, leaf) for t in a.args))
+    return [Clause(atom(c.head), tuple(map(atom, c.body))) for c in clauses]
 
 
 def test_program_printer_round_trips_corpus():
@@ -146,6 +256,9 @@ def test_program_printer_round_trips_corpus():
         text = program_to_str(prog)
         again = parse_program(text)
         assert program_to_str(again) == text
+        for old, new in [(prog.clauses, again.clauses),
+                         (prog.coclauses, again.coclauses)]:
+            assert _numbered_by_appearance(new) == _numbered_by_appearance(old)
 
 
 def test_clause_and_atom_rendering():
@@ -170,6 +283,14 @@ def test_print_answer_unbound_and_aliased():
     out = run_query(prog, q, Config())
     text = print_answer(next(iter(out.answers)), q.variables)
     assert text.splitlines() == ["A = _", "B = A", "C = _"]
+
+
+def test_print_answer_names_shared_anonymous_variables():
+    q = parse_query("X = f(_, _1, _), Y = X, Z = g(_).")
+    out = run_query(parse_program(""), q, Config())
+    text = print_answer(next(iter(out.answers)), q.variables)
+    assert text.splitlines() == [
+        "X = f(_2, _1, _3)", "_1 = _", "Y = f(_2, _1, _3)", "Z = g(_)"]
 
 
 def test_print_answer_cyclic_binding():

@@ -102,6 +102,8 @@ COMMANDS = [
      ""),
     # a type error from arithmetic over an unminimised cyclic table
     (["run", P + "lists.colp", "X = 1 + (1 + X), Y is X."], ""),
+    # one anonymous variable in two answer lines is named _1 in both
+    (["run", P + "lists.colp", "X = f(_), Y = X."], ""),
 ]
 
 
