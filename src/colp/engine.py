@@ -20,9 +20,10 @@ Each clause is compiled to a Template once per program, the one the oracle
 grounds, and sorted into tables once per program and mode.  A clause or
 hypothesis whose principal functors clash with the atom's is skipped, and
 so is a ground hypothesis that failed a solve before, once its key shows
-that its value differs from the ground atom's.  Keys are exact: a query
-keeps one store for all its sweeps, and a ground atom's or answer's key is
-its values' ids there (equations.value_key).
+that its value differs from the ground atom's.  A value is read as
+equations._unfold's raw table, for arithmetic, or through value_key, for
+every key; \\= is the failure of solve.  Keys are exact: a query keeps one
+store for all its sweeps, where a key holds values' ids (value_key).
 
 Each sweep keeps a table of failed re-derivations of ground atoms.  Such a
 re-derivation has no hypotheses and runs on the inner clause tables, so
@@ -42,9 +43,8 @@ import itertools
 from dataclasses import dataclass
 from typing import IO, Iterator, Optional
 
-from .equations import (EMPTY_SOLVED, BuiltinTypeError, SolvedForm,
-                        _minimise, _unfold, arith_value, holds,
-                        rational_values, solve, value_key)
+from .equations import (EMPTY_SOLVED, BuiltinTypeError, SolvedForm, _unfold,
+                        arith_value, holds, solve, value_key)
 from .parser import Query, atom_to_str
 from .terms import (Atom, Clause, Num, Program, Var, fresh_rename,
                     identical, is_builtin, principal, signatures)
@@ -145,22 +145,20 @@ class _Hyp:
         self._key = () if None in heads else None
 
     def key(self, store: dict) -> tuple:
-        """The exact key of the argument values where the atom was made,
-        or () if one was not ground; built at most once."""
+        """The atom's _ground_key where it was made; built at most once."""
         if self._key is None:
-            self._key = _ground_table(self.solved, self.atom.args, store) or ()
+            self._key = _ground_key(self.atom, self.solved, store)
             self.solved = None  # the key was all it was kept for
         return self._key
 
 
-def _ground_table(solved: SolvedForm, args: tuple,
-                  store: dict) -> Optional[tuple]:
-    """The exact key of the arguments' values in the store (see
-    equations.value_key), or None if one is not ground."""
-    nodes, roots = _unfold(solved, args)
+def _ground_key(atom: Atom, solved: SolvedForm, store: dict) -> tuple:
+    """The predicate and the exact key of the atom's argument values in the
+    store (see equations.value_key), or () if one is not ground."""
+    nodes, roots = _unfold(solved, atom.args)
     if any(k == "v" for k, _, _ in nodes):
-        return None
-    return value_key(nodes, roots, store)
+        return ()
+    return (atom.pred, *value_key(nodes, roots, store))
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,11 +188,9 @@ class _Redo:
         self._key: Optional[tuple] = None
 
     def key(self, store: dict) -> tuple:
-        """The predicate and the exact key of the atom's argument values,
-        or () if one is not ground; built at most once."""
+        """The atom's _ground_key; built at most once."""
         if self._key is None:
-            table = _ground_table(self.solved, self.atom.args, store)
-            self._key = () if table is None else (self.atom.pred,) + table
+            self._key = _ground_key(self.atom, self.solved, store)
         return self._key
 
 
@@ -206,14 +202,14 @@ def eval_builtin(atom: Atom, solved: SolvedForm) -> Optional[SolvedForm]:
     a, b = atom.args
     if pred == "=":
         return solve([(a, b)], solved)
-    # arithmetic reads any node table; \= compares ids, so needs a minimal one
-    unfold = rational_values if pred == "\\=" else _unfold
-    nodes, (ra, rb) = unfold(solved, atom.args)
+    nodes, (ra, rb) = _unfold(solved, atom.args)
     if pred == "is":
         return solve([(a, Num(arith_value(nodes, rb)))], solved)
-    if pred == "\\=" and any(k == "v" for k, _, _ in nodes):
+    if pred != "\\=":
+        return solved if holds(pred, nodes, ra, rb) else None
+    if any(k == "v" for k, _, _ in nodes):
         raise BuiltinTypeError("\\= needs ground arguments")
-    return solved if holds(pred, nodes, ra, rb) else None
+    return solved if solve([(a, b)], solved) is None else None
 
 
 class _Run:
@@ -374,17 +370,15 @@ class _Run:
 
 def _answer_key(solved: SolvedForm, qvars: tuple[Var, ...],
                 store: dict) -> tuple:
-    """Equality-up-to-renaming key for one answer: the query variables'
-    values' exact key in the store when all are ground, else their table
-    with free leaves renamed in node order, their order of appearance."""
+    """Equality-up-to-renaming key for one answer: the exact key in the
+    store of the query variables' values, with free leaves renamed 0, 1,
+    ... in table order.  _unfold's table is breadth-first, so that is their
+    first appearance level by level in the values, whatever the sharing."""
     nodes, roots = _unfold(solved, qvars)
-    if all(k != "v" for k, _, _ in nodes):
-        return value_key(nodes, roots, store)
-    nodes, roots = _minimise(nodes, roots)
-    names: dict[str, str] = {}
-    return tuple(roots), tuple(
-        (k, names.setdefault(p, f"?{len(names)}"), kids) if k == "v"
-        else (k, p, kids) for k, p, kids in nodes)
+    names: dict[str, int] = {}
+    nodes = [("v", names.setdefault(n[1], len(names)), ()) if n[0] == "v"
+             else n for n in nodes]
+    return value_key(nodes, roots, store)
 
 
 def _budget_levels(cfg: Config) -> list[int]:

@@ -8,15 +8,17 @@ map from variables to terms whose right-hand sides may refer back to bound
 variables; cycles through compounds are exactly how infinite solutions stay
 finitely representable.
 
-A value is a regular tree, held as an id in a minimal node table: a finite
-term graph of (kind, payload, child ids) nodes, no two of which unfold to
-the same tree.  rational_values builds one: _unfold makes a raw table and
-_minimise merges it.  A table numbered in preorder from root 0, such as
-rational_values(solved, [t])[0], is the canonical form of a value, so
-tuple equality is value equality.  A store, a caller's dict from nodes to
-ids, hash-conses finite values across calls (value_key).  match and holds
-take a minimal table and a root in it: the joint table of several terms,
-or the oracle's store for a finite universe; arith_value reads any table.
+A value is a regular tree, held as an id in a node table: a finite term
+graph of (kind, payload, child ids) nodes.  _unfold builds the raw table of
+terms under a solved form, one node per term object reached; arith_value
+reads it as it is, and so does match on the pattern side.  value_key gives
+the values at roots of a table their exact key in a store, a caller's dict
+from nodes to ids that hash-conses finite values across calls: their ids
+when all are finite, else a cyclic value's canonical table.
+rational_values minimises a table once, for a finite universe: no two of
+its nodes unfold to the same tree, so there tuple equality is value
+equality.  match takes such a minimal table as its target, and holds
+compares ids in one for the oracle's = and \\=.
 """
 from __future__ import annotations
 
@@ -124,8 +126,11 @@ def solve(eqs: Iterable[EqPair],
 
 def rational_values(solved: SolvedForm,
                     terms: Sequence[Term]) -> tuple[tuple, list[int]]:
-    """The minimal node table of the terms' values, and the id of each."""
-    return _minimise(*_unfold(solved, terms))
+    """The minimal node table of the terms' values, numbered by _number,
+    and the id of each."""
+    nodes, roots = _unfold(solved, terms)
+    block = _classes(nodes, roots, {})
+    return _number(nodes, _refine(nodes) if block is None else block, roots)
 
 
 def _unfold(solved: SolvedForm,
@@ -153,12 +158,6 @@ def _unfold(solved: SolvedForm,
         else:
             nodes[i] = ("f", t.functor, tuple(map(node, t.args)))
     return nodes, roots
-
-
-def _minimise(nodes: list, roots=(0,)) -> tuple[tuple, list[int]]:
-    """The minimal table of the graph at the roots, numbered by _number."""
-    block = _classes(nodes, roots, {})
-    return _number(nodes, _refine(nodes) if block is None else block, roots)
 
 
 def value_key(nodes: list, roots: Sequence[int], store: dict) -> tuple:
@@ -253,8 +252,9 @@ def match(pattern: Sequence[tuple], proot: int, nodes: Sequence[tuple],
     node turns that tree into the tree at root; else None.
 
     A coinductive pair walk: a pair under comparison is assumed to match
-    while its children are compared.  The table is minimal, so a leaf
-    reached at two different nodes would need two different values.
+    while its children are compared, so the pattern may be any table, such
+    as _unfold's.  The target is minimal, so a leaf reached at two
+    different nodes would need two different values.
     """
     at: dict[str, int] = {}
     seen: set[tuple[int, int]] = set()
@@ -335,8 +335,9 @@ def arith_value(nodes: Sequence[tuple], root: int = 0) -> int:
 
 def holds(pred: str, nodes: Sequence[tuple], a: int, b: int) -> bool:
     """Truth of a builtin on the ids of two ground values in a node table,
-    which must be minimal for = and \\= (they compare ids); raises
-    BuiltinTypeError outside the builtin's contract."""
+    which must be minimal for = and \\=, as they compare ids: only the
+    oracle's store is.  Raises BuiltinTypeError outside the builtin's
+    contract."""
     if pred == "=":
         return a == b
     if pred == "\\=":

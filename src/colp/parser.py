@@ -13,9 +13,11 @@ are goal-level only; + - * build terms anywhere and are evaluated by is.
 A term is an integer, a variable, a name with or without an argument list
 f(t1, ..., tn), a list [t1, ..., tn | t], a term in parentheses, -t for t
 one of these, or terms joined by the operators of _PREC, where a lower
-number binds tighter and every operator associates to the left.  Terms
-are parsed in one loop on a stack of the constructs still open, so their
-depth is bounded by memory, not by the recursion limit.
+number binds tighter and every operator associates to the left.  A minus
+sign just before an integer token makes a negative integer: -3 and - 3 are
+integers, -(3) and --3 compounds, and render prints them back so.  Terms are
+parsed in one loop on a stack of the constructs still open, so their depth
+is bounded by memory, not by the recursion limit.
 
 One renderer, render, prints every value from a node table on a stack:
 answers, trace lines, terms and the oracle's escape warnings.  _unfold
@@ -158,11 +160,15 @@ class _Parser:
         stack: list = [("", "", 0)]  # the term itself, closed by any token
         while True:
             t = self.peek()  # unary minus signs and brackets, then an operand
+            sign = t.text == "-" and self.toks[self.pos + 1].kind == "int"
+            if sign:  # -3 and - 3 are integers, -(3) and --3 are not
+                self.next()
+                t = self.peek()
             if t.text == "]" and stack[-1] == ("]", ".", len(out)):
                 pass  # an empty list, closed below
             elif t.kind == "int":
                 try:
-                    out.append(Num(int(t.text)))
+                    out.append(Num(-int(t.text) if sign else int(t.text)))
                 except ValueError:  # beyond int()'s limit on decimal digits
                     self.fail(f"integer literal of {len(t.text)} digits is too long")
                 self.next()
@@ -184,8 +190,7 @@ class _Parser:
                 continue
             while True:  # an operand is complete, or an empty list
                 while stack[-1] is None:
-                    x = out[-1]
-                    out[-1] = Num(-x.value) if x.__class__ is Num else Compound("-", (x,))
+                    out[-1] = Compound("-", (out[-1],))
                     stack.pop()
                 t = self.peek()
                 prec = _PREC.get(t.text, 1000)  # not an operator: above any ceiling
@@ -370,7 +375,10 @@ def render(nodes: Sequence[tuple], root: int = 0,
             stack += [(kids[1], depth - 1, prec, True, p),
                       (kids[0], depth - 1, prec, False, before)]
         elif p == "-" and len(kids) == 1:
-            stack.append((kids[0], depth - 1, 0, False, before + "-"))
+            if depth > 1 and nodes[kids[0]][0] == "n":  # -(3): -3 is an int
+                stack += [")", (kids[0], depth - 1, 999, False, before + "-(")]
+            else:
+                stack.append((kids[0], depth - 1, 0, False, before + "-"))
         else:
             stack.append(")")
             stack += [(c, depth - 1, 999, False, ", ") for c in kids[:0:-1]]

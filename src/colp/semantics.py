@@ -20,8 +20,9 @@ the store, and the store outlives the grounding pass.  Builtins read ids as
 well, through the equations.holds the engine uses: = and \\= compare ids,
 is compares the node at an id with the computed number, and arithmetic
 reads the store's nodes.  Escape warnings render straight from the store
-through parser.render, and check matches the joint table of each engine
-answer against the store, so a value is always an id in a node table.
+through parser.render, and check matches the raw table of each engine
+answer (equations._unfold) against the store, so a value is always an id
+in a node table.  Only a universe is minimised (equations.rational_values).
 CoInd is sought inside the rules' conclusions: any X in T(X) lies there.
 
 Assignments are searched by an odometer over the variables in
@@ -36,11 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .equations import (BuiltinTypeError, SolvedForm, holds, match,
+from .equations import (BuiltinTypeError, SolvedForm, _unfold, holds, match,
                         rational_values, solve)
 from .parser import Query, SyntaxErrors, parse_term_text, render
 from .terms import (BUILTIN_ARITIES, Atom, Clause, Compound, Num, Program,
-                    Template, Term, Var, map_leaves, run_ops)
+                    Template, Term, Var, is_builtin, map_leaves, run_ops)
 
 # a ground atom is (predicate, universe element indexes)
 GroundAtom = tuple[str, tuple[int, ...]]
@@ -346,29 +347,35 @@ def compute_semantics(prog: Program, u: Universe) -> SemanticsResult:
 
 
 def regular_answers(query: Query, u: Universe,
-                    reg: frozenset) -> frozenset:
+                    reg: Optional[frozenset]) -> frozenset:
     """Ground answers to a query: assignments of its variables to universe
     elements (anonymous variables enumerated but projected away) under which
     builtins hold and every other atom lies in the given interpretation.
+    With no interpretation, the assignments under which every atom but the
+    builtins lies in the universe: the query instances the oracle judges.
 
     The query is ground as the clause  ?-(V1, ..., Vn) :- query atoms  over
     its named variables; an answer is the head of an instance whose
     premises all lie in the interpretation.
     """
-    clause = Clause(Atom("?-", query.variables), query.atoms)
-    rules, _ = ground_instances([Template(clause)], u)
-    return frozenset(r.conclusion[1] for r in rules if r.premises <= reg)
+    atoms = tuple(a for a in query.atoms
+                  if reg is not None or not is_builtin(a))
+    rules, _ = ground_instances(
+        [Template(Clause(Atom("?-", query.variables), atoms))], u)
+    return frozenset(r.conclusion[1] for r in rules
+                     if reg is None or r.premises <= reg)
 
 
 def universe_instantiations(solved: SolvedForm, qvars: Sequence[Var],
                             u: Universe) -> frozenset:
     """All ways an engine answer lands inside the universe, when each free
     variable leaf becomes one universe element throughout.  The query
-    variables' values are built into one table, and each is matched against
-    the store at the root of each element, which fixes the node of each
-    leaf; a match stands when every leaf's node is the root of an element.
-    The matches of the query variables are then joined on shared leaves."""
-    nodes, vroots = rational_values(solved, qvars)
+    variables' values are unfolded into one raw table, and each is matched
+    against the store at the root of each element, which fixes the node of
+    each leaf; a match stands when every leaf's node is the root of an
+    element.  The matches of the query variables are then joined on shared
+    leaves."""
+    nodes, vroots = _unfold(solved, qvars)
     joined: list[tuple[tuple[int, ...], dict[str, int]]] = [((), {})]
     for vroot in vroots:
         options = []

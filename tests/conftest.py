@@ -10,7 +10,8 @@ from colp.engine import (BUDGET_EXHAUSTED, COMPLETE, FINITELY_FAILED, Config,
                          Outcome, _budget_levels, apply_mode, eval_builtin,
                          run_query)
 from colp.equations import (EMPTY_SOLVED, BuiltinTypeError, SolvedForm,
-                            _minimise, arith_value, rational_values, solve)
+                            _number, _refine, arith_value, rational_values,
+                            solve)
 from colp import parser
 from colp.parser import (_INFIX_GOALS, _PREC, _SYMBOLS, Tok, _Parser,
                          atom_to_str, parse_program, parse_query, print_answer)
@@ -66,6 +67,12 @@ def make_list(items, tail=NIL):
 def value(solved, t):
     """The canonical table of a term's value under a solved form."""
     return rational_values(solved, [t])[0]
+
+
+def minimal(nodes):
+    """The minimal table of the graph at node 0 of a node table, numbered
+    as a value."""
+    return _number(nodes, _refine(nodes), (0,))[0]
 
 
 def vars_of(x):
@@ -161,6 +168,8 @@ def _term_str(t: Term, maxprec: int, right: bool) -> str:
             return f"({s})"
         return s
     if t.functor == "-" and len(t.args) == 1:
+        if isinstance(t.args[0], Num):  # -3 would read back as an integer
+            return f"-({t.args[0].value})"
         inner = _term_str(t.args[0], 0, False)
         return f"-{inner}"
     if not t.args:
@@ -291,7 +300,8 @@ def lex_by_characters(text: str) -> list[Tok]:
 
 
 # The term parser colp had before the one precedence loop: five mutually
-# recursive methods, which recurse once per nested bracket or sign.
+# recursive methods, which recurse once per nested bracket or sign.  Its
+# unary minus folds only into an integer token, as the loop's does.
 
 class RecursiveParser(_Parser):
     """Reference for parser._Parser.term and head, through
@@ -315,19 +325,20 @@ class RecursiveParser(_Parser):
 
     def primary(self) -> Term:
         t = self.peek()
+        sign = t.text == "-" and self.toks[self.pos + 1].kind == "int"
+        if sign:  # only a minus sign just before an integer token folds
+            self.next()
+            t = self.peek()
         if t.kind == "int":
             try:
                 value = int(t.text)
             except ValueError:  # beyond int()'s limit on decimal digits
                 self.fail(f"integer literal of {len(t.text)} digits is too long")
             self.next()
-            return Num(value)
+            return Num(-value if sign else value)
         if t.kind == "sym" and t.text == "-":
             self.next()
-            inner = self.primary()
-            if isinstance(inner, Num):
-                return Num(-inner.value)
-            return Compound("-", (inner,))
+            return Compound("-", (self.primary(),))
         if t.kind == "var":
             self.next()
             if t.text == "_":
@@ -432,7 +443,7 @@ def rational_value_by_recursion(solved, t):
         return idx
 
     build(t)
-    return _minimise(nodes)[0]
+    return minimal(nodes)
 
 
 def substitute(r, mapping):
@@ -453,7 +464,7 @@ def substitute(r, mapping):
     for i, (kind, payload, kids) in enumerate(r):
         if kids:
             nodes[i] = (kind, payload, tuple(target.get(c, c) for c in kids))
-    return _minimise(nodes)[0]
+    return minimal(nodes)
 
 
 def bisimilar(r1, r2):

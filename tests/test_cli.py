@@ -361,6 +361,29 @@ def test_check_reports_unsound_answers(monkeypatch):
                    "missing: X = omega\nFAIL\n")
 
 
+def test_check_leaves_instances_outside_the_universe_unjudged(tmp_path):
+    """p(f(a)) holds, but f(a) is not in the universe {a}."""
+    prog, univ = tmp_path / "p.colp", tmp_path / "a.univ"
+    prog.write_text("p(_).\n")
+    univ.write_text("a\n")
+    assert run_cli(["check", str(prog), str(univ), "p(f(X))."]) == (
+        0, "PASS\n", "not checked: X = a leaves the universe\n")
+
+
+def test_check_judges_the_instances_inside_the_universe(monkeypatch,
+                                                         tmp_path):
+    prog, univ = tmp_path / "p.colp", tmp_path / "u.univ"
+    prog.write_text("p(f(a)).\n")
+    univ.write_text("a\nb\nf(a)\nf(b)\n")
+    # X stays free; X = b falsifies the builtin, so it is judged and unsound
+    monkeypatch.setattr(
+        cli, "run_query", lambda *a, **k: stub_outcome([solve([])], COMPLETE))
+    assert run_cli(["check", str(prog), str(univ), "p(f(X)), X \\= b."]) == (
+        1, "unsound: X = _ instantiates to X = b outside Reg\nFAIL\n",
+        "not checked: X = f(a) leaves the universe\n"
+        "not checked: X = f(b) leaves the universe\n")
+
+
 def test_check_notes_budget_exhaustion_on_fail(monkeypatch):
     monkeypatch.setattr(
         cli, "run_query", lambda *a, **k: stub_outcome([], BUDGET_EXHAUSTED))

@@ -242,6 +242,11 @@ def test_ground_keys_are_equal_when_solve_unifies(values, pairs):
 @settings(max_examples=200, deadline=None)
 @example((Num(0), Num(0), Num(0)),  # hash(-1) == hash(-2), unequal values
          ((Compound("g", (Num(-1), X)), Compound("g", (Num(-2), X))),))
+# one open cyclic value, shared two ways: X = f(Z, X), Y = f(Z, f(Z, Y))
+@example((Compound("f", (Z, X)), Compound("f", (Z, Compound("f", (Z, Y)))),
+          None), ((X, Y),))
+@example((None, None, None),  # f(A, A) against f(A, B)
+         ((Compound("f", (X, X)), Compound("f", (X, Y))),))
 @given(st.tuples(*[st.one_of(st.none(), bound_terms)] * 3), term_pairs)
 def test_keys_in_one_store_are_equal_exactly_when_values_are(values, pairs):
     """Within one store, two tuples of terms get equal hypothesis keys

@@ -50,9 +50,11 @@ def test_arithmetic_precedence():
 
 
 def test_unary_minus_folds_numbers():
-    for text in ["-3", "- 3", "-(3)"]:
+    for text in ["-3", "- 3"]:
         assert parse_term_text(text) == Num(-3)
-    assert parse_term_text("--3") == Num(3)
+    # only a sign just before an integer token folds
+    assert parse_term_text("-(3)") == Compound("-", (Num(3),))
+    assert parse_term_text("--3") == Compound("-", (Num(-3),))
     t = parse_term_text("1 - -3")
     assert t == Compound("-", (Num(1), Num(-3)))
     fa = Compound("f", (Compound("a", ()),))
@@ -227,12 +229,28 @@ def test_brackets_and_heads_keep_their_errors():
 @example("(1+2)*3")
 @example("1+2*3")
 @example("-(1)")
+@example("-(-1)")
+@example("--1")
+@example("- 1")
+@example("-(-(1))*2")
+@example("1 - -1")
+@example("1 - -(1)")
 @example("s(s(z))")
 @example("max(1, 2)")
 @given(_TERM_TEXT)
 def test_term_printer_round_trips(text):
     t = parse_term_text(text)
     assert parse_term_text(term_to_str(t)) == t
+
+
+@pytest.mark.parametrize("text", [
+    "X = -Y, Y = 3.", "X = -Y, Y = -3.", "X = --3.", "X = [-(3), -3, - 3]."])
+def test_answers_over_unary_minus_read_back_as_their_values(text):
+    query = parse_query(text)
+    answer = next(iter(run_query(parse_program(""), query, Config()).answers))
+    printed = print_answer(answer, query.variables).replace("\n", ", ")
+    again = parse_query(f"{text[:-1]}, {printed}.")
+    assert list(run_query(parse_program(""), again, Config()).answers)
 
 
 def _numbered_by_appearance(clauses):

@@ -229,7 +229,7 @@ def node_tables(draw):
 
 LZ = (("f", ".", (1, 0)), ("n", 0, ()))  # lz = [0|lz]
 SUMS = (("f", "-", (1, 2)), ("f", "+", (3, 3)), ("f", "*", (4, 1)),
-        ("n", -1, ()), ("f", "-", (3,)))  # -1+-1---1*(-1+-1) at depth 9
+        ("n", -1, ()), ("f", "-", (3,)))  # -1+-1--(-1)*(-1+-1) at depth 9
 
 
 @settings(max_examples=500, deadline=None)
@@ -240,6 +240,8 @@ SUMS = (("f", "-", (1, 2)), ("f", "+", (3, 3)), ("f", "*", (4, 1)),
 @example(((("f", ".", (1, 2)), ("n", -2, ()), ("f", "[]", ())), 0), 1)
 @example((SUMS, 0), 9)
 @example((SUMS, 2), 3)
+@example((SUMS, 4), 1)  # -... : the cut number is not shown
+@example((SUMS, 4), 2)  # -(-1)
 @given(node_tables(), st.integers(0, 9))
 def test_rt_to_str_is_term_to_str_of_truncate(table, depth):
     nodes, root = table
@@ -528,6 +530,7 @@ answer_terms = st.recursive(
 @example("maxelem.univ", cons(Num(1), cons(Num(2), X)), cons(A, X))
 @example("maxelem.univ", cons(A, cons(B, Y)), cons(B, X))
 @example("open", cons(A, B), Compound("s", (A,)))     # A = 0 is outside
+@example("lists.univ", cons(Num(0), cons(Num(0), X)), A)  # unrolled lz
 @given(st.sampled_from(sorted(UNIVERSES)), answer_terms, answer_terms)
 def test_universe_instantiations_agree_with_enumeration(name, tx, ty):
     u = UNIVERSES[name]

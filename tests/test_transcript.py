@@ -104,6 +104,10 @@ COMMANDS = [
     (["run", P + "lists.colp", "X = 1 + (1 + X), Y is X."], ""),
     # one anonymous variable in two answer lines is named _1 in both
     (["run", P + "lists.colp", "X = f(_), Y = X."], ""),
+    # a unary minus over a number prints as -(3), which reads back as it
+    (["run", P + "lists.colp", "X = -Y, Y = 3."], ""),
+    (["run", P + "lists.colp", "X = -Y, Y = -3, Z is X * 2."], ""),
+    (["run", P + "lists.colp", "X = -(3), X = -3."], ""),
 ]
 
 
