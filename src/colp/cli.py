@@ -9,7 +9,7 @@ import sys
 from typing import IO, Optional
 
 from .engine import (BUDGET_EXHAUSTED, COMPLETE, FINITELY_FAILED, MODES,
-                     PREFERENCES, STRATEGIES, Config, apply_mode, run_query)
+                     PREFERENCES, STRATEGIES, Config, run_query)
 from .parser import (SyntaxErrors, parse_program, parse_query, print_answer)
 from .semantics import (Universe, UniverseError, compute_semantics,
                         regular_answers, universe_instantiations)
@@ -154,7 +154,7 @@ def cmd_semantics(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
     if loaded is None:
         return EXIT_ERROR
     prog, universe = loaded
-    result = compute_semantics(apply_mode(prog, args.mode), universe)
+    result = compute_semantics(prog, universe, args.mode)
     for label, atoms in (("Ind", result.ind), ("CoInd", result.coind),
                          ("Reg", result.reg)):
         names = sorted(universe.atom_str(a) for a in atoms)
@@ -178,8 +178,7 @@ def cmd_check(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
     if loaded is None:
         return EXIT_ERROR
     prog, universe, query = loaded
-    applied = apply_mode(prog, args.mode)
-    result = compute_semantics(applied, universe)
+    result = compute_semantics(prog, universe, args.mode)
     expected = regular_answers(query, universe, result.reg)
 
     cap = args.answers if args.answers is not None else 16

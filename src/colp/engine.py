@@ -16,14 +16,15 @@ step and co-hyp each consume one unit of budget, shared along the whole
 derivation including the inner re-derivations.  Builtins are free and are
 never hypotheses.
 
-Each clause is compiled to a Template once per program, the one the oracle
-grounds, and sorted into tables once per program and mode.  A clause or
-hypothesis whose principal functors clash with the atom's is skipped, and
-so is a ground hypothesis that failed a solve before, once its key shows
-that its value differs from the ground atom's.  A value is read as
-equations._unfold's raw table, for arithmetic, or through value_key, for
-every key; \\= is the failure of solve.  Keys are exact: a query keeps one
-store for all its sweeps, where a key holds values' ids (value_key).
+A mode picks a program's compiled clauses, the Templates the oracle
+grounds (Program.templates), and each query sorts them into tables by head
+signature.  A clause or hypothesis whose principal functors clash with the
+atom's is skipped, and so is a ground hypothesis that failed a solve
+before, once its key shows that its value differs from the ground atom's.
+A value is read as equations._unfold's raw table, for arithmetic, or
+through value_key, for every key; \\= is the failure of solve.  Keys are
+exact: a query keeps one store for all its sweeps, where a key holds
+values' ids (value_key).
 
 Each sweep keeps a table of failed re-derivations of ground atoms.  Such a
 re-derivation has no hypotheses and runs on the inner clause tables, so
@@ -46,10 +47,9 @@ from typing import IO, Iterator, Optional
 from .equations import (EMPTY_SOLVED, BuiltinTypeError, SolvedForm, _unfold,
                         arith_value, holds, solve, value_key)
 from .parser import Query, atom_to_str
-from .terms import (Atom, Clause, Num, Program, Var, fresh_rename,
-                    identical, is_builtin, principal, signatures)
+from .terms import (MODES, Atom, Num, Program, Var, fresh_rename, identical,
+                    is_builtin, principal)
 
-MODES = ("flexible", "inductive", "coinductive")
 STRATEGIES = ("dfs", "iddfs")
 PREFERENCES = ("cohyp", "step")
 
@@ -90,37 +90,21 @@ class Outcome:
         self.exhaustion: Optional[str] = None
 
 
-def apply_mode(prog: Program, mode: str) -> Program:
-    """inductive drops the coclauses; coinductive replaces them with one
-    universal cofact per predicate signature used by the clauses."""
-    if mode == "inductive":
-        return Program(prog.clauses, ())
-    if mode == "coinductive":
-        cofacts = tuple(
-            Clause(Atom(p, tuple(Var(f"A{i + 1}", 0) for i in range(n))), ())
-            for p, n in signatures(prog.clauses))
-        return Program(prog.clauses, cofacts)
-    return prog
-
-
 def _clause_tables(prog: Program, mode: str) -> tuple:
     """(id, Template) lists by head signature, outside and inside co-hyp
-    re-derivations (where coclauses follow the clauses), and whether there
-    are coclauses; built on the first query in the mode, kept on prog."""
-    tables = prog.tables.get(mode)
-    if tables is None:
-        clauses, coclauses = apply_mode(prog, mode).templates()
-        outer: dict[tuple[str, int], list] = {}
-        inner: dict[tuple[str, int], list] = {}
-        for prefix, codes, into in (("c", clauses, (outer, inner)),
-                                    ("co", coclauses, (inner,))):
-            for i, code in enumerate(codes, 1):
-                head = code.clause.head
-                for table in into:
-                    table.setdefault((head.pred, len(head.args)),
-                                     []).append((f"{prefix}{i}", code))
-        tables = prog.tables[mode] = (outer, inner, bool(coclauses))
-    return tables
+    re-derivations (where coclauses follow the clauses), and whether the
+    mode has coclauses."""
+    clauses, coclauses = prog.templates(mode)
+    outer: dict[tuple[str, int], list] = {}
+    inner: dict[tuple[str, int], list] = {}
+    for prefix, codes, into in (("c", clauses, (outer, inner)),
+                                ("co", coclauses, (inner,))):
+        for i, code in enumerate(codes, 1):
+            head = code.clause.head
+            for table in into:
+                table.setdefault((head.pred, len(head.args)),
+                                 []).append((f"{prefix}{i}", code))
+    return outer, inner, bool(coclauses)
 
 
 def _clash(xs: tuple, ys: tuple) -> bool:
@@ -223,7 +207,6 @@ class _Run:
         self.prefer = prefer
         self.diagnostics = diagnostics
         self.trace = trace
-        self.pruned = False
         self.fresh = itertools.count(1)
         self.walls = 0   # states cut at the budget wall
         self.errors = 0  # type errors raised
@@ -333,22 +316,19 @@ class _Run:
 
             if used >= self.budget:
                 if alts:
-                    self.pruned = True
                     self.walls += 1
                 continue
             stack.extend(reversed(alts))
 
     def _tabled(self, redo: _Redo, depth: int) -> bool:
-        """Is the re-derivation's outcome known from the failure table?  A
-        skipped one that would hit the wall prunes the sweep."""
+        """Is the re-derivation's outcome known from the failure table?  One
+        that would hit the wall was tabled after this sweep hit it."""
         bounds = self.failed.get(redo.key(self.store))
         if not bounds:
             return False
         walled = redo.left <= bounds[0]
         if not walled and redo.left < bounds[1]:
             return False
-        if walled:  # implied already: the sweep hit the wall to table it
-            self.pruned = True
         if self.trace is not None:
             outcome = "exhausted" if walled else "failed"
             snap = atom_to_str(redo.atom, redo.solved)
@@ -417,7 +397,7 @@ def run_query(prog: Program, query: Query, cfg: Config,
                 emitted += 1
                 if cfg.max_answers is not None and emitted >= cfg.max_answers:
                     return
-            if not run.pruned:
+            if not run.walls:
                 outcome.exhaustion = COMPLETE if emitted else FINITELY_FAILED
                 return
         outcome.exhaustion = BUDGET_EXHAUSTED

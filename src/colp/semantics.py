@@ -5,9 +5,10 @@ yielding a finite rule set whose fixed points give three interpretations:
 least (inductive), greatest consistent (coinductive), and the greatest
 consistent set inside the least model of clauses plus coclauses, which on a
 finite base is both the flexible and the regular reading.  The clauses and
-the coclauses are each ground once; the three readings share those rules.
-Instances whose atoms fall outside the universe are dropped with a warning,
-so results are exact only for universe-closed programs.
+a mode's coclauses (terms.Program.templates) are each ground once; the
+three readings share those rules.  Instances whose atoms fall outside the
+universe are dropped with a warning, so results are exact only for
+universe-closed programs.
 
 Grounding works on integer node ids, not on term values.  A universe
 unfolds its elements together and minimises them once into its store,
@@ -37,8 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .equations import (BuiltinTypeError, SolvedForm, _unfold, holds, match,
-                        rational_values, solve)
+from .equations import (EMPTY_SOLVED, BuiltinTypeError, SolvedForm, _unfold,
+                        holds, match, rational_values, solve)
 from .parser import Query, SyntaxErrors, parse_term_text, render
 from .terms import (BUILTIN_ARITIES, Atom, Clause, Compound, Num, Program,
                     Template, Term, Var, is_builtin, map_leaves, run_ops)
@@ -138,7 +139,7 @@ class Universe:
                 return Var(f"#{t.functor}", 0)
             return t
 
-        eqs = []
+        eqs: dict[int, tuple] = {}  # each definition's equation, by line
         names: list[str] = []
         terms: list[Term] = []
         for name, body, lineno in items:
@@ -149,20 +150,25 @@ class Universe:
                 raise UniverseError(f"{origin}:{lineno}:{issue.col}: "
                                     f"{issue.message}") from None
             if name is not None:
-                eqs.append((Var(f"#{name}", 0), term))
+                eqs[lineno] = (Var(f"#{name}", 0), term)
                 term = Var(f"#{name}", 0)
             names.append(body.strip() if name is None else name)
             terms.append(term)
-        solved = solve(eqs)
-        if solved is None:
-            raise UniverseError(f"{origin}: definitions have no solution")
-        u = cls(names, *rational_values(solved, terms))
-        for name, root in zip(u.names, u.roots):
+        solved = solve(eqs.values())
+        if solved is None:  # name the first line that leaves no solution
+            solved = EMPTY_SOLVED
+            for lineno, eq in eqs.items():
+                solved = solve([eq], solved)
+                if solved is None:
+                    raise UniverseError(
+                        f"{origin}:{lineno}: definitions have no solution")
+        store, roots = rational_values(solved, terms)
+        for name, root, (_, _, lineno) in zip(names, roots, items):
             # matched against itself, an element binds its variable leaves
-            if match(u.store, root, u.store, root):
+            if match(store, root, store, root):
                 raise UniverseError(
-                    f"{origin}: element {name!r} is not ground")
-        return u
+                    f"{origin}:{lineno}: element {name!r} is not ground")
+        return cls(names, store, roots)
 
 
 def rt_to_str(nodes: Sequence[tuple], root: int = 0, depth: int = 8) -> str:
@@ -331,8 +337,11 @@ class SemanticsResult:
     warnings: tuple[str, ...]
 
 
-def compute_semantics(prog: Program, u: Universe) -> SemanticsResult:
-    clauses, coclauses = prog.templates()
+def compute_semantics(prog: Program, u: Universe,
+                      mode: str = "flexible") -> SemanticsResult:
+    """The readings of the clauses and the mode's coclauses over the
+    universe, ground from the Templates the engine renames in the mode."""
+    clauses, coclauses = prog.templates(mode)
     rules, warn1 = ground_instances(clauses, u)
     corules, warn2 = ground_instances(coclauses, u)
     ind = least_model(rules)

@@ -62,6 +62,11 @@ class Clause:
     body: tuple[Atom, ...] = ()
 
 
+# The readings of a program; in this order, Program.templates gives each
+# the written coclauses, none, or one universal cofact per signature.
+MODES = ("flexible", "inductive", "coinductive")
+
+
 @dataclass(frozen=True, slots=True)
 class Program:
     """A pair of clause lists: ordinary clauses and coclauses.  Cofacts are
@@ -69,19 +74,22 @@ class Program:
 
     clauses: tuple[Clause, ...] = ()
     coclauses: tuple[Clause, ...] = ()
-    # the engine's clause tables for each mode, built on first use
-    tables: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
     compiled: list = field(default_factory=list, init=False, repr=False,
                            compare=False)
 
-    def templates(self) -> list[list["Template"]]:
-        """The clauses and the coclauses, each compiled once on first use:
-        the engine renames these Templates and the oracle grounds them."""
+    def templates(self, mode: str = "flexible"
+                  ) -> tuple[list["Template"], list["Template"]]:
+        """The clauses and the mode's coclauses as the Templates the engine
+        renames and the oracle grounds.  The clauses, the coclauses and the
+        cofacts p(A1, ..., An), one per signature p/n of the clauses, are
+        each compiled once, on first use."""
         if not self.compiled:
-            self.compiled.extend(([Template(c) for c in self.clauses],
-                                  [Template(c) for c in self.coclauses]))
-        return self.compiled
+            cofacts = [Clause(Atom(p, tuple(Var(f"A{i}")
+                                            for i in range(1, n + 1))))
+                       for p, n in signatures(self.clauses)]
+            self.compiled.extend([Template(c) for c in clauses] for clauses in
+                                 (self.clauses, self.coclauses, (), cofacts))
+        return self.compiled[0], self.compiled[1 + MODES.index(mode)]
 
 
 # Reserved predicates, keyed by (name, arity).  These are evaluated by the

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import settings
 
 from colp.engine import (BUDGET_EXHAUSTED, COMPLETE, FINITELY_FAILED, Config,
-                         Outcome, _budget_levels, apply_mode, eval_builtin,
-                         run_query)
+                         Outcome, _budget_levels, eval_builtin, run_query)
 from colp.equations import (EMPTY_SOLVED, BuiltinTypeError, SolvedForm,
                             _number, _refine, arith_value, rational_values,
                             solve)
@@ -16,8 +15,8 @@ from colp import parser
 from colp.parser import (_INFIX_GOALS, _PREC, _SYMBOLS, Tok, _Parser,
                          atom_to_str, parse_program, parse_query, print_answer)
 from colp.semantics import GroundAtom, GroundRule
-from colp.terms import (NIL, Atom, Clause, Compound, Num, Term, Var, cons,
-                        is_builtin, map_leaves, ordered_vars, signatures)
+from colp.terms import (NIL, Atom, Clause, Compound, Num, Program, Term, Var,
+                        cons, is_builtin, map_leaves, ordered_vars, signatures)
 
 PROGRAMS_DIR = Path(__file__).resolve().parent.parent / "programs"
 
@@ -854,6 +853,20 @@ class ReferenceRun:
         if ground and not rederived and errors == self.errors:
             self.failures.append((move.atom.pred, values, left,
                                   walls != self.walls))
+
+
+def apply_mode(prog: Program, mode: str) -> Program:
+    """Reference for Program.templates(mode): inductive drops the
+    coclauses; coinductive replaces them with one universal cofact per
+    predicate signature used by the clauses."""
+    if mode == "inductive":
+        return Program(prog.clauses, ())
+    if mode == "coinductive":
+        cofacts = tuple(
+            Clause(Atom(p, tuple(Var(f"A{i + 1}", 0) for i in range(n))), ())
+            for p, n in signatures(prog.clauses))
+        return Program(prog.clauses, cofacts)
+    return prog
 
 
 def reference_run_query(prog, query, cfg, trace=None, tabled=True):

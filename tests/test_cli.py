@@ -177,7 +177,9 @@ def test_universe_errors_name_the_file_once(tmp_path):
               ("a\nx := f(\n",
                "{}:2:8: expected a term, found 'end of input'\n"),
               ("1\n   [1,2 | ]\n", "{}:2:11: expected a term, found ']'\n"),
-              ("x := f(Y)\n", "{}: element 'x' is not ground\n")]
+              ("x := f(Y)\n", "{}:1: element 'x' is not ground\n"),
+              ("a := 1\n% a comment\na := 2\n",
+               "{}:3: definitions have no solution\n")]
     for text, message in shapes:
         bad = tmp_path / "bad.univ"
         bad.write_text(text)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from colp.engine import (BUDGET_EXHAUSTED, COMPLETE, FINITELY_FAILED, MODES,
-                         Config, apply_mode, eval_builtin, run_query)
+                         Config, eval_builtin, run_query)
 from colp.equations import EMPTY_SOLVED
 from colp.parser import Query, parse_program, parse_query, print_answer
 from colp.semantics import Universe, universe_instantiations
@@ -62,18 +62,18 @@ def test_max_answers_truncates_without_status(lists):
 # --- modes ---------------------------------------------------------------
 
 def test_inductive_mode_drops_coclauses(maxelem):
-    stripped = apply_mode(maxelem, "inductive")
-    assert stripped.coclauses == ()
+    clauses, coclauses = maxelem.templates("inductive")
+    assert clauses is maxelem.templates()[0] and coclauses == []
     got, status = answers(maxelem, "?- L = [1,2|L], all_pos(L).",
                           mode="inductive", budget=30)
     assert got == [] and status == BUDGET_EXHAUSTED
 
 
 def test_coinductive_mode_adds_universal_cofacts(lists):
-    co = apply_mode(lists, "coinductive")
-    sigs = {(c.head.pred, len(c.head.args)) for c in co.coclauses}
+    cofacts = [code.clause for code in lists.templates("coinductive")[1]]
+    sigs = {(c.head.pred, len(c.head.args)) for c in cofacts}
     assert sigs == {("member", 2), ("append", 3), ("all_pos", 1)}
-    assert all(not c.body for c in co.coclauses)
+    assert all(not c.body for c in cofacts)
     # the spurious coinductive success the plain program refuses
     got, _ = answers(lists, "?- L = [0|L], member(1, L).",
                      mode="coinductive", budget=30)

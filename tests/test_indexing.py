@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from colp import engine
-from colp.engine import Config, _answer_key, _Hyp, run_query
+from colp.engine import MODES, Config, _answer_key, _Hyp, run_query
 from colp.equations import EMPTY_SOLVED, rational_values, solve
 from colp.parser import parse_program, parse_query
 from colp.semantics import Universe, compute_semantics
@@ -96,27 +96,21 @@ def test_engine_matches_the_reference_on_generated_ground_programs():
                         Config(budget=20))
 
 
-def test_tables_are_built_once_per_program_and_mode():
-    prog = load_program("omega.colp")
-    assert_same_run(prog, "p(X).", Config(budget=6))
-    tables = prog.tables["flexible"]
-    assert_same_run(prog, "p(z).", Config(budget=6))
-    assert prog.tables["flexible"] is tables
-    assert_same_run(prog, "p(z).", Config(budget=6, mode="inductive"))
-    assert set(prog.tables) == {"flexible", "inductive"}
-
-
-def test_the_engine_and_the_oracle_share_each_compiled_clause():
-    """Templates have no ==, so list equality below is identity."""
-    prog = load_program("omega.colp")
-    clauses, coclauses = prog.templates()
-    u = Universe.from_text((PROGRAMS_DIR / "omega.univ").read_text("utf-8"))
-    assert compute_semantics(prog, u).reg
-    assert prog.templates() == [clauses, coclauses]
-    assert_same_run(prog, "p(X).", Config(budget=6))
-    outer, inner, _ = prog.tables["flexible"]
-    assert [code for _, code in outer[("p", 1)]] == clauses
-    assert [code for _, code in inner[("p", 1)]] == clauses + coclauses
+@pytest.mark.parametrize("mode", MODES)
+def test_the_engine_and_the_oracle_share_each_compiled_clause(mode):
+    """Templates have no ==, so dict equality below is identity."""
+    prog = load_program("maxelem.colp")
+    clauses, coclauses = prog.templates(mode)
+    outer, inner, has_co = engine._clause_tables(prog, mode)
+    ids = {f"c{i}": code for i, code in enumerate(clauses, 1)}
+    assert dict(e for codes in outer.values() for e in codes) == ids
+    ids.update((f"co{i}", code) for i, code in enumerate(coclauses, 1))
+    assert dict(e for codes in inner.values() for e in codes) == ids
+    assert has_co == bool(coclauses)
+    assert all(code.plan is None for code in ids.values())
+    u = Universe.from_text((PROGRAMS_DIR / "maxelem.univ").read_text("utf-8"))
+    compute_semantics(prog, u, mode)
+    assert all(code.plan is not None for code in ids.values())
 
 
 def test_keyed_hypotheses_close_exactly():

@@ -12,9 +12,10 @@ from colp.semantics import (GroundRule, Universe,
                             regular_answers, rt_to_str,
                             universe_instantiations)
 from colp.equations import EMPTY_SOLVED, match, solve
-from colp.terms import NIL, Atom, Clause, Compound, Num, Template, Var, cons
+from colp.terms import (MODES, NIL, Atom, Clause, Compound, Num, Template, Var,
+                        cons)
 
-from conftest import (CUT, PROGRAMS_DIR, LoopProver, elements,
+from conftest import (CUT, PROGRAMS_DIR, LoopProver, apply_mode, elements,
                       free_leaf_names, ground_instances_by_enumeration,
                       herbrand_base, instantiations_by_enumeration,
                       is_ground, load_program, loop_matches_regular,
@@ -362,6 +363,15 @@ def test_maxelem_keeps_true_maximum_only():
     # spurious coinductive member stays out of the regular model
     assert ("member", (lt, lw)) in sem.coind
     assert ("member", (lt, lw)) not in sem.reg
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_each_mode_has_the_semantics_of_the_reference(mode):
+    for path in sorted(PROGRAMS_DIR.glob("*.univ")):
+        prog = load_program(f"{path.stem}.colp")
+        u = load_universe(path.name)
+        assert compute_semantics(prog, u, mode) == \
+            compute_semantics(apply_mode(prog, mode), u)
 
 
 # --- the cycle prover vs the fixpoint definition ----------------------------

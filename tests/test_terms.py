@@ -1,9 +1,11 @@
 import itertools
 
-from colp.terms import (NIL, Atom, Clause, Compound, Num, Template, Var,
+import pytest
+
+from colp.terms import (MODES, NIL, Atom, Clause, Compound, Num, Template, Var,
                         cons, fresh_rename, is_builtin, ordered_vars)
 
-from conftest import make_list, vars_of
+from conftest import PROGRAMS_DIR, apply_mode, load_program, make_list, vars_of
 
 
 def test_make_list_builds_cons_chain():
@@ -53,3 +55,13 @@ def test_is_builtin_by_name_and_arity():
 def test_var_display_uses_index_stamp():
     assert Var("X", 0).display() == "X"
     assert Var("X", 4).display() == "X#4"
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_each_mode_picks_the_clauses_of_the_reference(mode):
+    for path in sorted(PROGRAMS_DIR.glob("*.colp")):
+        prog = load_program(path.name)
+        clauses, coclauses = prog.templates(mode)
+        applied = apply_mode(prog, mode)
+        assert [code.clause for code in clauses] == list(applied.clauses)
+        assert [code.clause for code in coclauses] == list(applied.coclauses)
