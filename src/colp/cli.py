@@ -9,10 +9,11 @@ import sys
 from typing import IO, Optional
 
 from .engine import (BUDGET_EXHAUSTED, COMPLETE, FINITELY_FAILED, MODES,
-                     PREFERENCES, STRATEGIES, Config, run_query)
-from .parser import (SyntaxErrors, parse_program, parse_query, print_answer)
-from .semantics import (Universe, UniverseError, compute_semantics,
-                        regular_answers, universe_instantiations)
+                     PREFERENCES, STRATEGIES, Config, Outcome, run_query)
+from .parser import (ParseIssue, SyntaxErrors, parse_program, parse_query,
+                     print_answer)
+from .semantics import (Universe, compute_semantics, regular_answers,
+                        universe_instantiations)
 
 STATUS_LINES = {
     COMPLETE: "no (more) answers",
@@ -26,9 +27,22 @@ EXIT_EXHAUSTED = 2
 EXIT_ERROR = 3
 
 
-def _report_syntax(err: IO[str], exc: SyntaxErrors) -> None:
-    for issue in exc.issues:
-        err.write(f"{exc.origin}:{issue}\n")
+def _read(path: str) -> str:
+    """The file's text as a text-mode UTF-8 read gives it, or SyntaxErrors
+    at its first byte that is not UTF-8, found by decoding it in one piece."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    bad = None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        text, bad = data[:e.start].decode("utf-8"), data[e.start]
+    text = text.replace("\r\n", "\n").replace("\r", "\n")  # universal newlines
+    if bad is None:
+        return text
+    line, col = text.count("\n") + 1, len(text) - text.rfind("\n")
+    raise SyntaxErrors(path, [ParseIssue(
+        f"byte {bad:#04x} is not UTF-8", line, col)])
 
 
 def _load(err: IO[str], *files, query: Optional[str] = None) -> Optional[list]:
@@ -38,28 +52,44 @@ def _load(err: IO[str], *files, query: Optional[str] = None) -> Optional[list]:
     loaded = []
     try:
         for parse, path in files:
-            with open(path, encoding="utf-8") as fh:
-                loaded.append(parse(fh.read(), origin=path))
+            loaded.append(parse(_read(path), origin=path))
         if query is not None:
             loaded.append(parse_query(query))
         return loaded
     except OSError as e:
         err.write(f"cannot read {path}: {e.strerror}\n")
     except SyntaxErrors as exc:
-        _report_syntax(err, exc)
-    except UniverseError as exc:  # its message starts with the path
-        err.write(f"{exc}\n")
+        err.write("".join(f"{exc.origin}:{i}\n" for i in exc.issues))
     return None
 
 
-def _config(args: argparse.Namespace, max_answers: Optional[int]) -> Config:
-    return Config(mode=args.mode, strategy=args.strategy, budget=args.budget,
-                  max_answers=max_answers, prefer=args.prefer)
+def _run_query(args: argparse.Namespace, prog, query,
+               max_answers: Optional[int], err: IO[str]) -> Outcome:
+    """run_query under the flags, tracing to err under --trace."""
+    config = Config(mode=args.mode, strategy=args.strategy, budget=args.budget,
+                    max_answers=max_answers, prefer=args.prefer)
+    return run_query(prog, query, config, trace=err if args.trace else None)
 
 
 def _flush_diagnostics(diagnostics: list[str], err: IO[str]) -> None:
     for line in diagnostics:
         err.write(line + "\n")
+
+
+def _print_answers(outcome, query, more, out: IO[str], err: IO[str]) -> int:
+    """Print each answer until more() says stop, then the diagnostics, then
+    the status line if enumeration ended; the number of answers printed.
+    A stop leaves the answers suspended, with no status to print."""
+    shown = 0
+    for answer in outcome.answers:
+        out.write(print_answer(answer, query.variables) + "\n")
+        shown += 1
+        if not more():
+            break
+    _flush_diagnostics(outcome.diagnostics, err)
+    if outcome.exhaustion is not None:
+        out.write(STATUS_LINES[outcome.exhaustion] + "\n")
+    return shown
 
 
 def cmd_run(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
@@ -68,21 +98,13 @@ def cmd_run(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
         return EXIT_ERROR
     prog, query = loaded
     cap = args.answers if args.answers is not None else 1
-    trace = err if args.trace else None
-    outcome = run_query(prog, query, _config(args, cap), trace=trace)
-    shown = 0
-    for answer in outcome.answers:
-        out.write(print_answer(answer, query.variables) + "\n")
-        shown += 1
-    _flush_diagnostics(outcome.diagnostics, err)
-    status = outcome.exhaustion
-    if status is not None:
-        out.write(STATUS_LINES[status] + "\n")
-    if shown:
+    outcome = _run_query(args, prog, query, cap, err)
+    if _print_answers(outcome, query, lambda: True, out, err):
         return EXIT_OK
     if outcome.diagnostics:
         return EXIT_ERROR
-    return EXIT_FAILED if status == FINITELY_FAILED else EXIT_EXHAUSTED
+    failed = outcome.exhaustion == FINITELY_FAILED
+    return EXIT_FAILED if failed else EXIT_EXHAUSTED
 
 
 def _budget_value(text: str) -> Optional[int]:
@@ -134,18 +156,9 @@ def cmd_repl(args: argparse.Namespace, inp: IO[str], out: IO[str],
         if loaded is None:
             continue
         [query] = loaded
-        outcome = run_query(prog, query, _config(args, None),
-                            trace=err if args.trace else None)
-        stopped = False
-        for answer in outcome.answers:
-            out.write(print_answer(answer, query.variables) + "\n")
-            reply = inp.readline()
-            if not reply or reply.strip() != ";":
-                stopped = True
-                break
-        _flush_diagnostics(outcome.diagnostics, err)
-        if not stopped:
-            out.write(STATUS_LINES[outcome.exhaustion] + "\n")
+        outcome = _run_query(args, prog, query, None, err)
+        _print_answers(outcome, query,
+                       lambda: inp.readline().strip() == ";", out, err)
 
 
 def cmd_semantics(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
@@ -182,7 +195,7 @@ def cmd_check(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
     expected = regular_answers(query, universe, result.reg)
 
     cap = args.answers if args.answers is not None else 16
-    outcome = run_query(prog, query, _config(args, cap))
+    outcome = _run_query(args, prog, query, cap, err)
     covered: set = set()
     unsound: list[str] = []
     unchecked: dict[str, None] = {}

@@ -29,7 +29,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import count
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .terms import (Atom, BUILTIN_ARITIES, BUILTIN_NAMES, Clause, Compound,
                     NIL, Num, Program, Term, Var, cons, ordered_vars)
@@ -54,14 +54,16 @@ _TOKEN = re.compile("|".join((
 class ParseIssue:
     message: str
     line: int
-    col: int
+    col: Optional[int] = None
 
     def __str__(self) -> str:
-        return f"{self.line}:{self.col}: {self.message}"
+        at = self.line if self.col is None else f"{self.line}:{self.col}"
+        return f"{at}: {self.message}"
 
 
 class SyntaxErrors(Exception):
-    """All issues found in one source, collected with clause-level recovery."""
+    """All issues found in one source: a program or query, collected with
+    clause-level recovery, or a universe, whose first issue ends it."""
 
     def __init__(self, origin: str, issues: Sequence[ParseIssue]):
         self.origin = origin

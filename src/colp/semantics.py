@@ -40,16 +40,13 @@ from typing import Optional, Sequence
 
 from .equations import (EMPTY_SOLVED, BuiltinTypeError, SolvedForm, _unfold,
                         holds, match, rational_values, solve)
-from .parser import Query, SyntaxErrors, parse_term_text, render
+from .parser import (ParseIssue, Query, SyntaxErrors, parse_term_text,
+                     render)
 from .terms import (BUILTIN_ARITIES, Atom, Clause, Compound, Num, Program,
                     Template, Term, Var, is_builtin, map_leaves, run_ops)
 
 # a ground atom is (predicate, universe element indexes)
 GroundAtom = tuple[str, tuple[int, ...]]
-
-
-class UniverseError(Exception):
-    pass
 
 
 class Universe:
@@ -112,7 +109,8 @@ class Universe:
         """Parse the one-definition-per-line format.
 
         A line is `name := term` or a bare ground term; terms may mention
-        defined names, also recursively, e.g. `omega := s(omega)`.
+        defined names, also recursively, e.g. `omega := s(omega)`.  The
+        first bad line raises SyntaxErrors.
         """
         items: list[tuple[Optional[str], str, int]] = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -126,8 +124,8 @@ class Universe:
                 body = " " * (len(name) + 2) + body  # keep the line's columns
                 name = name.strip()
                 if not name.isidentifier() or not name[0].islower():
-                    raise UniverseError(
-                        f"{origin}:{lineno}: bad universe name {name!r}")
+                    raise SyntaxErrors(origin, [ParseIssue(
+                        f"bad universe name {name!r}", lineno)])
             items.append((name, body, lineno))
 
         defined = {name for name, _, _ in items if name is not None}
@@ -147,8 +145,8 @@ class Universe:
                 term = map_leaves(parse_term_text(body), link)
             except SyntaxErrors as e:
                 issue = e.issues[0]
-                raise UniverseError(f"{origin}:{lineno}:{issue.col}: "
-                                    f"{issue.message}") from None
+                raise SyntaxErrors(origin, [ParseIssue(
+                    issue.message, lineno, issue.col)]) from None
             if name is not None:
                 eqs[lineno] = (Var(f"#{name}", 0), term)
                 term = Var(f"#{name}", 0)
@@ -160,20 +158,15 @@ class Universe:
             for lineno, eq in eqs.items():
                 solved = solve([eq], solved)
                 if solved is None:
-                    raise UniverseError(
-                        f"{origin}:{lineno}: definitions have no solution")
+                    raise SyntaxErrors(origin, [ParseIssue(
+                        "definitions have no solution", lineno)])
         store, roots = rational_values(solved, terms)
         for name, root, (_, _, lineno) in zip(names, roots, items):
             # matched against itself, an element binds its variable leaves
             if match(store, root, store, root):
-                raise UniverseError(
-                    f"{origin}:{lineno}: element {name!r} is not ground")
+                raise SyntaxErrors(origin, [ParseIssue(
+                    f"element {name!r} is not ground", lineno)])
         return cls(names, store, roots)
-
-
-def rt_to_str(nodes: Sequence[tuple], root: int = 0, depth: int = 8) -> str:
-    """The tree at root of a node table, cut at the depth, for messages."""
-    return render(nodes, root, depth)
 
 
 @dataclass(frozen=True)
@@ -199,7 +192,7 @@ def ground_instances(codes: Sequence[Template],
         _ground_clause(code, u, rules, pending, atoms)
     # each escaping value renders once, whatever its predicates
     shown = {key[1]: "" for key in pending if not isinstance(key, str)}
-    shown = {i: rt_to_str(u.store, i) for i in shown}
+    shown = {i: render(u.store, i, 8) for i in shown}
     warnings = [key if isinstance(key, str) else
                 f"instance escapes the universe: {key[0]} on {shown[key[1]]}"
                 for key in pending]

@@ -125,7 +125,7 @@ CUT = Compound("...", ())
 def truncate(nodes, depth, root=0):
     """Unfold the tree at root of a node table to a finite tree, replacing
     every node at the given depth with a cut marker; term_str_by_recursion
-    of it is the reference for semantics.rt_to_str."""
+    of it is the reference for parser.render with a depth."""
     def go(i, remaining):
         if remaining <= 0:
             return CUT
@@ -146,7 +146,7 @@ def truncate(nodes, depth, root=0):
 
 def term_str_by_recursion(t):
     """Reference for parser.term_to_str and, on truncate's trees, for
-    semantics.rt_to_str."""
+    parser.render with a depth."""
     return _term_str(t, 1000, False)
 
 

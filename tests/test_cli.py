@@ -91,6 +91,17 @@ def test_lexer_errors_name_their_origin_and_recover(tmp_path):
                    f"{bad}:4:3: unexpected character '\u00b2'\n")
 
 
+def test_undecodable_files_end_in_a_located_error(tmp_path):
+    program = tmp_path / "bad.colp"
+    program.write_bytes(b"p(a).\nq(\xff).\n")
+    universe = tmp_path / "bad.univ"
+    universe.write_bytes(b"z\ns(\xc3\xa9\xff)\n")  # \xc3\xa9 is one column
+    cases = [(["run", str(program), "p(X)."], f"{program}:2:3: "),
+             (["semantics", OMEGA, str(universe)], f"{universe}:2:4: ")]
+    for argv, where in cases:
+        assert run_cli(argv) == (3, "", where + "byte 0xff is not UTF-8\n")
+
+
 def test_superscript_digit_and_huge_literal_are_parse_errors():
     code, out, err = run_cli(["run", LISTS, "member(\u00b2, [0])."])
     assert (code, out, err) == (
@@ -405,6 +416,13 @@ def test_check_notes_the_answer_cap_on_fail():
     assert run_cli(args + ["--answers", "2"])[:2] == (0, "PASS\n")
 
 
+def test_check_trace_goes_to_stderr():
+    code, out, err = run_cli(["check", OMEGA, OMEGA_U, "p(X).",
+                              "--budget", "4", "--trace"])
+    assert (code, out) == (0, "PASS\n")
+    assert "STEP p(X) via c1" in err
+
+
 # --- repl -----------------------------------------------------------------------
 
 def test_repl_enumerates_with_semicolons():
@@ -419,6 +437,17 @@ def test_repl_stop_reply_ends_enumeration():
                            stdin="member(X, [0,1]).\n.\n:quit\n")
     assert code == 0
     assert out == "?- X = 0\n?- "
+
+
+def test_repl_end_of_input_after_an_answer_prints_no_status():
+    code, out, err = run_cli(["repl", LISTS], stdin="member(X, [0,1]).\n")
+    assert (code, out, err) == (0, "?- X = 0\n?- \n", "")
+
+
+def test_repl_type_error_reports_and_fails():
+    code, out, err = run_cli(["repl", LISTS], stdin="X is foo + 1.\n:quit\n")
+    assert (code, out) == (0, "?- failed\n?- ")
+    assert err == "type error: not arithmetic: foo/0 in X is foo+1\n"
 
 
 def test_repl_empty_line_reprompts():

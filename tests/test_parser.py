@@ -6,10 +6,10 @@ from hypothesis import example, given, settings
 
 from colp.engine import Config, run_query
 from colp.equations import solve
-from colp.parser import (_SYMBOLS, SyntaxErrors, _lex, atom_to_str,
-                         clause_to_str, parse_program, parse_query,
-                         parse_term_text, print_answer, program_to_str,
-                         term_to_str)
+from colp.parser import (_SYMBOLS, ParseIssue, SyntaxErrors, _lex,
+                         atom_to_str, clause_to_str, parse_program,
+                         parse_query, parse_term_text, print_answer,
+                         program_to_str, term_to_str)
 from colp.terms import (NIL, Atom, Clause, Compound, Num, Var, cons,
                         map_leaves, ordered_vars)
 
@@ -119,6 +119,11 @@ def test_parse_error_positions_and_recovery():
         parse_program("p(X) :- q(X.\nr(a).\np(Y) :- .\ns(b).\n")
     issues = exc.value.issues
     assert [i.line for i in issues] == [1, 3]
+
+
+def test_parse_issue_prints_its_column_only_when_it_has_one():
+    assert str(ParseIssue("m", 3)) == "3: m"
+    assert str(ParseIssue("m", 3, 4)) == "3:4: m"
 
 
 def test_builtin_heads_are_rejected():

@@ -4,13 +4,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from colp.parser import parse_program, parse_query
-from colp.semantics import (GroundRule, Universe,
-                            UniverseError, compute_semantics,
+from colp.parser import SyntaxErrors, parse_program, parse_query, render
+from colp.semantics import (GroundRule, Universe, compute_semantics,
                             ground_instances, greatest_consistent_within,
                             immediate_consequences, least_model,
-                            regular_answers, rt_to_str,
-                            universe_instantiations)
+                            regular_answers, universe_instantiations)
 from colp.equations import EMPTY_SOLVED, match, solve
 from colp.terms import (MODES, NIL, Atom, Clause, Compound, Num, Template, Var,
                         cons)
@@ -54,17 +52,17 @@ def test_universe_definitions_may_be_mutually_recursive():
 
 
 def test_universe_rejects_nonground_elements():
-    with pytest.raises(UniverseError):
+    with pytest.raises(SyntaxErrors):
         Universe.from_text("f(X)\n")
 
 
 def test_universe_rejects_bad_names():
-    with pytest.raises(UniverseError):
+    with pytest.raises(SyntaxErrors):
         Universe.from_text("Bad := f(a)\n")
 
 
 def test_universe_rejects_clashing_definitions():
-    with pytest.raises(UniverseError):
+    with pytest.raises(SyntaxErrors):
         Universe.from_text("a := f(a)\na := g(a)\n")
 
 
@@ -102,7 +100,7 @@ def test_escaping_value_gets_an_id_no_element_has():
     ssz = u.intern(("f", "s", (ids["s(z)"],)))
     assert ssz not in u.element_at and ssz > max(roots)
     assert u.intern(("f", "s", (ids["s(z)"],))) == ssz
-    assert rt_to_str(u.store, ssz) == "s(s(z))"
+    assert render(u.store, ssz, 8) == "s(s(z))"
     assert len(u.store) == len(u.ids) == 4  # appended to the store once
     assert len(set(u.store)) == len(u.store)  # which stays minimal
     assert u.roots == roots and len(u) == 3
@@ -166,10 +164,10 @@ def test_store_agrees_with_elements(text):
 
 def test_rt_to_str_truncates_cycles():
     u = load_universe("omega.univ")
-    assert rt_to_str(u.store, u.roots[2], depth=3) == "s(s(s(...)))"
+    assert render(u.store, u.roots[2], 3) == "s(s(s(...)))"
 
 
-# --- rendering: rt_to_str against the recursive printer of truncate(...) ----
+# --- rendering: render against the recursive printer of truncate(...) -----
 
 def test_solve_without_occurs_check():
     solved = solve([(X, succ(X))])
@@ -246,7 +244,7 @@ SUMS = (("f", "-", (1, 2)), ("f", "+", (3, 3)), ("f", "*", (4, 1)),
 @given(node_tables(), st.integers(0, 9))
 def test_rt_to_str_is_term_to_str_of_truncate(table, depth):
     nodes, root = table
-    assert rt_to_str(nodes, root, depth) == term_str_by_recursion(
+    assert render(nodes, root, depth) == term_str_by_recursion(
         truncate(nodes, depth, root))
 
 

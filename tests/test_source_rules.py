@@ -1,6 +1,6 @@
 """Rules on the source of src/colp, read with ast: no plain assert, since
-`python -O` strips it, and no recursion, so that no result depends on the
-recursion limit."""
+`python -O` strips it; no recursion, so that no result depends on the
+recursion limit; and no function without a caller, so no dead code stays."""
 import ast
 from pathlib import Path
 
@@ -59,3 +59,33 @@ def test_no_recursion():
                 bad.append(f"{path.name}: " + ".".join(filter(None, f)))
     assert bad == []
 
+
+
+# Functions with no caller in src/colp that stay, each with its reason.
+UNCALLED = {
+    "index_of": "perfbench/tracer.py rebinds Universe.index_of to count "
+                "calls; the tests call it too",
+}
+
+
+def test_every_function_has_a_caller():
+    """Each function or method of src/colp is named somewhere in it, as a
+    Name, an Attribute or an __all__ string, or is a dunder or on
+    UNCALLED."""
+    defined, named = [], set()
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.append((path.name, node.name))
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif (isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", "") == "__all__"
+                          for t in node.targets)):
+                named |= {e.value for e in node.value.elts}
+    bad = [f"{module}: {name}" for module, name in defined
+           if name not in named and name not in UNCALLED
+           and not (name.startswith("__") and name.endswith("__"))]
+    assert bad == []
