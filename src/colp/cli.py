@@ -14,6 +14,7 @@ from .parser import (ParseIssue, SyntaxErrors, parse_program, parse_query,
                      print_answer)
 from .semantics import (Universe, compute_semantics, regular_answers,
                         universe_instantiations)
+from .terms import Atom, Clause, signatures
 
 STATUS_LINES = {
     COMPLETE: "no (more) answers",
@@ -65,7 +66,15 @@ def _load(err: IO[str], *files, query: Optional[str] = None) -> Optional[list]:
 
 def _run_query(args: argparse.Namespace, prog, query,
                max_answers: Optional[int], err: IO[str]) -> Outcome:
-    """run_query under the flags, tracing to err under --trace."""
+    """run_query under the flags, tracing to err under --trace, after a
+    warning for each predicate that the query or a clause body calls and
+    no clause or coclause defines."""
+    written = prog.clauses + prog.coclauses
+    defined = {(c.head.pred, len(c.head.args)) for c in written}
+    # the query is the body of a clause whose head, a builtin, is skipped
+    for pred, n in signatures((Clause(Atom("true"), query.atoms), *written)):
+        if (pred, n) not in defined:
+            err.write(f"warning: {pred}/{n} is undefined\n")
     config = Config(mode=args.mode, strategy=args.strategy, budget=args.budget,
                     max_answers=max_answers, prefer=args.prefer)
     return run_query(prog, query, config, trace=err if args.trace else None)

@@ -37,6 +37,11 @@ finitely.  A later re-derivation of the same value is skipped when
 The trace shows each skip as a TABLED line.  A re-derivation whose subtree
 raised a type error is not tabled, since its diagnostics name fresh
 variables.
+
+Iterative deepening keys only the answers that cost more than the budget of
+the sweep before, cost being the budget used at EMPTY.  A sweep finds every
+derivation within its budget, and tabling never skips a success, so a
+cheaper answer was found and keyed by the sweep before.
 """
 from __future__ import annotations
 
@@ -197,13 +202,16 @@ def eval_builtin(atom: Atom, solved: SolvedForm) -> Optional[SolvedForm]:
 
 
 class _Run:
-    """One depth-first sweep at a fixed budget."""
+    """One depth-first sweep at a fixed budget, yielding the successes that
+    cost more than floor, the budget of the sweep before it."""
 
-    def __init__(self, tables: tuple, store: dict, budget: int, prefer: str,
-                 diagnostics: list[str], trace: Optional[IO[str]]):
+    def __init__(self, tables: tuple, store: dict, budget: int, floor: int,
+                 prefer: str, diagnostics: list[str],
+                 trace: Optional[IO[str]]):
         self.outer, self.inner, self.has_co = tables
         self.store = store  # the query's values, for keys
         self.budget = budget
+        self.floor = floor
         self.prefer = prefer
         self.diagnostics = diagnostics
         self.trace = trace
@@ -226,7 +234,8 @@ class _Run:
                      solved: SolvedForm) -> Iterator[SolvedForm]:
         """Depth-first backtracking over an explicit stack of pending states,
         so derivation length is bounded by the budget, not the interpreter's
-        recursion limit.  Yields the equations of each success."""
+        recursion limit.  Yields the equations of each success whose cost,
+        the budget it used, is above the floor."""
         stack: list[tuple] = [(frames, solved, 0, None)]
         while stack:
             frames, solved, used, note = stack.pop()
@@ -237,7 +246,8 @@ class _Run:
                 self._tline(note[0], note[1])
             if not frames:
                 self._tline(0, "EMPTY")
-                yield solved
+                if used > self.floor:
+                    yield solved
                 continue
             frame, rest = frames[0], frames[1:]
             if frame.__class__ is _Redo:  # its atom was re-derived
@@ -373,7 +383,9 @@ def run_query(prog: Program, query: Query, cfg: Config,
 
     Each answer is a solved form extending the query's equations; restrict
     to query.variables for display.  Iterative deepening restarts the sweep
-    with doubling budgets and deduplicates answers up to renaming; it stops
+    with doubling budgets and deduplicates answers up to renaming; a sweep
+    passes on only the answers that cost more than the sweep before it had
+    to spend, the others being found and keyed there already.  It stops
     early once a sweep finishes without hitting the budget wall, which also
     decides exhaustion: complete or finitely-failed if some sweep ran to the
     end, budget-exhausted otherwise.
@@ -384,10 +396,10 @@ def run_query(prog: Program, query: Query, cfg: Config,
     def generate() -> Iterator[SolvedForm]:
         store: dict = {}
         seen: set = set()
-        emitted = 0
+        emitted, floor = 0, -1  # builtins alone cost 0
         for level in _budget_levels(cfg):
-            run = _Run(tables, store, level, cfg.prefer, outcome.diagnostics,
-                       trace)
+            run = _Run(tables, store, level, floor, cfg.prefer,
+                       outcome.diagnostics, trace)
             for solved in run.solve_frames(frames, EMPTY_SOLVED):
                 key = _answer_key(solved, query.variables, store)
                 if key in seen:
@@ -400,6 +412,7 @@ def run_query(prog: Program, query: Query, cfg: Config,
             if not run.walls:
                 outcome.exhaustion = COMPLETE if emitted else FINITELY_FAILED
                 return
+            floor = level
         outcome.exhaustion = BUDGET_EXHAUSTED
 
     outcome = Outcome(generate(), [])

@@ -109,11 +109,12 @@ class Universe:
         """Parse the one-definition-per-line format.
 
         A line is `name := term` or a bare ground term; terms may mention
-        defined names, also recursively, e.g. `omega := s(omega)`.  The
-        first bad line raises SyntaxErrors.
+        defined names, also recursively, e.g. `omega := s(omega)`.  Lines
+        end at "\\n" alone, as in a program.  The first bad line raises
+        SyntaxErrors.
         """
         items: list[tuple[Optional[str], str, int]] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(text.split("\n"), start=1):
             line = raw.split("%", 1)[0]
             if not line.strip():
                 continue

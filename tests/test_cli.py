@@ -47,6 +47,27 @@ def test_run_reports_budget_exhaustion():
     assert (code, out, err) == (2, "budget exhausted\n", "")
 
 
+def test_undefined_predicates_are_warned_about(tmp_path):
+    """run, check and repl warn, before each query, about each predicate
+    that the query or a clause body calls and no clause or coclause
+    defines, the query's first; stdout and the exit code stay as they
+    were."""
+    prog = tmp_path / "undef.colp"
+    prog.write_text("p :- q.\nr(X) :- s(X, X), X = a.\nr(b) :~ t.\n")
+    univ = tmp_path / "ab.univ"
+    univ.write_text("a\nb\n")
+    warned = ("warning: q/0 is undefined\nwarning: s/2 is undefined\n"
+              "warning: t/0 is undefined\n")
+    assert run_cli(["run", str(prog), "p."]) == (1, "failed\n", warned)
+    assert run_cli(["run", str(prog), "r(X), u."]) == (
+        1, "failed\n", "warning: u/0 is undefined\n" + warned)
+    assert run_cli(["check", str(prog), str(univ), "r(X)."]) == (
+        0, "PASS\n", warned)
+    assert run_cli(["repl", str(prog)], stdin="p.\nr(b).\n") == (
+        0, "?- failed\n?- failed\n?- \n", warned * 2)
+    assert run_cli(["run", LISTS, "member(X, [0])."])[2] == ""
+
+
 def test_run_dfs_strategy():
     code, out, err = run_cli(
         ["run", OMEGA, "p(X).", "--strategy", "dfs", "--budget", "32"])

@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+from colp import engine
 from colp.engine import (BUDGET_EXHAUSTED, COMPLETE, FINITELY_FAILED, MODES,
                          Config, eval_builtin, run_query)
 from colp.equations import EMPTY_SOLVED
@@ -114,6 +115,51 @@ def test_nonground_query_finds_self_similar_answer(omega):
 def test_answer_set_is_exact_up_to_budget(omega):
     got, status = answers(omega, "?- p(X).", budget=32)
     assert got == ["X = s(X)"] and status == BUDGET_EXHAUSTED
+
+
+# --- iterative deepening keys each answer once ---------------------------
+
+DIGITS = "[" + ",".join(str(i % 10) for i in range(40)) + "]"
+
+
+def _keyed(monkeypatch, prog, text, **kwargs):
+    """The printed answers and the number of engine._answer_key calls."""
+    calls = []
+    key = engine._answer_key
+    monkeypatch.setattr(engine, "_answer_key",
+                        lambda *a: calls.append(1) or key(*a))
+    q = parse_query(text)
+    got = [print_answer(a, q.variables)
+           for a in run_query(prog, q, Config(**kwargs)).answers]
+    return got, len(calls)
+
+
+@pytest.mark.parametrize("prog, text, budget, keys", [
+    ("lists", f"append(X, Y, {list(range(24))}).", 1000, 25),
+    ("lists", f"member(X, {DIGITS}).", 1000, 40),
+    ("omega", "p(X).", 32, None),
+], ids=["append", "member", "omega"])
+def test_iddfs_keys_as_many_answers_as_dfs(monkeypatch, request, prog, text,
+                                           budget, keys):
+    """A sweep keys only the answers that cost more than the budget of the
+    sweep before it, so iterative deepening keys as many as one dfs sweep."""
+    prog = request.getfixturevalue(prog)
+    got, keyed = _keyed(monkeypatch, prog, text, budget=budget)
+    dfs_got, dfs_keyed = _keyed(monkeypatch, prog, text, budget=budget,
+                                strategy="dfs")
+    assert sorted(got) == sorted(dfs_got)
+    assert keyed == dfs_keyed == (dfs_keyed if keys is None else keys)
+
+
+@pytest.mark.parametrize("budget", [1, 4])
+@pytest.mark.parametrize("text, answer", [
+    ("X = a.", "X = a"),
+    ("X = [1,2], Y = X.", "X = [1,2]\nY = [1,2]"),
+], ids=["one", "two"])
+def test_iddfs_answers_queries_of_builtins_alone(monkeypatch, lists, text,
+                                                 answer, budget):
+    """Builtins cost nothing, so the first sweep's floor is below 0."""
+    assert _keyed(monkeypatch, lists, text, budget=budget) == ([answer], 1)
 
 
 # --- preference and tracing ----------------------------------------------

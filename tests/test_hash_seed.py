@@ -40,6 +40,9 @@ RUNS = [
     f"check {P}/omega.colp {P}/omega.univ p(X). --mode coinductive "
     "--budget 12",
     f"run {P}/omega.colp p(X). --mode coinductive --budget 8 --trace",
+    # answers found over several sweeps, and builtins alone
+    f"run {P}/lists.colp append(X,Y,[0,1,0,1,1]). --answers 8",
+    f"run {P}/lists.colp X=[1,2],Y=X. --budget 4",
 ]
 
 # reads the commands as JSON on stdin, writes [exit code, stdout, stderr]

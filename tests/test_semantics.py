@@ -61,6 +61,16 @@ def test_universe_rejects_bad_names():
         Universe.from_text("Bad := f(a)\n")
 
 
+@pytest.mark.parametrize("sep", ["\x0c", "\u2028", "\x1c", "\x85"])
+def test_universe_lines_end_at_newline_alone(sep):
+    """Only "\\n" ends a line, as in a program, so the bad name is on the
+    second line whatever other line separator the first holds."""
+    with pytest.raises(SyntaxErrors) as e:
+        Universe.from_text(f"z{sep}s(z)\nBad := a\n")
+    assert [str(i) for i in e.value.issues] == [
+        "2: bad universe name 'Bad'"]
+
+
 def test_universe_rejects_clashing_definitions():
     with pytest.raises(SyntaxErrors):
         Universe.from_text("a := f(a)\na := g(a)\n")

@@ -108,6 +108,8 @@ COMMANDS = [
     (["run", P + "lists.colp", "X = -Y, Y = 3."], ""),
     (["run", P + "lists.colp", "X = -Y, Y = -3, Z is X * 2."], ""),
     (["run", P + "lists.colp", "X = -(3), X = -3."], ""),
+    # a warning for each called predicate that nothing defines
+    (["run", P + "lists.colp", "member(X, [0]), q(X), r."], ""),
 ]
 
 
