@@ -14,29 +14,33 @@ hypotheses.  Three moves resolve the leftmost frame:
 
 step and co-hyp each consume one unit of budget, shared along the whole
 derivation including the inner re-derivations.  Builtins are free and are
-never hypotheses.
+never hypotheses.  A state at the budget wall makes no move, and counts as
+a wall if a step is left: an atom that has a co-hyp move has a step too,
+since each hypothesis took a step with an outer clause, and what unifies
+with the hypothesis unifies with a fresh renaming of that clause head.
 
 A mode picks a program's compiled clauses, the Templates the oracle
 grounds (Program.templates), and each query sorts them into tables by head
 signature.  A clause or hypothesis whose principal functors clash with the
-atom's is skipped, and so is a ground hypothesis that failed a solve
-before, once its key shows that its value differs from the ground atom's.
-A value is read as equations._unfold's raw table, for arithmetic, or
-through value_key, for every key; \\= is the failure of solve.  Keys are
-exact: a query keeps one store for all its sweeps, where a key holds
-values' ids (value_key).
+atom's is skipped, and a ground atom and a ground hypothesis are decided
+by their keys alone: a solve of the pair would bind nothing.  A value is
+read as equations._unfold's raw table, for arithmetic, or through
+value_key, for every key; \\= is the failure of solve.  Keys are exact: a
+query keeps one store for all its sweeps, where a key holds values' ids
+(value_key).
 
 Each sweep keeps a table of failed re-derivations of ground atoms.  Such a
 re-derivation has no hypotheses and runs on the inner clause tables, so
 its outcome depends only on the atom's value and on the budget r left when
-it starts.  The table keeps, per value, the most budget left with which one
-hit the budget wall without success, and the least with which one failed
-finitely.  A later re-derivation of the same value is skipped when
-  r <= the first: it would hit the wall again, so the sweep is pruned;
-  r >= the second: it would fail finitely again, with the same subtree.
-The trace shows each skip as a TABLED line.  A re-derivation whose subtree
-raised a type error is not tabled, since its diagnostics name fresh
-variables.
+it starts.  It cannot fail finitely: under the move's equations its atom
+equals an ancestor hypothesis, and the steps from there down to the atom,
+with each co-hyp move on the way replaced by its own re-derivation, replay
+as an inner derivation of the atom from itself.  So it succeeds or hits
+the budget wall, and the table keeps, per value, the most budget left with
+which one failed; a later one of the same value with r no greater would
+hit the wall again, so it is skipped and the sweep is pruned.  The trace
+shows each skip as a TABLED line.  A re-derivation whose subtree raised a
+type error is not tabled, since its diagnostics name fresh variables.
 
 Iterative deepening keys only the answers that cost more than the budget of
 the sweep before, cost being the budget used at EMPTY.  A sweep finds every
@@ -126,11 +130,10 @@ class _Hyp:
     so a principal functor that was set and a ground value stay as they
     were."""
 
-    __slots__ = ("atom", "heads", "solved", "failed", "_key")
+    __slots__ = ("atom", "heads", "solved", "_key")
 
     def __init__(self, atom: Atom, heads: tuple, solved: SolvedForm):
         self.atom, self.heads, self.solved = atom, heads, solved
-        self.failed = False  # a later atom's solve against it failed
         self._key = () if None in heads else None
 
     def key(self, store: dict) -> tuple:
@@ -162,17 +165,17 @@ class Frame:
 
 class _Redo:
     """A co-hyp move's re-derivation of an atom under the move's equations,
-    with r, the budget left, and the sweep's wall and type error counts
-    when it started.  It goes on the stack twice: as a frame after the
-    re-derived atom's body, reached once the atom is re-derived, and as an
-    entry beneath the whole subtree, popped once that is done."""
+    with r, the budget left, and the sweep's type error count when it
+    started.  It goes on the stack twice: as a frame after the re-derived
+    atom's body, reached once the atom is re-derived, and as an entry
+    beneath the whole subtree, popped once that is done."""
 
-    __slots__ = ("atom", "solved", "left", "walls", "errors", "done", "_key")
+    __slots__ = ("atom", "solved", "left", "errors", "done", "_key")
 
     def __init__(self, atom: Atom, solved: SolvedForm, left: int,
-                 walls: int, errors: int):
+                 errors: int):
         self.atom, self.solved, self.left = atom, solved, left
-        self.walls, self.errors = walls, errors
+        self.errors = errors
         self.done = False  # the atom was re-derived
         self._key: Optional[tuple] = None
 
@@ -218,9 +221,9 @@ class _Run:
         self.fresh = itertools.count(1)
         self.walls = 0   # states cut at the budget wall
         self.errors = 0  # type errors raised
-        # a ground re-derivation's key -> [most budget left with which it
-        # hit the wall, least budget left with which it failed finitely]
-        self.failed: dict[tuple, list[int]] = {}
+        # a ground re-derivation's key -> the most budget left with which
+        # it failed, at the wall
+        self.failed: dict[tuple, int] = {}
 
     def _tline(self, depth: int, text: str) -> None:
         if self.trace is not None:
@@ -270,14 +273,27 @@ class _Run:
                 continue
 
             if frame.hyps is None:  # a co-hyp move's re-derivation starts
-                redo = _Redo(atom, solved, self.budget - used, self.walls,
-                             self.errors)
+                redo = _Redo(atom, solved, self.budget - used, self.errors)
                 if self.failed and self._tabled(redo, frame.depth):
                     continue
                 stack.append((None, redo, 0, None))
                 rest = (redo,) + rest
             sig = (atom.pred, len(atom.args))
             heads = tuple(principal(solved.walk(a)) for a in atom.args)
+            steps = []
+            for cid, code in (self.inner if frame.inner
+                              else self.outer).get(sig, ()):
+                if _clash(code.heads, heads):
+                    next(self.fresh)  # skipped, but the stamp is used up
+                    continue
+                renamed = fresh_rename(code, self.fresh)
+                after = solve(zip(atom.args, renamed.head.args), solved)
+                if after is not None:
+                    steps.append((cid, renamed.body, after))
+            if used >= self.budget:  # no move is made past the wall
+                if steps:  # a co-hyp move needs a step too
+                    self.walls += 1
+                continue
             hyps: tuple[_Hyp, ...] = ()
             cohyps = []
             # without coclauses, no co-hyp move reads the hypotheses
@@ -289,13 +305,15 @@ class _Run:
                     if ((other.pred, len(other.args)) != sig
                             or _clash(hyp.heads, heads)):
                         continue
-                    if (hyp.failed and made.key(store) and hyp.key(store)
-                            and made.key(store) != hyp.key(store)):
-                        continue  # ground and unequal
-                    after = solve(zip(atom.args, other.args), solved)
-                    if after is None:
-                        hyp.failed = True
-                        continue  # so the atoms are not identical either
+                    key = hyp.key(store) and made.key(store)
+                    if key:  # both ground
+                        if key != hyp.key(store):
+                            continue
+                        after = solved
+                    else:
+                        after = solve(zip(atom.args, other.args), solved)
+                        if after is None:
+                            continue  # so the atoms are not identical either
                     dup = dup or identical(other, atom)
                     note = None
                     if self.trace is not None:
@@ -305,57 +323,35 @@ class _Run:
                     redo = Frame(atom, None, True, frame.depth + 1)
                     cohyps.append(((redo,) + rest, after, used + 1, note))
                 hyps = frame.hyps if dup else frame.hyps + (made,)
-            steps = []
-            for cid, code in (self.inner if frame.inner
-                              else self.outer).get(sig, ()):
-                if _clash(code.heads, heads):
-                    next(self.fresh)  # skipped, but the stamp is used up
-                    continue
-                renamed = fresh_rename(code, self.fresh)
-                after = solve(zip(atom.args, renamed.head.args), solved)
-                if after is None:
-                    continue
+            moves = []
+            for cid, body, after in steps:
                 body = tuple(Frame(b, hyps, frame.inner, frame.depth + 1)
-                             for b in renamed.body)
+                             for b in body)
                 note = None
                 if self.trace is not None:
                     note = (frame.depth,
                             f"STEP {atom_to_str(atom, after)} via {cid}")
-                steps.append((body + rest, after, used + 1, note))
-            alts = cohyps + steps if self.prefer == "cohyp" else steps + cohyps
-
-            if used >= self.budget:
-                if alts:
-                    self.walls += 1
-                continue
+                moves.append((body + rest, after, used + 1, note))
+            alts = cohyps + moves if self.prefer == "cohyp" else moves + cohyps
             stack.extend(reversed(alts))
 
     def _tabled(self, redo: _Redo, depth: int) -> bool:
         """Is the re-derivation's outcome known from the failure table?  One
         that would hit the wall was tabled after this sweep hit it."""
-        bounds = self.failed.get(redo.key(self.store))
-        if not bounds:
-            return False
-        walled = redo.left <= bounds[0]
-        if not walled and redo.left < bounds[1]:
+        if redo.left > self.failed.get(redo.key(self.store), -1):
             return False
         if self.trace is not None:
-            outcome = "exhausted" if walled else "failed"
             snap = atom_to_str(redo.atom, redo.solved)
-            self._tline(depth, f"TABLED {snap} {outcome} within {redo.left}")
+            self._tline(depth, f"TABLED {snap} exhausted within {redo.left}")
         return True
 
     def _record(self, redo: _Redo) -> None:
-        """Table a re-derivation that failed, unless a type error was
-        raised below it or its atom is not ground."""
+        """Table a re-derivation that failed, at the wall, unless a type
+        error was raised below it or its atom is not ground."""
         if redo.done or redo.errors != self.errors or not redo.key(self.store):
             return
-        bounds = self.failed.setdefault(redo.key(self.store),
-                                        [-1, self.budget + 1])
-        if redo.walls != self.walls:
-            bounds[0] = max(bounds[0], redo.left)
-        else:
-            bounds[1] = min(bounds[1], redo.left)
+        key = redo.key(self.store)
+        self.failed[key] = max(self.failed.get(key, -1), redo.left)
 
 
 def _answer_key(solved: SolvedForm, qvars: tuple[Var, ...],

@@ -731,6 +731,7 @@ class ReferenceRun:
         self.walls = 0
         self.errors = 0
         self.failures = []  # (predicate, argument values, budget left, walled)
+        self.cohyps_alone = 0  # wall states with a co-hyp move and no step
         self.has_co = bool(prog.coclauses)
         self.outer = {}
         for i, cl in enumerate(prog.clauses, 1):
@@ -823,6 +824,7 @@ class ReferenceRun:
                 if alts:
                     self.pruned = True
                     self.walls += 1
+                    self.cohyps_alone += not steps
                 continue
             stack.extend(reversed(alts))
 

@@ -68,6 +68,12 @@ def test_undefined_predicates_are_warned_about(tmp_path):
     assert run_cli(["run", LISTS, "member(X, [0])."])[2] == ""
 
 
+def test_run_a_true_body_prints_true(tmp_path):
+    prog = tmp_path / "true.colp"
+    prog.write_text("p :- true.\n")
+    assert run_cli(["run", str(prog), "p."]) == (0, "true\n", "")
+
+
 def test_run_dfs_strategy():
     code, out, err = run_cli(
         ["run", OMEGA, "p(X).", "--strategy", "dfs", "--budget", "32"])
@@ -189,6 +195,15 @@ def test_semantics_successor_loop_tables():
     assert code == 0
     assert out == "Ind: (empty)\nCoInd: p(omega)\nReg: p(omega)\n"
     assert err == "warning: instance escapes the universe: p on s(s(z))\n"
+
+
+def test_semantics_prints_zero_ary_atoms_by_name(tmp_path):
+    prog = tmp_path / "props.colp"
+    prog.write_text("p :- true.\nq :- p, true.\nr :- r.\nr :~ true.\n")
+    univ = tmp_path / "a.univ"
+    univ.write_text("a\n")
+    assert run_cli(["semantics", str(prog), str(univ)]) == (
+        0, "Ind: p, q\nCoInd: p, q, r\nReg: p, q, r\n", "")
 
 
 def test_semantics_inductive_mode_empties_reg():
@@ -427,6 +442,16 @@ def test_check_notes_budget_exhaustion_on_fail(monkeypatch):
                    "note: enumeration was budget exhausted\nFAIL\n")
 
 
+def test_check_reports_a_missing_ground_answer_as_true(tmp_path):
+    prog = tmp_path / "chain.colp"
+    prog.write_text("p :- q.\nq :- s.\ns.\n")
+    univ = tmp_path / "a.univ"
+    univ.write_text("a\n")
+    assert run_cli(["check", str(prog), str(univ), "p.", "--budget", "1"]) == (
+        1, "missing: true\nnote: enumeration was budget exhausted\nFAIL\n",
+        "")
+
+
 def test_check_notes_the_answer_cap_on_fail():
     args = ["check", LISTS, LISTS_U, "member(X, [0,1])."]
     code, out, _ = run_cli(args + ["--answers", "1"])
@@ -491,6 +516,11 @@ def test_repl_budget_beyond_the_digit_limit_is_unknown():
     assert code == 0
     assert out == "?- ?- ?- budget exhausted\n?- "
     assert err == "unknown directive: :budget " + "9" * 5000 + "\n"
+
+
+def test_repl_budget_that_is_not_a_number_is_unknown():
+    code, out, err = run_cli(["repl", OMEGA], stdin=":budget x\n:quit\n")
+    assert (code, out, err) == (0, "?- ?- ", "unknown directive: :budget x\n")
 
 
 def test_repl_trace_toggle():

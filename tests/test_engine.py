@@ -1,4 +1,5 @@
 import io
+import math
 import re
 
 import hypothesis.strategies as st
@@ -162,6 +163,60 @@ def test_iddfs_answers_queries_of_builtins_alone(monkeypatch, lists, text,
     assert _keyed(monkeypatch, lists, text, budget=budget) == ([answer], 1)
 
 
+# --- growth in exact counts ----------------------------------------------
+
+def _counted(counts, field, f):
+    def counting(*args):
+        counts[field] += 1
+        return f(*args)
+    return counting
+
+
+def _work(monkeypatch, prog, text, budget):
+    """The calls a dfs run that finds no answer makes to the engine's
+    solve, _clash, fresh_rename and _ground_key, and the nodes _unfold
+    builds for it."""
+    counts = dict.fromkeys(("solve", "clashes", "renames", "keys", "nodes"), 0)
+    unfold = engine._unfold
+
+    def unfolding(solved, terms):
+        nodes, roots = unfold(solved, terms)
+        counts["nodes"] += len(nodes)
+        return nodes, roots
+
+    with monkeypatch.context() as m:
+        for name, field in (("solve", "solve"), ("_clash", "clashes"),
+                            ("fresh_rename", "renames"),
+                            ("_ground_key", "keys")):
+            m.setattr(engine, name, _counted(counts, field,
+                                             getattr(engine, name)))
+        m.setattr(engine, "_unfold", unfolding)
+        out = run_query(prog, parse_query(text),
+                        Config(strategy="dfs", budget=budget))
+        assert list(out.answers) == []
+    return counts
+
+
+# Each count's exponent per doubling of the budget when this test was
+# written.  A count fails once its exponent exceeds that by 0.25.  A change
+# that lowers an exponent lowers its entry here; none is ever raised.
+@pytest.mark.parametrize("name, text, budget, exponents", [
+    ("omega.colp", "p(z).", 50,
+     {"solve": 1.0, "clashes": 1.958, "renames": 0.986, "keys": 1.0,
+      "nodes": 1.959}),
+    ("ltl.colp", "W = [1|W], sat(W, until(one, zero)).", 16,
+     {"solve": 1.767, "clashes": 1.589, "renames": 1.023, "keys": 2.147,
+      "nodes": 2.861}),
+], ids=["omega", "ltl"])
+def test_work_grows_within_its_exponent(monkeypatch, name, text, budget,
+                                        exponents):
+    prog = load_program(name)
+    low = _work(monkeypatch, prog, text, budget)
+    high = _work(monkeypatch, prog, text, 2 * budget)
+    got = {k: math.log2(high[k] / low[k]) for k in exponents}
+    assert all(got[k] <= exponents[k] + 0.25 for k in exponents), got
+
+
 # --- preference and tracing ----------------------------------------------
 
 def _first_decision(prog, text, **kwargs):
@@ -284,6 +339,10 @@ def test_config_validation():
         Config(mode="other")
     with pytest.raises(ValueError):
         Config(max_answers=0)
+    with pytest.raises(ValueError, match="unknown strategy 'bfs'"):
+        Config(strategy="bfs")
+    with pytest.raises(ValueError, match="unknown preference 'other'"):
+        Config(prefer="other")
 
 
 # --- metamorphic: the answer set ignores search order -------------------

@@ -114,8 +114,8 @@ def test_the_engine_and_the_oracle_share_each_compiled_clause(mode):
 
 
 def test_keyed_hypotheses_close_exactly():
-    """Keys decide ground pairs once a hypothesis has failed a solve: in
-    p(z), p(s^k(z)) fails against every earlier p(s^j(z)).  p(f(Y)) is
+    """Keys decide ground pairs: in p(z), p(s^k(z)) differs from every
+    earlier p(s^j(z)) by key, with no solve.  p(f(Y)) is
     made with Y free, so it has no key, and later frames meet it under
     Y = a and then, on backtracking, under Y = b."""
     prog = parse_program("p(X) :- p(s(X)).\np(X) :~.\n"
@@ -126,9 +126,9 @@ def test_keyed_hypotheses_close_exactly():
 
 
 def test_failed_ground_hypotheses_are_told_apart_by_key(monkeypatch):
-    """In p(z) under dfs, p(s^k(z)) is solved against its newest hypothesis
-    only: every older one failed a solve before, and its key differs.  So
-    a sweep makes two solves per step, not one per hypothesis."""
+    """In p(z) under dfs, p(s^k(z)) and all its hypotheses are ground, so
+    keys tell them apart with no solve, and a sweep makes at most two
+    solves per step, not one per hypothesis."""
     calls = []
 
     def counted(eqs, base):
@@ -164,10 +164,10 @@ def g(n):
     return Compound("g", (Num(n), Num(0)))
 
 
-def test_a_failed_hypothesis_with_an_unequal_key_skips_solve(monkeypatch):
-    """p(g(-2, 0)) fails against the hypothesis p(g(-1, 0)), which marks it
-    failed.  The second s(g(-2, 0)) meets it again; the keys are exact, so
-    they differ although hash(-1) == hash(-2), and the pair skips solve."""
+def test_a_ground_pair_with_unequal_keys_skips_solve(monkeypatch):
+    """Each s(g(-2, 0)) calls p(g(-2, 0)), which meets the hypothesis
+    p(g(-1, 0)); the keys are exact, so they differ although hash(-1) ==
+    hash(-2), and neither meeting calls solve."""
     prog = parse_program("p(g(A, B)) :- C is A - 1, s(g(C, B)), s(g(C, B)).\n"
                          "s(X) :- p(X).\ns(X).\np(X) :~.\n")
     text = "A is 0 - 1, p(g(A, 0))."
@@ -180,26 +180,26 @@ def test_a_failed_hypothesis_with_an_unequal_key_skips_solve(monkeypatch):
     outcome = run_query(prog, parse_query(text),
                         Config(strategy="dfs", budget=8))
     assert len(list(outcome.answers)) == 1
-    # only the solve that marks the hypothesis failed
-    assert met == ["unequal"]
+    assert met == []
 
 
-def test_a_failed_hypothesis_still_solves_against_an_equal_value(
-        monkeypatch):
-    """Once p(g(-2, 0)) has failed against the hypothesis p(g(-1, 0)), the
-    last s(g(-1, 0)) meets it with an equal key, so the pair goes to solve
-    and the loop closes."""
+def test_a_ground_pair_with_equal_keys_closes_without_solve(monkeypatch):
+    """The last s(g(-1, 0)) calls p(g(-1, 0)), which meets the hypothesis
+    p(g(-1, 0)) with an equal key, so the loop closes under the current
+    equations, and no solve is made on either ground pair."""
     prog = parse_program("p(g(A, B)) :- C is A - 1, s(g(C, B)), s(g(A, B)).\n"
                          "s(X) :- p(X).\ns(X).\np(X) :~.\n")
     text = "A is 0 - 1, p(g(A, 0))."
     for strategy in ("dfs", "iddfs"):
-        assert_same_run(prog, text, Config(strategy=strategy, budget=8))
+        trace = assert_same_run(prog, text,
+                                Config(strategy=strategy, budget=8))[0]
+        assert "COHYP p(g(-1, 0)) ~ p(g(-1, 0))" in trace
     met = _spy_on_pairs(monkeypatch, {"unequal": (g(-2), g(-1)),
                                       "equal": (g(-1), g(-1))})
     outcome = run_query(prog, parse_query(text),
                         Config(strategy="dfs", budget=8))
     assert list(outcome.answers)
-    assert "equal" in met[met.index("unequal"):]
+    assert met == []
 
 
 # --- keys ------------------------------------------------------------------

@@ -3,6 +3,7 @@ against the untabled reference engine in conftest: the same answers, the
 same exhaustion and the same diagnostics, with the renamings that a table
 hit skips counted."""
 import itertools
+import random
 
 import hypothesis.strategies as st
 import pytest
@@ -13,6 +14,7 @@ from colp.engine import (BUDGET_EXHAUSTED, MODES, PREFERENCES, STRATEGIES,
                          Config, run_query)
 from colp.parser import parse_program, parse_query
 
+import conftest
 from conftest import answer_key_by_table, load_program, reference_run_query
 from test_acceptance import random_ground_program
 from test_indexing import QUERIES, assert_same_run, transcript
@@ -66,6 +68,88 @@ def test_tabled_runs_match_the_untabled_reference_on_generated_programs(
     assert_same_outcome(parse_program(text), f"{pred}(X).",
                         Config(mode=mode, strategy=strategy, prefer=prefer,
                                budget=budget))
+
+
+def random_open_program(rng):
+    """Clauses over f/1, g/2, lists, the constants a and b and the
+    variables X, Y and Z: one or two for each of p/1, q/2 and the 0-ary r,
+    at most one of them with two body atoms, and one or two coclauses,
+    which may have a body atom.  A body atom may be = or \\=, which raises a
+    type error unless its operands are ground.  Returns the program text
+    and a query."""
+    def term(depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.35:
+            return rng.choice(("X", "Y", "Z", "a", "b"))
+        if roll < 0.5:
+            return "[]"
+        if roll < 0.7:
+            return f"f({term(depth - 1)})"
+        if roll < 0.85:
+            return f"g({term(depth - 1)}, {term(depth - 1)})"
+        return f"[{term(depth - 1)}|{term(depth - 1)}]"
+
+    def call(pred):
+        if pred == "p":
+            return f"p({term(2)})"
+        return f"q({term(1)}, {term(2)})" if pred == "q" else "r"
+
+    def clause(head, neck, sizes):
+        body = []
+        for _ in range(rng.choice(sizes)):
+            if rng.random() < 0.15:
+                op = rng.choice(("=", "=", "\\="))
+                body.append(f"{term(1)} {op} {term(2)}")
+            else:
+                body.append(call(rng.choice("ppqqr")))
+        if not body:
+            return f"{head}." if neck == ":-" else f"{head} :~."
+        return f"{head} {neck} {', '.join(body)}."
+
+    heads = ["p", "q", "r"] + rng.sample(("p", "q", "r"), rng.randint(0, 2))
+    rng.shuffle(heads)
+    wide = rng.randrange(len(heads))
+    lines = [clause(call(pred), ":-",
+                    (0, 1, 1, 2) if i == wide else (0, 1, 1))
+             for i, pred in enumerate(heads)]
+    lines += [clause(call(rng.choice("pqr")), ":~", (0, 1, 1))
+              for _ in range(rng.randint(1, 2))]
+    query = rng.choice(("p(X).", "q(X, Y).", "r.", "X = f(X), p(X).",
+                        "X = [a|X], q(X, Y).", f"p({term(2)})."))
+    return "".join(line + "\n" for line in dict.fromkeys(lines)), query
+
+
+def test_tabled_runs_match_the_reference_on_generated_open_programs(
+        monkeypatch):
+    """100 generated non-ground programs, each under both strategies and
+    both preferences at budgets 5 and 9: the engine's trace, answers,
+    exhaustion and diagnostics are those of the reference, which tables
+    finite failures too and scans the hypotheses at the wall.  No ground
+    re-derivation of the reference fails finitely, so the engine's table
+    keeps walls alone, and no state at its wall has a co-hyp move but no
+    step, so the engine scans no hypothesis there."""
+    runs = []
+
+    class Recorded(conftest.ReferenceRun):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            runs.append(self)
+
+    monkeypatch.setattr(conftest, "ReferenceRun", Recorded)
+    rng = random.Random(2024)
+    for _ in range(100):
+        text, query_text = random_open_program(rng)
+        prog = parse_program(text)
+        for strategy, prefer, budget in itertools.product(
+                STRATEGIES, PREFERENCES, (5, 9)):
+            cfg = Config(strategy=strategy, prefer=prefer, budget=budget)
+            assert (transcript(run_query, prog, query_text, cfg)
+                    == transcript(reference_run_query, prog, query_text,
+                                  cfg)), (text, query_text, cfg)
+    failures = [f for run in runs for f in run.failures]
+    assert failures and all(walled for *_, walled in failures)
+    assert sum(run.walls for run in runs) and not any(
+        run.cohyps_alone for run in runs)
 
 
 UNTIL = "W = [1|W], sat(W, until(one, zero))."
