@@ -141,7 +141,7 @@ def cmd_repl(args: argparse.Namespace, inp: IO[str], out: IO[str],
             args.mode = rest[0]
         elif name == ":budget" and rest and (value := _budget_value(rest[0])):
             args.budget = value
-        elif name == ":trace":
+        elif name == ":trace" and rest[:1] in ([], ["on"], ["off"]):
             args.trace = rest[0] == "on" if rest else not args.trace
         else:
             err.write(f"unknown directive: {line}\n")

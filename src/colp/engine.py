@@ -24,7 +24,7 @@ grounds (Program.templates), and each query sorts them into tables by head
 signature.  A clause or hypothesis whose principal functors clash with the
 atom's is skipped, and a ground atom and a ground hypothesis are decided
 by their keys alone: a solve of the pair would bind nothing.  A value is
-read as equations._unfold's raw table, for arithmetic, or through
+read as equations.unfold's raw table, for arithmetic, or through
 value_key, for every key; \\= is the failure of solve.  Keys are exact: a
 query keeps one store for all its sweeps, where a key holds values' ids
 (value_key).
@@ -53,8 +53,8 @@ import itertools
 from dataclasses import dataclass
 from typing import IO, Iterator, Optional
 
-from .equations import (EMPTY_SOLVED, BuiltinTypeError, SolvedForm, _unfold,
-                        arith_value, holds, solve, value_key)
+from .equations import (EMPTY_SOLVED, BuiltinTypeError, SolvedForm,
+                        arith_value, holds, solve, unfold, value_key)
 from .parser import Query, atom_to_str
 from .terms import (MODES, Atom, Num, Program, Var, fresh_rename, identical,
                     is_builtin, principal)
@@ -147,7 +147,7 @@ class _Hyp:
 def _ground_key(atom: Atom, solved: SolvedForm, store: dict) -> tuple:
     """The predicate and the exact key of the atom's argument values in the
     store (see equations.value_key), or () if one is not ground."""
-    nodes, roots = _unfold(solved, atom.args)
+    nodes, roots = unfold(solved, atom.args)
     if any(k == "v" for k, _, _ in nodes):
         return ()
     return (atom.pred, *value_key(nodes, roots, store))
@@ -194,7 +194,7 @@ def eval_builtin(atom: Atom, solved: SolvedForm) -> Optional[SolvedForm]:
     a, b = atom.args
     if pred == "=":
         return solve([(a, b)], solved)
-    nodes, (ra, rb) = _unfold(solved, atom.args)
+    nodes, (ra, rb) = unfold(solved, atom.args)
     if pred == "is":
         return solve([(a, Num(arith_value(nodes, rb)))], solved)
     if pred != "\\=":
@@ -358,9 +358,9 @@ def _answer_key(solved: SolvedForm, qvars: tuple[Var, ...],
                 store: dict) -> tuple:
     """Equality-up-to-renaming key for one answer: the exact key in the
     store of the query variables' values, with free leaves renamed 0, 1,
-    ... in table order.  _unfold's table is breadth-first, so that is their
+    ... in table order.  unfold's table is breadth-first, so that is their
     first appearance level by level in the values, whatever the sharing."""
-    nodes, roots = _unfold(solved, qvars)
+    nodes, roots = unfold(solved, qvars)
     names: dict[str, int] = {}
     nodes = [("v", names.setdefault(n[1], len(names)), ()) if n[0] == "v"
              else n for n in nodes]

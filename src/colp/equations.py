@@ -9,7 +9,7 @@ variables; cycles through compounds are exactly how infinite solutions stay
 finitely representable.
 
 A value is a regular tree, held as an id in a node table: a finite term
-graph of (kind, payload, child ids) nodes.  _unfold builds the raw table of
+graph of (kind, payload, child ids) nodes.  unfold builds the raw table of
 terms under a solved form, one node per term object reached; arith_value
 reads it as it is, and so does match on the pattern side.  value_key gives
 the values at roots of a table their exact key in a store, a caller's dict
@@ -128,13 +128,13 @@ def rational_values(solved: SolvedForm,
                     terms: Sequence[Term]) -> tuple[tuple, list[int]]:
     """The minimal node table of the terms' values, numbered by _number,
     and the id of each."""
-    nodes, roots = _unfold(solved, terms)
+    nodes, roots = unfold(solved, terms)
     block = _classes(nodes, roots, {})
     return _number(nodes, _refine(nodes) if block is None else block, roots)
 
 
-def _unfold(solved: SolvedForm,
-            terms: Sequence[Term]) -> tuple[list, list[int]]:
+def unfold(solved: SolvedForm,
+           terms: Sequence[Term]) -> tuple[list, list[int]]:
     """Unfold terms through a solved form into one node table, one node per
     term object reached, which closes cycles, as they run through the one
     binding object of a variable; and the id of each term's value in it."""
@@ -226,20 +226,19 @@ def _refine(nodes: list) -> list[int]:
 
 
 def _number(nodes: list, block, roots) -> tuple[tuple, list[int]]:
-    """The quotient graph by the given classes, numbered in preorder from
-    the class of each root in turn, and the id of each root.  Any member
-    stands for its class, since the members of a class share their label
-    and child classes."""
+    """The quotient graph by the given classes, numbered breadth-first from
+    all the roots, each root before any child, and the id of each root: so
+    the roots' distinct values get ids 0, 1, ... in order of first
+    appearance.  Any member stands for its class, since the members of a
+    class share their label and child classes."""
     seq: dict[int, int] = {}
     members: list[int] = []
-    stack = list(roots)[::-1]
-    while stack:
-        i = stack.pop()
-        if block[i] in seq:
-            continue
-        seq[block[i]] = len(members)
-        members.append(i)
-        stack.extend(reversed(nodes[i][2]))
+    queue = list(roots)
+    for i in queue:  # also visits the children appended below
+        if block[i] not in seq:
+            seq[block[i]] = len(members)
+            members.append(i)
+            queue.extend(nodes[i][2])
     return (tuple((kind, payload, tuple(seq[block[c]] for c in kids))
                   for kind, payload, kids in (nodes[i] for i in members)),
             [seq[block[r]] for r in roots])
@@ -253,7 +252,7 @@ def match(pattern: Sequence[tuple], proot: int, nodes: Sequence[tuple],
 
     A coinductive pair walk: a pair under comparison is assumed to match
     while its children are compared, so the pattern may be any table, such
-    as _unfold's.  The target is minimal, so a leaf reached at two
+    as unfold's.  The target is minimal, so a leaf reached at two
     different nodes would need two different values.
     """
     at: dict[str, int] = {}

@@ -32,7 +32,7 @@ from itertools import count
 from typing import Optional, Sequence
 
 from .terms import (Atom, BUILTIN_ARITIES, BUILTIN_NAMES, Clause, Compound,
-                    NIL, Num, Program, Term, Var, cons, ordered_vars)
+                    NIL, Num, Program, Template, Term, Var, cons)
 from .equations import EMPTY_SOLVED, SolvedForm
 
 _SYMBOLS = [":-", ":~", "?-", "\\=", "=<", ">=",
@@ -321,9 +321,9 @@ def parse_query(text: str, origin: str = "<query>") -> Query:
         raise SyntaxErrors(origin, [b.issue]) from None
     if atoms == (Atom("true", ()),):
         atoms = ()
-    variables = tuple(v for v in ordered_vars(atoms)
-                      if not v.name.startswith("_#"))
-    return Query(atoms, variables)
+    # the query's variables, in the order its compiled clause numbers them
+    names = Template(Clause(Atom("?-"), atoms)).names
+    return Query(atoms, tuple(Var(n) for n in names if n[:2] != "_#"))
 
 
 def parse_term_text(text: str, origin: str = "<term>") -> Term:

@@ -12,17 +12,18 @@ universe-closed programs.
 
 Grounding works on integer node ids, not on term values.  A universe
 unfolds its elements together and minimises them once into its store,
-closed under children, with one id per distinct tree.  A clause is
-compiled to the terms.Template the engine renames from, and each argument's
-ops run on element ids, building a node by looking up (functor, child ids).
-A value outside the store is appended to it, with an id above every
-element; that stays minimal because such a value sits acyclically above
-the store, and the store outlives the grounding pass.  Builtins read ids as
+closed under children, with one id per distinct tree; element e is id e,
+so an id is an element exactly when it is below the universe's size.  A
+clause is compiled to the terms.Template the engine renames from, and each
+argument's ops run on element ids, building a node by looking up (functor,
+child ids).  A value outside the store is appended to it, with an id above
+every element; that stays minimal because such a value sits acyclically
+above the store, and the store outlives the grounding pass.  Builtins read ids as
 well, through the equations.holds the engine uses: = and \\= compare ids,
 is compares the node at an id with the computed number, and arithmetic
 reads the store's nodes.  Escape warnings render straight from the store
 through parser.render, and check matches the raw table of each engine
-answer (equations._unfold) against the store, so a value is always an id
+answer (equations.unfold) against the store, so a value is always an id
 in a node table.  Only a universe is minimised (equations.rational_values).
 CoInd is sought inside the rules' conclusions: any X in T(X) lies there.
 
@@ -38,8 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .equations import (EMPTY_SOLVED, BuiltinTypeError, SolvedForm, _unfold,
-                        holds, match, rational_values, solve)
+from .equations import (EMPTY_SOLVED, BuiltinTypeError, SolvedForm, holds,
+                        match, rational_values, solve, unfold)
 from .parser import (ParseIssue, Query, SyntaxErrors, parse_term_text,
                      render)
 from .terms import (BUILTIN_ARITIES, Atom, Clause, Compound, Num, Program,
@@ -58,9 +59,11 @@ class Universe:
     The elements share one store of node ids, a minimal node table, so each
     distinct tree among them and their subterms has exactly one id: store[i]
     is the node with id i, as (kind, payload, child ids), and ids maps it
-    back.  roots[e] is the id of element e, the first entry at that id, and
-    element_at maps it back to e.  Grounding appends the values that escape
-    the elements to the store, so it may grow, but roots never change.
+    back.  Element e is the tree at id e, as rational_values numbers the
+    roots, so an id is an element exactly when it is below len(self).
+    Grounding appends the values that escape the elements to the store, at
+    ids at or above its length, so it may grow, but the elements never
+    change.
     """
 
     def __init__(self, names: Sequence[str], store: tuple,
@@ -69,19 +72,16 @@ class Universe:
         for name, root in zip(names, roots):
             first.setdefault(root, name)
         self.names = list(first.values())
-        self.roots = list(first)
         self.store = list(store)
         self.ids: dict[tuple, int] = {n: i for i, n in enumerate(store)}
-        self.element_at: dict[int, int] = {
-            r: e for e, r in enumerate(self.roots)}
 
     def __len__(self) -> int:
-        return len(self.roots)
+        return len(self.names)
 
     def index_of(self, nodes: Sequence[tuple], root: int = 0) -> Optional[int]:
         """The element whose tree is the one at root of a node table."""
-        return next((e for e, r in enumerate(self.roots)
-                     if match(nodes, root, self.store, r) == {}), None)
+        return next((e for e in range(len(self))
+                     if match(nodes, root, self.store, e) == {}), None)
 
     def intern(self, node: tuple) -> int:
         """The id of a node over store ids, appended to the store if new.
@@ -248,21 +248,21 @@ def _ground_clause(code: Template, u: Universe, rules: set,
         return intern(("n", t.value, ()) if isinstance(t, Num)
                       else ("f", t.functor, ()))
 
-    # the variables' element ids, then the consts' ids, interned once
+    # the variables' elements, -1 while unbound, then the consts' ids,
+    # interned once
     nvars = len(code.names)
-    cells = [0] * nvars + [map_leaves(t, leaf, node) for t in code.consts]
-    roots, element_at, store = u.roots, u.element_at, u.store
+    cells = [-1] * nvars + [map_leaves(t, leaf, node) for t in code.consts]
+    n, store = len(u), u.store
     row = [0] * len(code.ends)
 
     def passes(level: int) -> bool:
         for pred, arg, ops in checks[level]:
             if arg is not None:
                 value = run_ops(ops, cells, node)[0]
-                e = element_at.get(value)
-                if e is None:
+                if value >= n:
                     pending.setdefault((pred, value))
                     return False
-                row[arg] = e
+                row[arg] = value
                 continue
             try:
                 if not holds(pred, store,
@@ -274,24 +274,22 @@ def _ground_clause(code: Template, u: Universe, rules: set,
                 return False
         return True
 
-    choice = [-1] * nvars
     k = 0 if passes(0) else -1
     while k >= 0:
         if k == nvars:
             for arg, var in bare:
-                row[arg] = choice[var]
+                row[arg] = cells[var]
             ground = [(pred, tuple(row[a:b])) for pred, a, b in spans]
             ground = [atoms.setdefault(atom, atom) for atom in ground]
             rules.add(GroundRule(frozenset(ground[1:]), ground[0]))
             k -= 1
             continue
-        c = choice[k] + 1
-        if c == len(roots):
-            choice[k] = -1
+        c = cells[k] + 1
+        if c == n:
+            cells[k] = -1
             k -= 1
             continue
-        choice[k] = c
-        cells[k] = roots[c]
+        cells[k] = c
         if passes(k + 1):
             k += 1
 
@@ -374,20 +372,16 @@ def universe_instantiations(solved: SolvedForm, qvars: Sequence[Var],
     """All ways an engine answer lands inside the universe, when each free
     variable leaf becomes one universe element throughout.  The query
     variables' values are unfolded into one raw table, and each is matched
-    against the store at the root of each element, which fixes the node of
-    each leaf; a match stands when every leaf's node is the root of an
-    element.  The matches of the query variables are then joined on shared
-    leaves."""
-    nodes, vroots = _unfold(solved, qvars)
+    against the store at each element's id, which fixes the node of each
+    leaf; a match stands when every leaf's node is an element.  The matches
+    of the query variables are then joined on shared leaves."""
+    nodes, vroots = unfold(solved, qvars)
     joined: list[tuple[tuple[int, ...], dict[str, int]]] = [((), {})]
     for vroot in vroots:
         options = []
-        for i, root in enumerate(u.roots):
-            leaves = match(nodes, vroot, u.store, root)
-            if leaves is None:
-                continue
-            at = {p: u.element_at.get(j) for p, j in leaves.items()}
-            if None not in at.values():
+        for i in range(len(u)):
+            at = match(nodes, vroot, u.store, i)
+            if at is not None and all(j < len(u) for j in at.values()):
                 options.append((i, at))
         joined = [(row + (i,), {**env, **at})
                   for row, env in joined for i, at in options

@@ -123,29 +123,6 @@ def signatures(clauses: Iterable[Clause]) -> list[tuple[str, int]]:
     return list(out)
 
 
-def _iter_vars(x) -> Iterator[Var]:
-    stack = [x]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Var):
-            yield x
-        elif isinstance(x, (Compound, Atom)):
-            stack.extend(reversed(x.args))
-        elif isinstance(x, Clause):
-            stack.extend(reversed((x.head, *x.body)))
-        elif isinstance(x, (tuple, list, set, frozenset)):
-            stack.extend(reversed(list(x)))
-        elif not isinstance(x, Num):
-            raise TypeError(f"cannot collect variables from {x!r}")
-
-
-def ordered_vars(x) -> list[Var]:
-    """All variables occurring in a term, atom, clause, equation pair, or any
-    nesting of those in tuples/lists/sets, in first-occurrence order (only
-    meaningful for ordered containers)."""
-    return list(dict.fromkeys(_iter_vars(x)))
-
-
 def map_leaves(t: Term, leaf: Callable[[Term], object],
                node: Callable[[str, tuple], object] = Compound):
     """The term with each variable, number and constant x replaced by

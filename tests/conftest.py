@@ -16,7 +16,7 @@ from colp.parser import (_INFIX_GOALS, _PREC, _SYMBOLS, Tok, _Parser,
                          atom_to_str, parse_program, parse_query, print_answer)
 from colp.semantics import GroundAtom, GroundRule
 from colp.terms import (NIL, Atom, Clause, Compound, Num, Program, Term, Var,
-                        cons, is_builtin, map_leaves, ordered_vars, signatures)
+                        cons, is_builtin, map_leaves, signatures)
 
 PROGRAMS_DIR = Path(__file__).resolve().parent.parent / "programs"
 
@@ -61,7 +61,7 @@ def make_list(items, tail=NIL):
     return out
 
 
-# --- values: node tables numbered in preorder from root 0 ----------------
+# --- values: node tables numbered breadth-first from root 0 --------------
 
 def value(solved, t):
     """The canonical table of a term's value under a solved form."""
@@ -74,9 +74,28 @@ def minimal(nodes):
     return _number(nodes, _refine(nodes), (0,))[0]
 
 
+def ordered_vars(x):
+    """All variables occurring in a term, atom, clause, equation pair, or any
+    nesting of those in tuples and lists, in first-occurrence order.  A walk
+    on an explicit stack, since renamed sums run deeper than the recursion
+    limit."""
+    out, stack = {}, [x]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Var):
+            out.setdefault(x)
+        elif isinstance(x, (Compound, Atom)):
+            stack.extend(reversed(x.args))
+        elif isinstance(x, Clause):
+            stack.extend(reversed((x.head, *x.body)))
+        elif isinstance(x, (tuple, list)):
+            stack.extend(reversed(x))
+    return list(out)
+
+
 def vars_of(x):
     """All variables occurring in a term, atom, clause, or any nesting of
-    those in tuples, lists and sets."""
+    those in tuples and lists."""
     return set(ordered_vars(x))
 
 
@@ -97,22 +116,21 @@ def eq_vars(solved):
 
 
 def renumbered(nodes, root):
-    """The nodes reachable from root, numbered in preorder from it as colp
+    """The nodes reachable from root, numbered breadth-first from it as colp
     numbers a value; no two nodes are merged."""
-    seq, order, stack = {}, [], [root]
-    while stack:
-        i = stack.pop()
-        if i not in seq:
-            seq[i] = len(order)
-            order.append(i)
-            stack.extend(reversed(nodes[i][2]))
+    seq, order = {root: 0}, [root]
+    for i in order:  # also visits the nodes appended below
+        for c in nodes[i][2]:
+            if c not in seq:
+                seq[c] = len(order)
+                order.append(c)
     return tuple((k, p, tuple(seq[c] for c in kids))
                  for k, p, kids in (nodes[i] for i in order))
 
 
 def elements(u):
     """The value of each universe element, read off its store."""
-    return [renumbered(u.store, r) for r in u.roots]
+    return [renumbered(u.store, e) for e in range(len(u))]
 
 
 def is_ground(nodes):
@@ -841,10 +859,11 @@ class ReferenceRun:
                 if (pred == move.atom.pred and known == values
                         and (left <= r if walled else left >= r)):
                     self.pruned |= walled
-                    self._tline(move.depth,
-                                f"TABLED {atom_to_str(move.atom, solved)} "
-                                f"{'exhausted' if walled else 'failed'} "
-                                f"within {left}")
+                    if self.trace is not None:
+                        self._tline(move.depth,
+                                    f"TABLED {atom_to_str(move.atom, solved)} "
+                                    f"{'exhausted' if walled else 'failed'} "
+                                    f"within {left}")
                     return
         walls, errors = self.walls, self.errors
         redo = (ReferenceFrame(move.atom, (), True, move.depth),)

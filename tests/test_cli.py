@@ -2,6 +2,8 @@ import io
 import sys
 from types import SimpleNamespace
 
+import pytest
+
 from colp import cli
 from colp.engine import BUDGET_EXHAUSTED, COMPLETE
 from colp.equations import solve
@@ -529,6 +531,16 @@ def test_repl_trace_toggle():
     assert code == 0
     assert out == "?- ?- ?- budget exhausted\n?- "
     assert "STEP" in err
+
+
+@pytest.mark.parametrize("arg", ["x", "of"])
+def test_repl_trace_takes_only_on_or_off(arg):
+    """Any other argument is an unknown directive, and tracing stays on."""
+    session = f":trace on\n:trace {arg}\n:budget 5\np(z).\n:quit\n"
+    code, out, err = run_cli(["repl", OMEGA], stdin=session)
+    assert code == 0
+    assert out == "?- ?- ?- ?- budget exhausted\n?- "
+    assert err.startswith(f"unknown directive: :trace {arg}\nSTEP p(z)")
 
 
 def test_repl_temporal_queries():

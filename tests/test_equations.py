@@ -358,3 +358,20 @@ def test_rational_values_agree_with_the_recursive_reference(eqs, terms):
         assert renumbered(nodes, root) == want
     for (r1, v1), (r2, v2) in itertools.combinations(zip(roots, expected), 2):
         assert (r1 == r2) == (v1 == v2)
+
+
+@settings(max_examples=200, deadline=None)
+@example([], [f(Compound("b")), Compound("a"), f(Compound("b"))])
+@example([(X, f(X)), (Y, f(f(Y)))], [f(Num(1)), X, Y, Num(1)])
+@given(st.lists(st.tuples(variables, terms_strategy), min_size=1, max_size=4),
+       st.lists(terms_strategy, min_size=1, max_size=4))
+def test_rational_values_number_the_roots_first(eqs, terms):
+    """The distinct values at the roots get ids 0, 1, ... in order of first
+    appearance, before any node below them: a universe's element e is the
+    value at id e of its store."""
+    solved = solve(eqs)
+    assume(solved is not None)
+    _, roots = rational_values(solved, terms)
+    first: dict = {}
+    assert roots == [first.setdefault(rational_value_by_recursion(solved, t),
+                                      len(first)) for t in terms]

@@ -10,12 +10,11 @@ from colp.parser import (_SYMBOLS, ParseIssue, SyntaxErrors, _lex,
                          atom_to_str, clause_to_str, parse_program,
                          parse_query, parse_term_text, print_answer,
                          program_to_str, term_to_str)
-from colp.terms import (NIL, Atom, Clause, Compound, Num, Var, cons,
-                        map_leaves, ordered_vars)
+from colp.terms import NIL, Atom, Clause, Compound, Num, Var, cons, map_leaves
 
 from conftest import (PROGRAMS_DIR, answer_by_recursion,
                       atom_str_by_recursion, lex_by_characters, make_list,
-                      recursive_parser, term_str_by_recursion)
+                      ordered_vars, recursive_parser, term_str_by_recursion)
 
 
 def test_facts_rules_and_coclauses():

@@ -4,7 +4,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from colp.parser import SyntaxErrors, parse_program, parse_query, render
+from colp.parser import (SyntaxErrors, parse_program, parse_query,
+                         parse_term_text, render, term_to_str)
 from colp.semantics import (GroundRule, Universe, compute_semantics,
                             ground_instances, greatest_consistent_within,
                             immediate_consequences, least_model,
@@ -81,7 +82,7 @@ def succ(t):
 
 
 def element_ids(u):
-    return {u.display(e): u.roots[e] for e in range(len(u))}
+    return {u.display(e): e for e in range(len(u))}
 
 
 def test_store_gives_lz_unfolded_once_the_id_of_lz():
@@ -104,16 +105,15 @@ def test_store_shares_the_node_common_to_lw_and_lt():
 def test_escaping_value_gets_an_id_no_element_has():
     u = load_universe("omega.univ")
     ids = element_ids(u)
-    roots = list(u.roots)
     assert u.intern(("f", "s", (ids["z"],))) == ids["s(z)"]
     assert u.intern(("f", "s", (ids["omega"],))) == ids["omega"]
     ssz = u.intern(("f", "s", (ids["s(z)"],)))
-    assert ssz not in u.element_at and ssz > max(roots)
+    assert ssz >= len(u)  # so no element
     assert u.intern(("f", "s", (ids["s(z)"],))) == ssz
     assert render(u.store, ssz, 8) == "s(s(z))"
     assert len(u.store) == len(u.ids) == 4  # appended to the store once
     assert len(set(u.store)) == len(u.store)  # which stays minimal
-    assert u.roots == roots and len(u) == 3
+    assert len(u) == 3
 
 
 @pytest.mark.parametrize("name", ["omega", "maxelem", "lists"])
@@ -122,13 +122,13 @@ def test_semantics_twice_on_one_universe(name):
     store gives the same models and warnings, and the elements stay."""
     prog = load_program(f"{name}.colp")
     u = load_universe(f"{name}.univ")
-    roots, tables, size = list(u.roots), elements(u), len(u.store)
+    n, tables, size = len(u), elements(u), len(u.store)
     first = compute_semantics(prog, u)
     grown = len(u.store)
     assert compute_semantics(prog, u) == first
     assert len(u.store) == grown  # every escape was interned the first time
     assert len(set(u.store)) == len(u.store)
-    assert len(u) == len(roots) and u.roots == roots
+    assert len(u) == n
     assert [u.index_of(t) for t in tables] == list(range(len(u)))
     if name == "omega":  # p(s(s(z))) escapes
         assert first.warnings and grown > size
@@ -168,13 +168,36 @@ def test_store_agrees_with_elements(text):
     assert elements(u) == expected
     for e, rt in enumerate(expected):
         assert u.index_of(rt) == e
-        assert u.element_at[u.roots[e]] == e
-        assert match(rt, 0, u.store, u.roots[e]) == {}  # the same tree
+        assert match(rt, 0, u.store, e) == {}  # the same tree
 
 
-def test_rt_to_str_truncates_cycles():
+@pytest.mark.parametrize("name", ["lists", "maxelem", "omega", "regex"])
+def test_element_e_is_store_id_e(name):
+    """A shipped universe and the one of its lines in reverse order give
+    each element the same tree at its own index in the store, a bare
+    term's tree prints as its text, and a grounding pass leaves the
+    elements' ids as they were."""
+    text = (PROGRAMS_DIR / f"{name}.univ").read_text("utf-8")
+    lines = [line for line in text.split("\n") if line.split("%", 1)[0]]
+    defined = {line.split(":=")[0].strip() for line in lines if ":=" in line}
+    u = Universe.from_text(text)
+    back = Universe.from_text("\n".join(reversed(lines)))
+    trees, back_trees = elements(u), elements(back)
+    assert sorted(u.names) == sorted(back.names)
+    for e, shown in enumerate(u.names):
+        assert trees[e] == back_trees[back.names.index(shown)]
+        if shown not in defined:
+            assert render(u.store, e, 9) == term_to_str(
+                parse_term_text(shown))
+    before = u.store[:len(u)]
+    compute_semantics(load_program(f"{name}.colp"), u)
+    assert u.store[:len(u)] == before
+    assert [u.index_of(t) for t in trees] == list(range(len(u)))
+
+
+def test_render_truncates_cycles():
     u = load_universe("omega.univ")
-    assert render(u.store, u.roots[2], 3) == "s(s(s(...)))"
+    assert render(u.store, 2, 3) == "s(s(s(...)))"
 
 
 # --- rendering: render against the recursive printer of truncate(...) -----
@@ -252,7 +275,7 @@ SUMS = (("f", "-", (1, 2)), ("f", "+", (3, 3)), ("f", "*", (4, 1)),
 @example((SUMS, 4), 1)  # -... : the cut number is not shown
 @example((SUMS, 4), 2)  # -(-1)
 @given(node_tables(), st.integers(0, 9))
-def test_rt_to_str_is_term_to_str_of_truncate(table, depth):
+def test_render_is_term_to_str_of_truncate(table, depth):
     nodes, root = table
     assert render(nodes, root, depth) == term_str_by_recursion(
         truncate(nodes, depth, root))

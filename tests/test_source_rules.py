@@ -1,6 +1,8 @@
 """Rules on the source of src/colp, read with ast: no plain assert, since
 `python -O` strips it; no recursion, so that no result depends on the
-recursion limit; and no function without a caller, so no dead code stays."""
+recursion limit; no function without a caller, so no dead code stays; and
+no private name imported from another module, so each module's underscore
+names are its own."""
 import ast
 from pathlib import Path
 
@@ -15,6 +17,14 @@ def _modules():
 def test_no_plain_assert():
     bad = [f"{path.name}:{node.lineno}" for path, tree in _modules()
            for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert bad == []
+
+
+def test_no_private_name_crosses_a_module():
+    bad = [f"{path.name}:{node.lineno}: {alias.name}"
+           for path, tree in _modules() for node in ast.walk(tree)
+           if isinstance(node, ast.ImportFrom)
+           for alias in node.names if alias.name.startswith("_")]
     assert bad == []
 
 

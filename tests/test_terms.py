@@ -3,9 +3,10 @@ import itertools
 import pytest
 
 from colp.terms import (MODES, NIL, Atom, Clause, Compound, Num, Template, Var,
-                        cons, fresh_rename, is_builtin, ordered_vars)
+                        cons, fresh_rename, identical, is_builtin)
 
-from conftest import PROGRAMS_DIR, apply_mode, load_program, make_list, vars_of
+from conftest import (PROGRAMS_DIR, apply_mode, load_program, make_list,
+                      ordered_vars, vars_of)
 
 
 def test_make_list_builds_cons_chain():
@@ -29,6 +30,22 @@ def test_ordered_vars_first_appearance():
     x, y, z = Var("X", 0), Var("Y", 0), Var("Z", 0)
     t = Compound("f", (y, x, z, y))
     assert ordered_vars(t) == [y, x, z]
+
+
+def fn(functor, *args):
+    return Compound(functor, args)
+
+
+def test_identical_compares_functors_arities_and_long_lists():
+    a, b = Compound("a"), Compound("b")
+    assert not identical(Atom("p", (fn("f", a),)), Atom("p", (fn("g", a),)))
+    assert not identical(Atom("p", (fn("f", a),)),
+                         Atom("p", (fn("f", a, b),)))
+    assert identical(Atom("p", (fn("f", a),)), Atom("p", (fn("f", a),)))
+    # equal but distinct lists deeper than the default recursion limit
+    items = [Num(i % 3) for i in range(10_000)]
+    assert identical(Atom("p", (make_list(items),)),
+                     Atom("p", (make_list(items),)))
 
 
 def test_fresh_rename_keeps_structure_changes_vars():
