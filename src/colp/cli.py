@@ -10,6 +10,7 @@ from typing import IO, Optional
 
 from .engine import (BUDGET_EXHAUSTED, COMPLETE, FINITELY_FAILED, MODES,
                      PREFERENCES, STRATEGIES, Config, Outcome, run_query)
+from .equations import SolvedForm
 from .parser import (ParseIssue, SyntaxErrors, parse_program, parse_query,
                      print_answer)
 from .semantics import (Universe, compute_semantics, regular_answers,
@@ -194,6 +195,10 @@ def _assignment_str(indexes: tuple[int, ...], query, universe: Universe) -> str:
     return ", ".join(f"{v.display()} = {universe.display(i)}" for v, i in pairs)
 
 
+def _answer_str(answer: SolvedForm, query) -> str:
+    return print_answer(answer, query.variables).replace("\n", ", ")
+
+
 def cmd_check(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
     loaded = _load(err, (parse_program, args.program),
                    (Universe.from_text, args.universe), query=args.query)
@@ -211,6 +216,9 @@ def cmd_check(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
     judged = None  # the instances the oracle judges, found on first need
     for answer in outcome.answers:
         insts = universe_instantiations(answer, query.variables, universe)
+        if not insts:
+            unchecked[f"not checked: {_answer_str(answer, query)} has no "
+                      "instance in the universe"] = None
         covered |= insts
         for bad in sorted(insts - expected):
             if judged is None:
@@ -219,9 +227,8 @@ def cmd_check(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
             if bad not in judged:
                 unchecked[f"not checked: {text} leaves the universe"] = None
                 continue
-            rendered = print_answer(answer, query.variables).replace("\n", ", ")
-            unsound.append(
-                f"unsound: {rendered} instantiates to {text} outside Reg")
+            unsound.append(f"unsound: {_answer_str(answer, query)} "
+                           f"instantiates to {text} outside Reg")
     missing = [f"missing: {_assignment_str(sigma, query, universe)}"
                for sigma in sorted(expected - covered)]
     _flush_diagnostics(outcome.diagnostics + list(unchecked), err)

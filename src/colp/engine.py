@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from typing import IO, Iterator, Optional
 
 from .equations import (EMPTY_SOLVED, BuiltinTypeError, SolvedForm,
-                        arith_value, holds, solve, unfold, value_key)
+                        arith_value, holds, solve, unfold, value_key, walk)
 from .parser import Query, atom_to_str
 from .terms import (MODES, Atom, Num, Program, Var, fresh_rename, identical,
                     is_builtin, principal)
@@ -279,7 +279,7 @@ class _Run:
                 stack.append((None, redo, 0, None))
                 rest = (redo,) + rest
             sig = (atom.pred, len(atom.args))
-            heads = tuple(principal(solved.walk(a)) for a in atom.args)
+            heads = tuple(principal(walk(solved, a)) for a in atom.args)
             steps = []
             for cid, code in (self.inner if frame.inner
                               else self.outer).get(sig, ()):

@@ -3,10 +3,12 @@
 An equation set is a finite set of pairs of finite terms.  Solvability is
 decided without an occurs check: the only failures are functor/arity clashes
 and unequal integers, so X = f(X) is solvable and its solution is the
-infinite term f(f(f(...))).  A solved form is a triangular substitution: one
-map from variables to terms whose right-hand sides may refer back to bound
-variables; cycles through compounds are exactly how infinite solutions stay
-finitely representable.
+infinite term f(f(f(...))).  A solved form is a triangular substitution: a
+read-only mapping from variables to terms whose right-hand sides may refer
+back to bound variables; cycles through compounds are exactly how infinite
+solutions stay finitely representable.  solve copies its base before its
+first write, so a solved form it was given stays as it was, and walk is
+the one reader that follows the bindings.
 
 A value is a regular tree, held as an id in a node table: a finite term
 graph of (kind, payload, child ids) nodes.  unfold builds the raw table of
@@ -24,70 +26,50 @@ from __future__ import annotations
 
 import operator
 import sys
-from typing import Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .terms import Compound, Num, Term, Var
 
 EqPair = tuple[Term, Term]
+SolvedForm = Mapping[Var, Term]
+
+# the solved form every query starts from, shared and so read-only
+EMPTY_SOLVED: SolvedForm = MappingProxyType({})
 
 
-def _walk(bound: dict[Var, Term], t: Term) -> Term:
+def walk(solved: SolvedForm, t: Term) -> Term:
     """Follow bindings from t to an unbound variable, an integer or a
     compound."""
     while isinstance(t, Var):
-        b = bound.get(t)
+        b = solved.get(t)
         if b is None:
             return t
         t = b
     return t
 
 
-class SolvedForm:
-    """Result of solving an equation set: a triangular substitution.
-
-    One map from variables to terms, as in a Prolog store.  A younger
-    variable is bound to an older one (see solve), so a chain of variables
-    ends at its oldest named one; cycles run through compounds.  walk()
-    follows the map to an unbound variable, an integer or a compound.
-    Instances are immutable; solve() copies the map when extending a base.
-    """
-
-    __slots__ = ("_bound",)
-
-    def __init__(self, bound: dict[Var, Term]):
-        self._bound = bound
-
-    def walk(self, t: Term) -> Term:
-        return _walk(self._bound, t)
-
-    def __repr__(self) -> str:
-        items = ", ".join(f"{v.display()}={t!r}" for v, t in self._bound.items())
-        return f"SolvedForm({items})"
-
-
-EMPTY_SOLVED = SolvedForm({})
-
-
 def solve(eqs: Iterable[EqPair],
           base: SolvedForm = EMPTY_SOLVED) -> Optional[SolvedForm]:
     """Solve an equation set, optionally on top of an existing solved form.
 
-    Returns None when unsolvable.  Of two unbound variables the younger, of
-    higher (index, name), is bound to the older as in the WAM, but an
-    anonymous one (_#n, printed _) always to a named one.  Decomposition
-    memoizes compound pairs so that cyclic bindings terminate: a pair being
-    decomposed is assumed equal while its arguments are compared.  The memo
-    keys pairs by identity, as only finitely many term objects are reachable.
+    Returns None when unsolvable, and the base itself when no variable gets
+    bound.  Of two unbound variables the younger, of higher (index, name),
+    is bound to the older as in the WAM, but an anonymous one (_#n, printed
+    _) always to a named one.  Decomposition memoizes compound pairs so that
+    cyclic bindings terminate: a pair being decomposed is assumed equal
+    while its arguments are compared.  The memo keys pairs by identity, as
+    only finitely many term objects are reachable.
     """
     # copy the base map only once a write happens; clashes stay cheap
-    bound = base._bound
-    owned = False
+    bound = base
+    owned: Optional[dict[Var, Term]] = None
     work: list[EqPair] = list(eqs)
     seen: set[tuple[int, int]] = set()
     while work:
         s, t = work.pop()
-        s = _walk(bound, s)
-        t = _walk(bound, t)
+        s = walk(bound, s)
+        t = walk(bound, t)
         # compounds by identity: == would recurse down a long list, and
         # equal but distinct compounds are decomposed below
         if s is t or (not isinstance(s, Compound) and s == t):
@@ -98,10 +80,9 @@ def solve(eqs: Iterable[EqPair],
                     t.name[:2] == "_#", t.index, t.name) > (
                     s.name[:2] == "_#", s.index, s.name):
                 s, t = t, s
-            if not owned:
-                bound = dict(bound)
-                owned = True
-            bound[s] = t
+            if owned is None:
+                bound = owned = dict(bound)
+            owned[s] = t
             continue
         if isinstance(s, Num) or isinstance(t, Num):
             return None  # unequal numbers, or number vs compound
@@ -112,7 +93,7 @@ def solve(eqs: Iterable[EqPair],
         seen.add((id(s), id(t)))
         seen.add((id(t), id(s)))
         work.extend(zip(s.args, t.args))
-    return SolvedForm(bound)
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +123,7 @@ def unfold(solved: SolvedForm,
     memo: dict[int, int] = {}
 
     def node(t: Term) -> int:
-        t = solved.walk(t)
+        t = walk(solved, t)
         i = memo.get(id(t))
         if i is None:
             i = memo[id(t)] = len(nodes)

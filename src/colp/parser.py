@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 from .terms import (Atom, BUILTIN_ARITIES, BUILTIN_NAMES, Clause, Compound,
                     NIL, Num, Program, Template, Term, Var, cons)
-from .equations import EMPTY_SOLVED, SolvedForm
+from .equations import EMPTY_SOLVED, SolvedForm, walk
 
 _SYMBOLS = [":-", ":~", "?-", "\\=", "=<", ">=",
             "=", "<", ">", "(", ")", "[", "]", "|", ",", ".", "+", "-", "*"]
@@ -424,7 +424,7 @@ def _unfold(terms: Sequence[Term],
                 del active[t]
                 continue
             parent.append(len(nodes))
-            w = solved.walk(t) if t.__class__ is Var else t
+            w = walk(solved, t) if t.__class__ is Var else t
             if w.__class__ is Num:
                 nodes.append(("n", w.value, ()))
             elif w.__class__ is Var:
@@ -480,13 +480,13 @@ def print_answer(solved: SolvedForm, qvars: Sequence[Var]) -> str:
         return "true"
     nodes, roots = _unfold(qvars, solved)
     anon = Counter(p for k, p, _ in nodes if k == "v" and p.startswith("_#"))
-    anon.subtract(v.display() for v in qvars if solved.walk(v) == v)  # as _
+    anon.subtract(v.display() for v in qvars if walk(solved, v) == v)  # as _
     taken = {v.display() for v in qvars}
     names = (name for i in count(1) if (name := f"_{i}") not in taken)
     shared = {p: next(names) for p, n in anon.items() if n > 1}
     nodes = [(k, shared.get(p, p), c) for k, p, c in nodes] if shared else nodes
     lines = []
     for v, root in zip(qvars, roots):
-        rhs = "_" if solved.walk(v) == v else render(nodes, root)
+        rhs = "_" if walk(solved, v) == v else render(nodes, root)
         lines.append(f"{v.display()} = {rhs}")
     return "\n".join(lines)

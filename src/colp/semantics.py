@@ -162,9 +162,21 @@ class Universe:
                     raise SyntaxErrors(origin, [ParseIssue(
                         "definitions have no solution", lineno)])
         store, roots = rational_values(solved, terms)
+        # mark the nodes a variable leaf is reachable from, in one pass
+        # back from the leaves over each node's parents
+        parents: list[list[int]] = [[] for _ in store]
+        for i, (_, _, kids) in enumerate(store):
+            for c in kids:
+                parents[c].append(i)
+        marked = [kind == "v" for kind, _, _ in store]
+        queue = [i for i, m in enumerate(marked) if m]
+        for i in queue:  # also visits the parents appended below
+            for p in parents[i]:
+                if not marked[p]:
+                    marked[p] = True
+                    queue.append(p)
         for name, root, (_, _, lineno) in zip(names, roots, items):
-            # matched against itself, an element binds its variable leaves
-            if match(store, root, store, root):
+            if marked[root]:
                 raise SyntaxErrors(origin, [ParseIssue(
                     f"element {name!r} is not ground", lineno)])
         return cls(names, store, roots)

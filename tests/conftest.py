@@ -10,7 +10,7 @@ from colp.engine import (BUDGET_EXHAUSTED, COMPLETE, FINITELY_FAILED, Config,
                          Outcome, _budget_levels, eval_builtin, run_query)
 from colp.equations import (EMPTY_SOLVED, BuiltinTypeError, SolvedForm,
                             _number, _refine, arith_value, rational_values,
-                            solve)
+                            solve, walk)
 from colp import parser
 from colp.parser import (_INFIX_GOALS, _PREC, _SYMBOLS, Tok, _Parser,
                          atom_to_str, parse_program, parse_query, print_answer)
@@ -112,7 +112,7 @@ def answer_key_by_table(solved, qvars):
 
 def eq_vars(solved):
     """Every variable the equations of a solved form mention."""
-    return set(solved._bound) | vars_of(list(solved._bound.values()))
+    return set(solved) | vars_of(list(solved.values()))
 
 
 def renumbered(nodes, root):
@@ -208,7 +208,7 @@ def _list_str(t: Compound) -> str:
 def _unfold(t: Term, solved: SolvedForm, active: dict[Term, str]) -> Term:
     """Finite syntactic image of a possibly-cyclic value: a back edge becomes
     a variable leaf named after the variable whose binding it re-enters."""
-    w = solved.walk(t)
+    w = walk(solved, t)
     if isinstance(w, Var):
         return Var(w.display(), 0)
     if isinstance(w, Num):
@@ -241,7 +241,7 @@ def answer_by_recursion(solved, qvars):
     place renamed _1, _2, ..., skipping the query's names."""
     if not qvars:
         return "true"
-    values = [None if solved.walk(v) == v else _unfold(v, solved, {})
+    values = [None if walk(solved, v) == v else _unfold(v, solved, {})
               for v in qvars]
     leaves: list[Term] = []
     for t in values:
@@ -444,7 +444,7 @@ def rational_value_by_recursion(solved, t):
     memo = {}
 
     def build(t):
-        t = solved.walk(t)
+        t = walk(solved, t)
         got = memo.get(t)
         if got is not None:
             return got

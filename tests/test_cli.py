@@ -311,7 +311,10 @@ def test_deep_terms_parse_and_run_under_a_recursion_limit_of_150(tmp_path):
         "warning: instance escapes the universe: nat on s(z)\n"
         "warning: instance escapes the universe: nat on "
         "s(s(s(s(s(s(s(s(...))))))))\n")
-    assert check == (0, "PASS\n", "")
+    assert check == (
+        0, "PASS\n",
+        "".join(f"not checked: X = {'s(' * k}z{')' * k} has no instance in "
+                "the universe\n" for k in (1, 2, 3)))
     assert parens == Num(0)
     for _ in range(10 ** 5 - 1):
         assert lists.functor == "." and lists.args[1] == NIL
@@ -369,10 +372,22 @@ def test_empty_universe_is_loaded_not_taken_for_a_failure(tmp_path):
     assert err == ("warning: instance escapes the universe: append on []\n"
                    "warning: instance escapes the universe: all_pos on []\n")
     code, out, err = run_cli(["check", LISTS, str(empty), "member(X, [0])."])
-    assert (code, out, err) == (0, "PASS\n", "")
+    assert (code, out, err) == (
+        0, "PASS\n", "not checked: X = 0 has no instance in the universe\n")
 
 
 # --- check ---------------------------------------------------------------------
+
+def test_check_notes_an_answer_with_no_instance_in_the_universe():
+    """[0] is not an element of lists.univ, so the answer X = [0], Y = [1]
+    has no instance to judge: check says so on stderr, once, and its
+    verdict stands on the other answers."""
+    code, out, err = run_cli(
+        ["check", LISTS, LISTS_U, "append(X, Y, [0,1])."])
+    assert (code, out) == (0, "PASS\n")
+    assert err == ("not checked: X = [0], Y = [1] has no instance in the "
+                   "universe\n")
+
 
 def test_check_passes_on_successor_loop():
     code, out, _ = run_cli(

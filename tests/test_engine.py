@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from colp import engine
 from colp.engine import (BUDGET_EXHAUSTED, COMPLETE, FINITELY_FAILED, MODES,
                          Config, eval_builtin, run_query)
-from colp.equations import EMPTY_SOLVED
+from colp.equations import EMPTY_SOLVED, walk
 from colp.parser import Query, parse_program, parse_query, print_answer
 from colp.semantics import Universe, universe_instantiations
 from colp.terms import Atom, Clause, Num, Program, Var, map_leaves
@@ -336,7 +336,7 @@ def test_cyclic_arithmetic_is_a_type_error():
 
 def test_eval_builtin_directly():
     solved = eval_builtin(Atom("is", (Var("X", 0), Num(3))), EMPTY_SOLVED)
-    assert solved.walk(Var("X", 0)) == Num(3)
+    assert walk(solved, Var("X", 0)) == Num(3)
     assert eval_builtin(Atom(">", (Num(1), Num(2))), EMPTY_SOLVED) is None
 
 

@@ -1,9 +1,11 @@
 import itertools
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import assume, example, given, settings
 
-from colp.equations import EMPTY_SOLVED, match, rational_values, solve
+from colp.equations import (EMPTY_SOLVED, match, rational_values, solve,
+                            walk)
 from colp.terms import Atom, Compound, Num, Var, cons
 
 from conftest import (bisimilar, free_leaf_names, is_ground, make_list,
@@ -28,7 +30,7 @@ def raw_graph(solved, t):
     nodes, memo = [], {}
 
     def build(t):
-        t = solved.walk(t)
+        t = walk(solved, t)
         if t in memo:
             return memo[t]
         memo[t] = idx = len(nodes)
@@ -49,8 +51,8 @@ def raw_graph(solved, t):
 
 def test_solve_binds_and_walks():
     solved = solve([(X, Num(1)), (Y, f(X))])
-    assert solved.walk(X) == Num(1)
-    assert solved.walk(Y) == f(X)
+    assert walk(solved, X) == Num(1)
+    assert walk(solved, Y) == f(X)
 
 
 def test_solve_clash_returns_none():
@@ -61,28 +63,28 @@ def test_solve_clash_returns_none():
 
 def test_solve_var_var_then_binding():
     solved = solve([(X, Y), (Y, Num(3))])
-    assert solved.walk(X) == Num(3)
-    assert solved.walk(Z) == Z
+    assert walk(solved, X) == Num(3)
+    assert walk(solved, Z) == Z
 
 
 def test_solve_extends_base_without_mutating_it():
     base = solve([(X, f(Y))])
     before = repr(base)  # prints the whole map
     ext = solve([(Y, Num(2)), (Z, X)], base)
-    assert ext.walk(Y) == Num(2)
-    assert ext.walk(Z) == f(Y)
+    assert walk(ext, Y) == Num(2)
+    assert walk(ext, Z) == f(Y)
     assert repr(base) == before
-    assert base.walk(Y) == Y
-    assert base.walk(Z) == Z
+    assert walk(base, Y) == Y
+    assert walk(base, Z) == Z
 
 
 def test_var_var_binds_the_higher_variable():
     # either way round, the chain ends in the lower (name, index)
     for eqs in ([(X, Y)], [(Y, X)]):
         solved = solve(eqs)
-        assert solved.walk(X) == X and solved.walk(Y) == X
+        assert walk(solved, X) == X and walk(solved, Y) == X
     renamed = Var("X", 3)
-    assert solve([(X, renamed)]).walk(renamed) == X
+    assert walk(solve([(X, renamed)]), renamed) == X
 
 
 def test_solve_cyclic_lists_unify_up_to_bisimilarity():
@@ -106,7 +108,7 @@ def test_long_union_chain_stays_consistent():
     eqs = [(chain[i], chain[i + 1]) for i in range(39)]
     solved = solve(eqs)
     solved = solve([(chain[0], Num(9))], solved)
-    assert all(solved.walk(v) == Num(9) for v in chain)
+    assert all(walk(solved, v) == Num(9) for v in chain)
 
 
 # --- rational terms ----------------------------------------------------
@@ -257,6 +259,31 @@ def test_extending_preserves_earlier_equations(first, second):
     assert snapshot == {v: value(s1, v) for v in (X, Y, Z)}
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(terms_strategy, terms_strategy), max_size=3),
+       st.lists(st.tuples(terms_strategy, terms_strategy), max_size=3))
+def test_solve_copies_its_base_before_the_first_write(first, second):
+    """solve leaves its base as it was, whether it succeeds or fails, and
+    returns the base itself when it binds nothing; with no equations in
+    first, the base is the shared EMPTY_SOLVED."""
+    base = solve(first)
+    assume(base is not None)
+    before = dict(base)
+    solve(second, base)
+    assert dict(base) == before
+    assert solve([], base) is base
+    assert solve([(X, X)], base) is base
+    assert solve([(t, t) for t, _ in second], base) is base
+    assert dict(base) == before
+    assert len(EMPTY_SOLVED) == 0
+
+
+def test_the_shared_empty_solved_form_cannot_be_written():
+    with pytest.raises(TypeError):
+        EMPTY_SOLVED[X] = Compound("a", ())
+    assert len(EMPTY_SOLVED) == 0
+
+
 @settings(max_examples=100, deadline=None)
 @given(terms_strategy)
 def test_self_unification_succeeds(t):
@@ -316,7 +343,7 @@ def test_value_equality_is_bisimilarity(eqs, t1, t2, data):
     assume(solved is not None)
     pairs = [(t1, t2)]
     for v in (X, Y, Z):
-        unfolded = solved.walk(v)
+        unfolded = walk(solved, v)
         if not isinstance(unfolded, Compound):
             continue
         path = data.draw(st.sampled_from(list(_leaf_paths(unfolded))))

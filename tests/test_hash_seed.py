@@ -23,6 +23,7 @@ RUNS = [
     f"check {P}/regex.colp {P}/regex.univ match(W,cat(0,1)). --budget 16",
     f"check {P}/regex.colp {P}/regex.univ match([0,1],R). --budget 8 "
     "--answers 2",
+    f"check {P}/lists.colp {P}/lists.univ append(X,Y,[0,1]).",
     f"run {P}/ltl.colp W=[1|W],sat(W,until(one,zero)). --strategy dfs "
     "--budget 24 --trace",
     f"run {P}/lists.colp X=[1|Y],Y=[1|Y].",

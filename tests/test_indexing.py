@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 
 from colp import engine
 from colp.engine import MODES, Config, _answer_key, _Hyp, run_query
-from colp.equations import EMPTY_SOLVED, rational_values, solve
+from colp.equations import EMPTY_SOLVED, rational_values, solve, walk
 from colp.parser import parse_program, parse_query
 from colp.semantics import Universe, compute_semantics
 from colp.terms import (Atom, Compound, Num, Template, fresh_rename,
@@ -205,7 +205,7 @@ def test_a_ground_pair_with_equal_keys_closes_without_solve(monkeypatch):
 # --- keys ------------------------------------------------------------------
 
 def key(solved, args, store):
-    heads = tuple(principal(solved.walk(a)) for a in args)
+    heads = tuple(principal(walk(solved, a)) for a in args)
     return _Hyp(Atom("p", args), heads, solved).key(store)
 
 
@@ -224,7 +224,7 @@ def test_ground_keys_are_equal_when_solve_unifies(values, pairs):
     a = tuple(x for x, _ in pairs)
     b = tuple(y for _, y in pairs)
     # the same values reached through one more binding
-    unfolded = tuple(solved.walk(x) for x in a)
+    unfolded = tuple(walk(solved, x) for x in a)
     store = {}
     ka = key(solved, a, store)
     assert ka

@@ -10,6 +10,7 @@ from colp.semantics import (GroundRule, Universe, compute_semantics,
                             ground_instances, greatest_consistent_within,
                             immediate_consequences, least_model,
                             regular_answers, universe_instantiations)
+from colp import equations, semantics
 from colp.equations import EMPTY_SOLVED, match, solve
 from colp.terms import (MODES, NIL, Atom, Clause, Compound, Num, Template, Var,
                         cons)
@@ -55,6 +56,41 @@ def test_universe_definitions_may_be_mutually_recursive():
 def test_universe_rejects_nonground_elements():
     with pytest.raises(SyntaxErrors):
         Universe.from_text("f(X)\n")
+
+
+@pytest.mark.parametrize("text, issue", [
+    ("a\nX\n", "2: element 'X' is not ground"),
+    ("x := y\ny := x\n", "1: element 'x' is not ground"),
+    ("a := f(b, X)\nb := a\n", "1: element 'a' is not ground")])
+def test_universe_names_the_first_element_that_is_not_ground(text, issue):
+    with pytest.raises(SyntaxErrors) as e:
+        Universe.from_text(text)
+    assert [str(i) for i in e.value.issues] == [issue]
+
+
+def test_universes_load_without_matching_or_refining_acyclic_values(
+        monkeypatch):
+    """The ground check marks the nodes a variable leaf reaches in one pass
+    back from the leaves, so a 4,000-deep chain of names loads with no
+    element matched against itself and no table refined; one cyclic
+    element sends the table through _refine once."""
+    counts = dict.fromkeys(["match", "_refine"], 0)
+
+    def counted(name, f):
+        def counting(*args):
+            counts[name] += 1
+            return f(*args)
+        return counting
+
+    monkeypatch.setattr(semantics, "match", counted("match", match))
+    monkeypatch.setattr(equations, "_refine",
+                        counted("_refine", equations._refine))
+    n = 4000
+    u = Universe.from_text("n0 := z\n" + "".join(
+        f"n{i} := s(n{i - 1})\n" for i in range(1, n)))
+    assert (len(u), counts) == (n, {"match": 0, "_refine": 0})
+    assert len(load_universe("omega.univ")) == 3
+    assert counts == {"match": 0, "_refine": 1}
 
 
 def test_universe_rejects_bad_names():

@@ -1,8 +1,8 @@
 """Rules on the source of src/colp, read with ast: no plain assert, since
 `python -O` strips it; no recursion, so that no result depends on the
-recursion limit; no function without a caller, so no dead code stays; and
-no private name imported from another module, so each module's underscore
-names are its own."""
+recursion limit; no function without a caller, so no dead code stays; no
+private name imported from another module, so each module's underscore
+names are its own; and no private attribute used off self or cls."""
 import ast
 from pathlib import Path
 
@@ -25,6 +25,17 @@ def test_no_private_name_crosses_a_module():
            for path, tree in _modules() for node in ast.walk(tree)
            if isinstance(node, ast.ImportFrom)
            for alias in node.names if alias.name.startswith("_")]
+    assert bad == []
+
+
+def test_private_attributes_are_used_on_self_only():
+    """An underscore attribute that is not a dunder is read or written on
+    self or cls only, so each class's private state stays its own."""
+    bad = [f"{path.name}:{node.lineno}: {node.attr}"
+           for path, tree in _modules() for node in ast.walk(tree)
+           if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+           and not (node.attr.startswith("__") and node.attr.endswith("__"))
+           and getattr(node.value, "id", None) not in ("self", "cls")]
     assert bad == []
 
 
