@@ -27,7 +27,9 @@ by their keys alone: a solve of the pair would bind nothing.  A value is
 read as equations.unfold's raw table, for arithmetic, or through
 value_key, for every key; \\= is the failure of solve.  Keys are exact: a
 query keeps one store for all its sweeps, where a key holds values' ids
-(value_key).
+or a cyclic value's canonical table, and the store remembers the canonical
+table of each cyclic raw table, so a loop that closes again and again is
+minimised once per query (value_key).
 
 Each sweep keeps a table of failed re-derivations of ground atoms.  Such a
 re-derivation has no hypotheses and runs on the inner clause tables, so

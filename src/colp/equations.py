@@ -16,7 +16,9 @@ terms under a solved form, one node per term object reached; arith_value
 reads it as it is, and so does match on the pattern side.  value_key gives
 the values at roots of a table their exact key in a store, a caller's dict
 from nodes to ids that hash-conses finite values across calls: their ids
-when all are finite, else a cyclic value's canonical table.
+when all are finite, else a cyclic value's canonical table.  The store also
+remembers the canonical table of each cyclic raw table it has keyed, so a
+loop that closes again and again is minimised once.
 rational_values minimises a table once, for a finite universe: no two of
 its nodes unfold to the same tree, so there tuple equality is value
 equality.  match takes such a minimal table as its target, and holds
@@ -143,12 +145,20 @@ def unfold(solved: SolvedForm,
 
 def value_key(nodes: list, roots: Sequence[int], store: dict) -> tuple:
     """The values at the roots of a node table, exactly: their ids in the
-    store when all are finite, else their canonical (roots, nodes)."""
+    store when all are finite, else their canonical (roots, nodes).
+
+    A canonical table reads nothing of the store, so the store keeps it
+    under the raw (nodes, roots): a 2-tuple, which no node, a 3-tuple,
+    equals.  Ids stay unique, as they count every entry."""
     block = _classes(nodes, roots, store)
     if block is not None:
         return tuple(block[r] for r in roots)
-    table, ids = _number(nodes, _refine(nodes), roots)
-    return tuple(ids), table
+    raw = (tuple(nodes), tuple(roots))
+    key = store.get(raw)
+    if key is None:
+        table, ids = _number(nodes, _refine(nodes), roots)
+        key = store[raw] = (tuple(ids), table)
+    return key
 
 
 def _classes(nodes: list, roots: Iterable[int],

@@ -3,6 +3,13 @@
 Everything in this module is a finite tree.  Possibly-infinite (rational)
 values never appear here; they arise only as solutions of equation sets,
 over in `equations`.
+
+Terms, atoms and clauses are immutable by rule, not by a runtime guard:
+nothing in colp assigns their fields outside their constructors
+(tests/test_source_rules.py checks it).  A frozen dataclass would set each
+field through object.__setattr__, which makes every renaming pay for the
+guard.  Var is a plain slotted class that hashes (name, index) once, when
+it is made, as every lookup of a binding hashes a variable.
 """
 from __future__ import annotations
 
@@ -11,19 +18,34 @@ from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Union
 
 
-@dataclass(frozen=True, slots=True)
 class Var:
     """A logic variable.  index 0 means "as written in the source";
-    a positive index is a renaming stamp from fresh_rename."""
+    a positive index is a renaming stamp from fresh_rename.  Equal, and
+    hashed, by (name, index)."""
 
-    name: str
-    index: int = 0
+    __slots__ = ("name", "index", "_hash")
+
+    def __init__(self, name: str, index: int = 0):
+        self.name = name
+        self.index = index
+        self._hash = hash((name, index))
+
+    def __eq__(self, other):
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self.index == other.index and self.name == other.name
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Var(name={self.name!r}, index={self.index!r})"
 
     def display(self) -> str:
         return self.name if self.index == 0 else f"{self.name}#{self.index}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Num:
     """Integer leaf.  Deliberately not a 0-ary functor: numbers only ever
     clash with unequal numbers, never with compounds."""
@@ -31,7 +53,7 @@ class Num:
     value: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Compound:
     """Functor applied to argument terms; constants are 0-ary compounds."""
 
@@ -50,13 +72,13 @@ def cons(head: Term, tail: Term) -> Compound:
     return Compound(CONS, (head, tail))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Atom:
     pred: str
     args: tuple[Term, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Clause:
     head: Atom
     body: tuple[Atom, ...] = ()

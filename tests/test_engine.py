@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from colp import engine
+from colp import engine, equations
 from colp.engine import (BUDGET_EXHAUSTED, COMPLETE, FINITELY_FAILED, MODES,
                          Config, eval_builtin, run_query)
 from colp.equations import EMPTY_SOLVED, walk
@@ -174,9 +174,10 @@ def _counted(counts, field, f):
 
 def _work(monkeypatch, prog, text, cfg):
     """The calls a run that drains its answers makes to the engine's solve,
-    _clash, fresh_rename, _ground_key and _answer_key, and the nodes unfold
-    builds for it."""
-    fields = ("solve", "clashes", "renames", "keys", "answer keys", "nodes")
+    _clash, fresh_rename, _ground_key and _answer_key, the cyclic keys it
+    minimises (equations._refine), and the nodes unfold builds for it."""
+    fields = ("solve", "clashes", "renames", "keys", "answer keys",
+              "minimisations", "nodes")
     counts = dict.fromkeys(fields, 0)
     unfold = engine.unfold
 
@@ -193,6 +194,8 @@ def _work(monkeypatch, prog, text, cfg):
             m.setattr(engine, name, _counted(counts, field,
                                              getattr(engine, name)))
         m.setattr(engine, "unfold", unfolding)
+        m.setattr(equations, "_refine",
+                  _counted(counts, "minimisations", equations._refine))
         list(run_query(prog, parse_query(text), cfg).answers)
     return counts
 
@@ -221,7 +224,7 @@ def _over_list(text, period):
       "nodes": 1.959}),
     ("ltl.colp", _dfs("W = [1|W], sat(W, until(one, zero))."), 16,
      {"solve": 1.767, "clashes": 1.589, "renames": 1.023, "keys": 2.147,
-      "nodes": 2.861}),
+      "minimisations": 1.1, "nodes": 2.861}),
     ("lists.colp", _over_list("append(X, Y, {}).", 2), 12,
      {"solve": 0.942, "clashes": 0.931, "renames": 0.942,
       "answer keys": 0.943, "nodes": 1.914}),

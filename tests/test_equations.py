@@ -4,8 +4,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, example, given, settings
 
+from colp import equations
 from colp.equations import (EMPTY_SOLVED, match, rational_values, solve,
-                            walk)
+                            unfold, value_key, walk)
 from colp.terms import Atom, Compound, Num, Var, cons
 
 from conftest import (bisimilar, free_leaf_names, is_ground, make_list,
@@ -363,6 +364,50 @@ def test_rotated_cycles_equal_exactly_when_bisimilar(digits, shift):
     solved = solve([(X, make_list([Num(d) for d in digits], X)),
                     (Y, make_list([Num(d) for d in rotated], Y))])
     _equal_exactly_when_bisimilar(solved, [(X, Y)])
+
+
+# --- value_key remembers cyclic keys --------------------------------------
+
+def _key(eqs, terms, store):
+    nodes, roots = unfold(solve(eqs), terms)
+    return value_key(nodes, roots, store)
+
+
+def test_a_remembered_cyclic_key_is_the_key_a_fresh_store_gives(monkeypatch):
+    """A store minimises a cyclic table once and gives it the same key
+    again, the key any fresh store gives it; X = s(X) and X = s(s(X)) key
+    alike, X = s(t(X)) does not."""
+    t = Compound("t", (X,))
+    once, twice, other = [(X, s(X))], [(X, s(s(X)))], [(X, s(t))]
+    fresh = [_key(eqs, [X], {}) for eqs in (once, twice, other)]
+    assert fresh[0] == fresh[1] != fresh[2]
+    refined, refine = [], equations._refine
+    monkeypatch.setattr(equations, "_refine",
+                        lambda nodes: refined.append(1) or refine(nodes))
+    store: dict = {}
+    _key([], [f(Num(1), Compound("a"))], store)  # finite ids come first
+    for _ in range(3):
+        got = [_key(eqs, [X], store) for eqs in (once, twice, other)]
+        assert got == fresh
+    assert len(refined) == 3  # once per raw table
+    assert _key(once, [Num(1), X], store) == _key(once, [Num(1), X], {})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(variables, terms_strategy), min_size=1, max_size=3),
+       st.lists(st.lists(terms_strategy, min_size=1, max_size=3),
+                min_size=1, max_size=4))
+def test_keys_in_a_used_store_are_the_keys_in_a_fresh_one(eqs, rows):
+    """A cyclic key is exact whatever the store has keyed before: each row
+    keyed twice in one store gets the key a fresh store gives it."""
+    solved = solve(eqs)
+    assume(solved is not None)
+    store: dict = {}
+    for terms in rows + rows:
+        nodes, roots = unfold(solved, terms)
+        key = value_key(nodes, roots, store)
+        if isinstance(key[-1], tuple):  # cyclic: a canonical table
+            assert key == value_key(nodes, roots, {})
 
 
 # --- rational_values against the recursive reference ---------------------

@@ -2,7 +2,9 @@
 `python -O` strips it; no recursion, so that no result depends on the
 recursion limit; no function without a caller, so no dead code stays; no
 private name imported from another module, so each module's underscore
-names are its own; and no private attribute used off self or cls."""
+names are its own; no private attribute used off self or cls; and no field
+of a term, atom or clause assigned, as they are immutable by this rule
+alone."""
 import ast
 from pathlib import Path
 
@@ -109,4 +111,37 @@ def test_every_function_has_a_caller():
     bad = [f"{module}: {name}" for module, name in defined
            if name not in named and name not in UNCALLED
            and not (name.startswith("__") and name.endswith("__"))]
+    assert bad == []
+
+
+# The term classes of colp.terms, and their fields.  The classes are not
+# frozen, so that making one does not pay for a runtime guard.
+TERM_CLASSES = {"Var", "Num", "Compound", "Atom", "Clause"}
+TERM_FIELDS = {"name", "index", "value", "functor", "args", "pred", "head",
+               "body"}
+
+
+def test_term_fields_are_never_assigned():
+    """No attribute named like a term field is assigned, augmented or
+    deleted in src/colp, nor set through setattr, except on self inside
+    the term classes' own __init__."""
+    bad = []
+    for path, tree in _modules():
+        inits = [fn for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) and cls.name in TERM_CLASSES
+                 for fn in cls.body
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"]
+        allowed = {id(n) for fn in inits for n in ast.walk(fn)
+                   if getattr(getattr(n, "value", None), "id", "") == "self"}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in TERM_FIELDS
+                    and isinstance(node.ctx, (ast.Store, ast.Del))
+                    and id(node) not in allowed):
+                bad.append(f"{path.name}:{node.lineno}: {node.attr}")
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", ""))
+                  in ("setattr", "delattr", "__setattr__", "__delattr__")
+                  and any(isinstance(a, ast.Constant)
+                          and a.value in TERM_FIELDS for a in node.args)):
+                bad.append(f"{path.name}:{node.lineno}: setattr")
     assert bad == []

@@ -74,6 +74,22 @@ def test_var_display_uses_index_stamp():
     assert Var("X", 4).display() == "X#4"
 
 
+@pytest.mark.parametrize("name, index", [("X", 0), ("X", 3), ("_#1", 2)])
+def test_var_equality_and_hash_follow_name_and_index(name, index):
+    v = Var(name, index)
+    assert v == Var(name, index) and hash(v) == hash(Var(name, index))
+    assert hash(v) == hash((name, index))
+    assert v != Var(name, index + 1) and v != Var(name + "Y", index)
+    assert len({v, Var(name, index), Var(name, index + 1)}) == 2
+    assert Var(name) == Var(name, 0)
+    for other in (Num(index), Compound(name), Compound(name, (v,)),
+                  (name, index), name):
+        assert v != other and other != v and not v == other
+    assert {v: 1}.get((name, index)) is None
+    assert Var.__eq__(v, (name, index)) is NotImplemented
+    assert repr(v) == f"Var(name={name!r}, index={index!r})"
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_each_mode_picks_the_clauses_of_the_reference(mode):
     for path in sorted(PROGRAMS_DIR.glob("*.colp")):
