@@ -30,6 +30,17 @@ query keeps one store for all its sweeps, where a key holds values' ids
 or a cyclic value's canonical table, and the store remembers the canonical
 table of each cyclic raw table, so a loop that closes again and again is
 minimised once per query (value_key).
+A sweep also remembers, per branch, the store id of each compound
+argument of a finite ground key, by the object the argument walks to, so
+a later key stops there instead of walking the value again.  An entry
+goes in at the stack height the state being expanded left, and goes once
+the stack drops below that height: it lives in that state's subtree
+alone, where bindings only grow, so the value stays as it was.  Only a
+key taken under the equations of the state being expanded reads the
+memo: a new hypothesis's and a re-derivation's before its table lookup.
+A hypothesis keyed later, under the equations where it was made, reads
+nothing, as those may leave free what the memo's branch bound.  A cyclic
+table that meets a remembered id is keyed from a full unfold.
 
 Each sweep keeps a table of failed re-derivations of ground atoms.  Such a
 re-derivation has no hypotheses and runs on the inner clause tables, so
@@ -58,8 +69,8 @@ from typing import IO, Iterator, Optional
 from .equations import (EMPTY_SOLVED, BuiltinTypeError, SolvedForm,
                         arith_value, holds, solve, unfold, value_key, walk)
 from .parser import Query, atom_to_str
-from .terms import (MODES, Atom, Num, Program, Var, fresh_rename, identical,
-                    is_builtin, principal)
+from .terms import (MODES, Atom, Compound, Num, Program, Var, fresh_rename,
+                    identical, is_builtin, principal)
 
 STRATEGIES = ("dfs", "iddfs")
 PREFERENCES = ("cohyp", "step")
@@ -138,21 +149,34 @@ class _Hyp:
         self.atom, self.heads, self.solved = atom, heads, solved
         self._key = () if None in heads else None
 
-    def key(self, store: dict) -> tuple:
+    def key(self, store: dict, run: Optional[_Run] = None) -> tuple:
         """The atom's _ground_key where it was made; built at most once."""
         if self._key is None:
-            self._key = _ground_key(self.atom, self.solved, store)
+            self._key = _ground_key(self.atom, self.solved, store, run)
             self.solved = None  # the key was all it was kept for
         return self._key
 
 
-def _ground_key(atom: Atom, solved: SolvedForm, store: dict) -> tuple:
+def _ground_key(atom: Atom, solved: SolvedForm, store: dict,
+                run: Optional[_Run] = None) -> tuple:
     """The predicate and the exact key of the atom's argument values in the
-    store (see equations.value_key), or () if one is not ground."""
-    nodes, roots = unfold(solved, atom.args)
+    store (see equations.value_key), or () if one is not ground.  Given
+    the run whose state is being expanded, solved being that state's
+    equations, it reads the run's memo and extends it by a finite key."""
+    known = None if run is None else run.known
+    nodes, roots = unfold(solved, atom.args, known)
     if any(k == "v" for k, _, _ in nodes):
         return ()
-    return (atom.pred, *value_key(nodes, roots, store))
+    key = value_key(nodes, roots, store)
+    if key is None:  # cyclic through a remembered leaf
+        key = value_key(*unfold(solved, atom.args), store)
+    elif known is not None and key and key[0].__class__ is int:  # finite
+        for a, sid in zip(atom.args, key):
+            t = walk(solved, a)
+            if t.__class__ is Compound and t.args and id(t) not in known:
+                known[id(t)] = sid
+                run.trail.append((len(run.stack), t))
+    return (atom.pred, *key)
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,10 +205,10 @@ class _Redo:
         self.done = False  # the atom was re-derived
         self._key: Optional[tuple] = None
 
-    def key(self, store: dict) -> tuple:
+    def key(self, store: dict, run: Optional[_Run] = None) -> tuple:
         """The atom's _ground_key; built at most once."""
         if self._key is None:
-            self._key = _ground_key(self.atom, self.solved, store)
+            self._key = _ground_key(self.atom, self.solved, store, run)
         return self._key
 
 
@@ -226,6 +250,12 @@ class _Run:
         # a ground re-derivation's key -> the most budget left with which
         # it failed, at the wall
         self.failed: dict[tuple, int] = {}
+        self.stack: list[tuple] = []  # the pending states
+        # the id() of a compound object -> its value's id in the store,
+        # for ground values keyed on the path to the state being expanded;
+        # and the (stack height, object) of each entry, in entry order
+        self.known: dict[int, int] = {}
+        self.trail: list[tuple[int, Compound]] = []
 
     def _tline(self, depth: int, text: str) -> None:
         if self.trace is not None:
@@ -241,9 +271,13 @@ class _Run:
         so derivation length is bounded by the budget, not the interpreter's
         recursion limit.  Yields the equations of each success whose cost,
         the budget it used, is above the floor."""
-        stack: list[tuple] = [(frames, solved, 0, None)]
+        stack, known, trail = self.stack, self.known, self.trail
+        stack.append((frames, solved, 0, None))
         while stack:
             frames, solved, used, note = stack.pop()
+            # an entry made above this height held in a subtree now done
+            while trail and trail[-1][0] > len(stack):
+                del known[id(trail.pop()[1])]
             if frames is None:  # solved is a _Redo whose subtree is done
                 self._record(solved)
                 continue
@@ -307,7 +341,7 @@ class _Run:
                     if ((other.pred, len(other.args)) != sig
                             or _clash(hyp.heads, heads)):
                         continue
-                    key = hyp.key(store) and made.key(store)
+                    key = hyp.key(store) and made.key(store, self)
                     if key:  # both ground
                         if key != hyp.key(store):
                             continue
@@ -340,7 +374,7 @@ class _Run:
     def _tabled(self, redo: _Redo, depth: int) -> bool:
         """Is the re-derivation's outcome known from the failure table?  One
         that would hit the wall was tabled after this sweep hit it."""
-        if redo.left > self.failed.get(redo.key(self.store), -1):
+        if redo.left > self.failed.get(redo.key(self.store, self), -1):
             return False
         if self.trace is not None:
             snap = atom_to_str(redo.atom, redo.solved)

@@ -18,7 +18,8 @@ the values at roots of a table their exact key in a store, a caller's dict
 from nodes to ids that hash-conses finite values across calls: their ids
 when all are finite, else a cyclic value's canonical table.  The store also
 remembers the canonical table of each cyclic raw table it has keyed, so a
-loop that closes again and again is minimised once.
+loop that closes again and again is minimised once.  unfold may stop at
+objects whose store ids a caller knows, leaving leaves that carry them.
 rational_values minimises a table once, for a finite universe: no two of
 its nodes unfold to the same tree, so there tuple equality is value
 equality.  match takes such a minimal table as its target, and holds
@@ -116,11 +117,17 @@ def rational_values(solved: SolvedForm,
     return _number(nodes, _refine(nodes) if block is None else block, roots)
 
 
-def unfold(solved: SolvedForm,
-           terms: Sequence[Term]) -> tuple[list, list[int]]:
+def unfold(solved: SolvedForm, terms: Sequence[Term],
+           known: Optional[Mapping[int, int]] = None
+           ) -> tuple[list, list[int]]:
     """Unfold terms through a solved form into one node table, one node per
     term object reached, which closes cycles, as they run through the one
-    binding object of a variable; and the id of each term's value in it."""
+    binding object of a variable; and the id of each term's value in it.
+
+    known maps the id() of a compound object to its value's id in a store,
+    valid under the solved form.  unfold stops at such an object and
+    leaves a remembered leaf ("i", store id, ()) for it, which only
+    value_key reads, with that store."""
     nodes: list = []
     memo: dict[int, int] = {}
 
@@ -138,14 +145,19 @@ def unfold(solved: SolvedForm,
             nodes[i] = ("v", t.display(), ())
         elif isinstance(t, Num):
             nodes[i] = ("n", t.value, ())
+        elif known and id(t) in known:
+            nodes[i] = ("i", known[id(t)], ())
         else:
             nodes[i] = ("f", t.functor, tuple(map(node, t.args)))
     return nodes, roots
 
 
-def value_key(nodes: list, roots: Sequence[int], store: dict) -> tuple:
+def value_key(nodes: list, roots: Sequence[int],
+              store: dict) -> Optional[tuple]:
     """The values at the roots of a node table, exactly: their ids in the
-    store when all are finite, else their canonical (roots, nodes).
+    store when all are finite, else their canonical (roots, nodes), or None
+    for a cyclic table with a remembered leaf (see unfold), which is
+    neither minimised nor stored: its key needs a full unfold.
 
     A canonical table reads nothing of the store, so the store keeps it
     under the raw (nodes, roots): a 2-tuple, which no node, a 3-tuple,
@@ -155,7 +167,9 @@ def value_key(nodes: list, roots: Sequence[int], store: dict) -> tuple:
         return tuple(block[r] for r in roots)
     raw = (tuple(nodes), tuple(roots))
     key = store.get(raw)
-    if key is None:
+    if key is None:  # no stored table has a remembered leaf
+        if any(n[0] == "i" for n in nodes):
+            return None
         table, ids = _number(nodes, _refine(nodes), roots)
         key = store[raw] = (tuple(ids), table)
     return key
@@ -166,11 +180,12 @@ def _classes(nodes: list, roots: Iterable[int],
     """The id in the store of each node reachable from the roots, or None
     at the first back edge.  The store maps (kind, payload, child ids) to
     ids in insertion order, so on an acyclic graph two nodes get one id
-    exactly when they unfold alike.  Leaves go in first; a pass from the
-    last node back settles nodes while their children are settled; a
-    post-order walk settles the rest."""
-    block = [store.setdefault(n, len(store)) if not n[2] else -1
-             for n in nodes]
+    exactly when they unfold alike.  Leaves go in first, a remembered leaf
+    with the id it carries; a pass from the last node back settles nodes
+    while their children are settled; a post-order walk settles the
+    rest."""
+    block = [-1 if n[2] else store.setdefault(n, len(store)) if n[0] != "i"
+             else n[1] for n in nodes]
     for i in range(len(nodes) - 1, -1, -1):
         kind, payload, kids = nodes[i]
         if kids:

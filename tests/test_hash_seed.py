@@ -33,6 +33,8 @@ RUNS = [
     f"run {P}/lists.colp member(X,[Y,f(Y),Y,Z]). --answers 8",
     f"run {P}/lists.colp L=[A,B|L],member(X,L). --answers 4 --budget 64",
     f"run {P}/omega.colp p(X). --answers 2 --budget 16 --trace",
+    f"run {P}/omega.colp p(z). --strategy dfs --budget 40 --trace",
+    f"run {P}/ltl.colp W=[1|W],sat(W,until(one,zero)). --budget 16 --trace",
     # the inductive and coinductive modes
     f"semantics {P}/omega.colp {P}/omega.univ --mode coinductive",
     f"semantics {P}/lists.colp {P}/lists.univ --mode coinductive",

@@ -5,17 +5,20 @@ same exhaustion and the same diagnostics."""
 import io
 import itertools
 import random
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 from colp import engine
-from colp.engine import MODES, Config, _answer_key, _Hyp, run_query
-from colp.equations import EMPTY_SOLVED, rational_values, solve, walk
+from colp.engine import (MODES, Config, _answer_key, _ground_key, _Hyp,
+                         run_query)
+from colp.equations import (EMPTY_SOLVED, rational_values, solve, unfold,
+                            walk)
 from colp.parser import parse_program, parse_query
 from colp.semantics import Universe, compute_semantics
-from colp.terms import (Atom, Compound, Num, Template, fresh_rename,
+from colp.terms import (Atom, Compound, Num, Template, Var, fresh_rename,
                         principal)
 
 from conftest import (PROGRAMS_DIR, answer_key_by_table, fresh_rename_by_walk,
@@ -123,6 +126,31 @@ def test_keyed_hypotheses_close_exactly():
                          "c(a).\nc(b).\n")
     for text in ("p(z).", "W = s(W), p(W).", "q(f(Y))."):
         assert_same_run(prog, text, Config(strategy="dfs", budget=12))
+
+
+# q(f(Y)) picks Y = a and then, on backtracking, Y = b.  Under Y = a, a
+# key remembers the store id of f(a) for the object f(Y); under Y = b that
+# object is f(b).  The hypothesis q(f(Y)), made with Y free, is first keyed
+# under Y = a, so its key must read no remembered id.
+BRANCHES = ("p :- q(f(Y)).\n"
+            "q(X) :- pick(X), r(X), q(X), ok(X).\n"
+            "q(X) :~ pick(X).\n"
+            "pick(f(a)).\n"
+            "pick(f(b)).\n"
+            "ok(f(b)).\n"
+            "r(X) :- r(X).\n"
+            "r(X) :~ .\n")
+
+
+@pytest.mark.parametrize("strategy, prefer",
+                         itertools.product(("dfs", "iddfs"),
+                                           ("cohyp", "step")))
+def test_a_remembered_id_never_leaks_into_another_branch(strategy, prefer):
+    prog = parse_program(BRANCHES)
+    for budget in (8, 10, 12, 14):
+        trace = assert_same_run(prog, "p.", Config(
+            strategy=strategy, prefer=prefer, budget=budget))[0]
+        assert "COHYP q(f(b)) ~ q(f(b))" in trace
 
 
 def test_failed_ground_hypotheses_are_told_apart_by_key(monkeypatch):
@@ -263,6 +291,79 @@ def test_keys_in_one_store_are_equal_exactly_when_values_are(values, pairs):
     assert answers[0] == answers[2]
     assert (answers[0] == answers[1]) == (
         answer_key_by_table(solved, a) == answer_key_by_table(solved, b))
+
+
+def branch():
+    """The memo of a run expanding a state, as _ground_key reads it."""
+    return SimpleNamespace(known={}, trail=[], stack=[])
+
+
+O = Var("O")
+FINITE = Compound("f", (Compound("a"), Num(1)))
+
+
+@pytest.mark.parametrize("eqs, atoms", [
+    # a remembered value under a cycle: X = g(O, X)
+    ([(X, Compound("g", (O, X)))], [(X,), (Compound("g", (O, X)),)]),
+    # and above one: Y's list equals the list X is on
+    ([(X, Compound(".", (O, X))), (Y, Compound(".", (O, X)))],
+     [(X,), (Y,)]),
+    # a finite value over it
+    ([(Z, Compound("g", (O, Compound("g", (O, O)))))],
+     [(Z,), (Compound("g", (O, Compound("g", (O, O)))),)]),
+], ids=["under", "above", "finite"])
+def test_keys_through_remembered_ids_are_exact(eqs, atoms):
+    """O's id is remembered under O = f(a, 1), then read under more
+    equations: each key equals the one a full unfold gives in the same
+    store, a cyclic one also the one a fresh store gives, and the two
+    atoms' values, which are equal, get one key."""
+    store, run = {}, branch()
+    solved = solve([(O, FINITE)])
+    (_, sid) = _ground_key(Atom("p", (O,)), solved, store, run)
+    assert run.known == {id(FINITE): sid}
+    solved = solve(eqs, solved)
+    keys = set()
+    for args in atoms:
+        assert ("i", sid, ()) in unfold(solved, args, run.known)[0]
+        got = _ground_key(Atom("p", args), solved, store, run)
+        assert got == _ground_key(Atom("p", args), solved, store)
+        if got[1].__class__ is not int:  # cyclic
+            assert got == _ground_key(Atom("p", args), solved, {})
+        keys.add(got)
+    assert len(keys) == 1
+
+
+@settings(max_examples=200, deadline=None)
+# X's id is remembered, then read under the cycle Y = g(X, Y)
+@example((Compound("f", (Compound("a"),)), None, None),
+         (None, Compound("g", (X, Y)), None), ((X, Y),))
+@given(st.tuples(*[st.one_of(st.none(), bound_terms)] * 3),
+       st.tuples(*[st.one_of(st.none(), bound_terms)] * 3), term_pairs)
+def test_keys_through_the_memo_are_the_keys_of_a_full_unfold(first, then,
+                                                             pairs):
+    """Bindings only grow along a branch.  Keys taken through one memo,
+    under the first equations and then under more, read the ids the
+    earlier keys remembered; each is the key a full unfold gives in the
+    same store, and a cyclic one also the key a fresh store gives.  Under
+    the later equations, two ground keys are equal exactly when the
+    values are."""
+    early = solve((v, t) for v, t in zip((X, Y, Z), first) if t is not None)
+    late = solve(((v, t) for v, t in zip((X, Y, Z), then)
+                  if t is not None and walk(early, v) is v), early)
+    assume(late is not None)
+    a = tuple(x for x, _ in pairs)
+    b = tuple(y for _, y in pairs)
+    store, run = {}, branch()
+    taken = [(solved, args, _ground_key(Atom("p", args), solved, store, run))
+             for solved in (early, late) for args in (a, b)]
+    for solved, args, got in taken:
+        assert got == _ground_key(Atom("p", args), solved, store)
+        if got and got[1].__class__ is not int:  # cyclic
+            assert got == _ground_key(Atom("p", args), solved, {})
+    ka, kb = taken[2][2], taken[3][2]
+    if ka and kb:
+        assert (ka == kb) == (rational_values(late, a) ==
+                              rational_values(late, b))
 
 
 def test_keys_are_empty_for_non_ground_arguments():
