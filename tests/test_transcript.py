@@ -92,11 +92,6 @@ COMMANDS = [
       "--budget", "6", "--trace"], ""),
     (["run", P + "bigstep.colp", "E = seq(skip, E), eval(E, end, S).",
       "--budget", "10", "--trace"], ""),
-    # an omega regress and an ltl until loop at larger budgets
-    (["run", P + "omega.colp", "p(z).", "--strategy", "dfs", "--budget", "40",
-      "--trace"], ""),
-    (["run", P + "ltl.colp", "W = [1|W], sat(W, until(one, zero)).",
-      "--budget", "16", "--trace"], ""),
     # semantics with some 200 escape warnings, in their order
     (["semantics", P + "regex.colp", P + "regex.univ"], ""),
     # equal query variables: the first answer is X = [], Y = _, Z = Y
@@ -115,6 +110,11 @@ COMMANDS = [
     (["run", P + "lists.colp", "X = -(3), X = -3."], ""),
     # a warning for each called predicate that nothing defines
     (["run", P + "lists.colp", "member(X, [0]), q(X), r."], ""),
+    # an omega regress and an ltl until loop at larger budgets
+    (["run", P + "omega.colp", "p(z).", "--strategy", "dfs", "--budget", "40",
+      "--trace"], ""),
+    (["run", P + "ltl.colp", "W = [1|W], sat(W, until(one, zero)).",
+      "--budget", "16", "--trace"], ""),
 ]
 
 
