@@ -42,6 +42,14 @@ A hypothesis keyed later, under the equations where it was made, reads
 nothing, as those may leave free what the memo's branch bound.  A cyclic
 table that meets a remembered id is keyed from a full unfold.
 
+A frame's hypotheses keep their insertion order, except that a ground one
+whose key was built when it joined is filed by signature, then by its
+row of principal functors, then by key.  An atom meets, in insertion
+order, the unkeyed hypotheses of its signature and the keyed ones of
+each row that does not clash with its own; a ground atom meets only those
+of its own key, the ones it equals.  No atom or hypothesis is keyed that
+a scan of them all would not key.
+
 Each sweep keeps a table of failed re-derivations of ground atoms.  Such a
 re-derivation has no hypotheses and runs on the inner clause tables, so
 its outcome depends only on the atom's value and on the budget r left when
@@ -64,7 +72,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import IO, Iterator, Optional
+from operator import attrgetter
+from typing import IO, Iterator, Optional, Sequence
 
 from .equations import (EMPTY_SOLVED, BuiltinTypeError, SolvedForm,
                         arith_value, holds, solve, unfold, value_key, walk)
@@ -138,15 +147,19 @@ def _clash(xs: tuple, ys: tuple) -> bool:
 
 
 class _Hyp:
-    """A coinductive hypothesis: an atom, its arguments' principal functors
-    and the equations where it was made.  Bindings only grow below there,
-    so a principal functor that was set and a ground value stay as they
-    were."""
+    """A coinductive hypothesis: an atom, its arguments' principal functors,
+    the equations where it was made, and its position in a hypothesis set,
+    the depth of the frame that made it.  A set grows down a chain of
+    frames, each the body of the one before, so positions follow insertion
+    order.  Bindings only grow below there, so a principal functor that was
+    set and a ground value stay as they were."""
 
-    __slots__ = ("atom", "heads", "solved", "_key")
+    __slots__ = ("atom", "heads", "solved", "pos", "_key")
 
-    def __init__(self, atom: Atom, heads: tuple, solved: SolvedForm):
+    def __init__(self, atom: Atom, heads: tuple, solved: SolvedForm,
+                 pos: int = 0):
         self.atom, self.heads, self.solved = atom, heads, solved
+        self.pos = pos
         self._key = () if None in heads else None
 
     def key(self, store: dict, run: Optional[_Run] = None) -> tuple:
@@ -155,6 +168,49 @@ class _Hyp:
             self._key = _ground_key(self.atom, self.solved, store, run)
             self.solved = None  # the key was all it was kept for
         return self._key
+
+    def candidates(self, hyps: tuple, sig: tuple, run: _Run) -> Sequence:
+        """The hypotheses of the set hyps that this one's atom, of
+        signature sig, may meet, in insertion order: the unkeyed ones, of
+        any signature, and those keyed under sig.  A keyed one clashes with
+        an atom whose heads have no variable and differ from its own, and
+        equals a ground atom exactly when their keys are equal.  This atom
+        is keyed only if its row has a keyed one, as a scan would key it
+        there."""
+        unkeyed, keyed = hyps
+        rows = keyed.get(sig)
+        if rows is None:
+            return unkeyed
+        keys = rows.get(self.heads)
+        if keys is not None and self.key(run.store, run):
+            buckets = [keys.get(self._key, ())]
+        elif keys is None and None not in self.heads:
+            return unkeyed  # every keyed hypothesis clashes
+        else:
+            buckets = [b for ks in rows.values() for b in ks.values()]
+        met = [h for bucket in buckets for h in bucket]
+        return sorted((*unkeyed, *met), key=_BY_POSITION) if met \
+            else unkeyed
+
+    def joined(self, hyps: tuple, sig: tuple) -> tuple:
+        """The set hyps with this hypothesis added: keyed under sig, its
+        heads and its key if the key was built and is ground, else as
+        unkeyed."""
+        unkeyed, keyed = hyps
+        if not self._key:
+            return unkeyed + (self,), keyed
+        rows = keyed.get(sig, {})
+        keys = dict(rows.get(self.heads, ()))
+        keys[self._key] = keys.get(self._key, ()) + (self,)
+        return unkeyed, {**keyed, sig: {**rows, self.heads: keys}}
+
+
+# A hypothesis set is a pair (unkeyed, keyed).  keyed maps a signature to
+# heads to keys to the ground hypotheses keyed when they joined; unkeyed
+# holds the others, of every signature.  Each is in insertion order.  A
+# set is never changed.
+_NO_HYPS: tuple[tuple, dict] = ((), {})
+_BY_POSITION = attrgetter("pos")
 
 
 def _ground_key(atom: Atom, solved: SolvedForm, store: dict,
@@ -182,9 +238,9 @@ def _ground_key(atom: Atom, solved: SolvedForm, store: dict,
 @dataclass(frozen=True, slots=True)
 class Frame:
     atom: Atom
-    # insertion order, duplicates collapsed; None on the frame that starts
-    # a co-hyp move's re-derivation
-    hyps: Optional[tuple[_Hyp, ...]]
+    # a hypothesis set (_Hyp.joined), duplicates collapsed; None on the frame
+    # that starts a co-hyp move's re-derivation
+    hyps: Optional[tuple[tuple, dict]]
     inner: bool             # inside a co-hyp re-derivation
     depth: int
 
@@ -330,13 +386,13 @@ class _Run:
                 if steps:  # a co-hyp move needs a step too
                     self.walls += 1
                 continue
-            hyps: tuple[_Hyp, ...] = ()
+            hyps = _NO_HYPS
             cohyps = []
             # without coclauses, no co-hyp move reads the hypotheses
             if self.has_co and not frame.inner:
-                made, store = _Hyp(atom, heads, solved), self.store
-                dup = False
-                for hyp in frame.hyps:
+                made = _Hyp(atom, heads, solved, frame.depth)
+                store, dup = self.store, False
+                for hyp in made.candidates(frame.hyps, sig, self):
                     other = hyp.atom
                     if ((other.pred, len(other.args)) != sig
                             or _clash(hyp.heads, heads)):
@@ -358,7 +414,7 @@ class _Run:
                                 f"~ {atom_to_str(other, after)}")
                     redo = Frame(atom, None, True, frame.depth + 1)
                     cohyps.append(((redo,) + rest, after, used + 1, note))
-                hyps = frame.hyps if dup else frame.hyps + (made,)
+                hyps = frame.hyps if dup else made.joined(frame.hyps, sig)
             moves = []
             for cid, body, after in steps:
                 body = tuple(Frame(b, hyps, frame.inner, frame.depth + 1)
@@ -423,7 +479,7 @@ def run_query(prog: Program, query: Query, cfg: Config,
     end, budget-exhausted otherwise.
     """
     tables = _clause_tables(prog, cfg.mode)
-    frames = tuple(Frame(a, (), False, 0) for a in query.atoms)
+    frames = tuple(Frame(a, _NO_HYPS, False, 0) for a in query.atoms)
 
     def generate() -> Iterator[SolvedForm]:
         store: dict = {}

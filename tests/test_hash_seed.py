@@ -35,6 +35,8 @@ RUNS = [
     f"run {P}/omega.colp p(X). --answers 2 --budget 16 --trace",
     f"run {P}/omega.colp p(z). --strategy dfs --budget 40 --trace",
     f"run {P}/ltl.colp W=[1|W],sat(W,until(one,zero)). --budget 16 --trace",
+    f"run {P}/omega.colp W=s(W),p(W). --strategy dfs --budget 6 "
+    "--prefer step --trace",
     # the inductive and coinductive modes
     f"semantics {P}/omega.colp {P}/omega.univ --mode coinductive",
     f"semantics {P}/lists.colp {P}/lists.univ --mode coinductive",

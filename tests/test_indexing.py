@@ -128,6 +128,34 @@ def test_keyed_hypotheses_close_exactly():
         assert_same_run(prog, text, Config(strategy="dfs", budget=12))
 
 
+# A walk down the list W = [k, n, k, n, ...] behind a q: each k steps to
+# the tail, each n to a tail behind a fresh head Z, and the q through q/1.
+# So p's hypotheses mix ground ones, keyed by their list, non-ground ones
+# (a free Z), ground ones made before any was keyed, and q's.
+WALK = ("p([k|T]) :- p(T).\n"
+        "p([n|T]) :- p([Z|T]).\n"
+        "p([q|T]) :- q(T).\n"
+        "q(T) :- p(T).\n"
+        "p(X) :~ .\n"
+        "q(X) :~ .\n")
+
+
+@pytest.mark.parametrize("strategy, prefer",
+                         itertools.product(("dfs", "iddfs"),
+                                           ("cohyp", "step")))
+def test_indexed_hypotheses_are_met_in_insertion_order(strategy, prefer):
+    """At budget 10 the eighth p atom of one branch is ground, and the
+    hypotheses it may meet are, in order: p([q|W]), made before any key;
+    a keyed p of its own list; a p with a free head; a keyed p of its
+    list again; and a p with a free head again.  Between them lie a q and
+    a keyed p of another list, which it skips.  A p([Z|T]) meets every
+    keyed p in order."""
+    prog = parse_program(WALK)
+    for budget in (8, 9, 10, 11):
+        assert_same_run(prog, "W = [k, n|W], p([q|W]).", Config(
+            strategy=strategy, prefer=prefer, budget=budget))
+
+
 # q(f(Y)) picks Y = a and then, on backtracking, Y = b.  Under Y = a, a
 # key remembers the store id of f(a) for the object f(Y); under Y = b that
 # object is f(b).  The hypothesis q(f(Y)), made with Y free, is first keyed

@@ -115,6 +115,9 @@ COMMANDS = [
       "--trace"], ""),
     (["run", P + "ltl.colp", "W = [1|W], sat(W, until(one, zero)).",
       "--budget", "16", "--trace"], ""),
+    # one atom closes five loops against hypotheses of one value
+    (["run", P + "omega.colp", "W = s(W), p(W).", "--strategy", "dfs",
+      "--budget", "6", "--prefer", "step", "--trace"], ""),
 ]
 
 
